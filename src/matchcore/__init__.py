@@ -9,9 +9,11 @@ this package computes the next best thing: a payout within a factor
 exceeding the grand coalition's worth.
 
 All arithmetic is exact: integer edge weights, integer duals on the
-doubled bipartite graph, `fractions.Fraction` everywhere else. Every
-run is certified by complementary slackness, and the `verify` module
-cross-checks results against brute-force enumeration at desk scale.
+doubled bipartite graph, `fractions.Fraction` everywhere else. The
+package is pure Python; its one matching kernel works on Python
+integers, so no weight is too large for it. Every run is certified by
+complementary slackness, and the `verify` module cross-checks results
+against brute-force enumeration at desk scale.
 """
 
 from .bipartite import (
@@ -67,11 +69,6 @@ from .verify import (
     worth_bruteforce,
 )
 
-from . import bipartite as _bipartite
-
-#: Which matching kernel was selected at import: "c" or "py".
-KERNEL_BACKEND = _bipartite.DEFAULT_BACKEND
-
 __version__ = "0.1.0"
 
 __all__ = [
@@ -88,7 +85,6 @@ __all__ = [
     "ImputationResult",
     "InstanceFormatError",
     "InvariantViolation",
-    "KERNEL_BACKEND",
     "MatchcoreError",
     "OddCycle",
     "PipelineTrace",

@@ -20,25 +20,11 @@ matching optimal against every competing matching.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 from . import _hungarian_py
 from .errors import InvariantViolation
 from .instances import GameInstance
-
-try:
-    from . import _hungarian  # compiled kernel
-except ImportError:
-    _hungarian = None
-
-# Weights at or beyond this magnitude stay on the arbitrary-precision
-# Python kernel; the compiled kernel computes slacks in 64-bit.
-_C_KERNEL_WEIGHT_LIMIT = 1 << 58
-
-DEFAULT_BACKEND = "c" if _hungarian is not None else "py"
-if os.environ.get("MATCHCORE_FORCE_PY_KERNEL"):
-    DEFAULT_BACKEND = "py"
 
 
 @dataclass(frozen=True)
@@ -95,16 +81,14 @@ def double_graph(g: GameInstance) -> DoubledGraph:
     return DoubledGraph(g, tuple(doubled))
 
 
-def solve_bipartite(d: DoubledGraph, backend: str | None = None) -> PrimalDualCertificate:
+def solve_bipartite(d: DoubledGraph) -> PrimalDualCertificate:
     """Maximum-weight matching of the doubled graph with integer duals.
 
     The output is deterministic: vertices and adjacency lists are
-    processed in ascending id order. `backend` selects the kernel
-    ("c" or "py"); by default the compiled kernel is used when it is
-    available and the weights fit 64-bit arithmetic.
+    processed in ascending id order.
     """
     n = d.original.vertex_count
-    match_l, match_r, u, v = _run_kernel(n, d.edges, backend)
+    match_l, match_r, u, v = _run_kernel(n, d.edges)
 
     matched = set()
     for i in range(n):
@@ -120,15 +104,16 @@ def solve_bipartite(d: DoubledGraph, backend: str | None = None) -> PrimalDualCe
     return cert
 
 
-def _run_kernel(n: int, edges, backend: str | None):
-    """Build CSR input (zero-weight edges dropped) and run a kernel."""
+def _kernel_csr(n: int, edges) -> tuple[list[int], list[int], list[int]]:
+    """CSR kernel input `(heads, rights, weights)` of doubled edges.
+
+    Right ids are shifted down by n and zero-weight edges are dropped;
+    each left vertex's neighbors are in ascending order.
+    """
     adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    maxw = 0
     for (a, b, w) in edges:
         if w > 0:
             adj[a].append((b - n, w))
-            if w > maxw:
-                maxw = w
     heads = [0]
     rights: list[int] = []
     weights: list[int] = []
@@ -138,20 +123,13 @@ def _run_kernel(n: int, edges, backend: str | None):
             rights.append(j)
             weights.append(w)
         heads.append(len(rights))
+    return heads, rights, weights
 
-    if backend is None:
-        backend = DEFAULT_BACKEND
-        if backend == "c" and maxw >= _C_KERNEL_WEIGHT_LIMIT:
-            backend = "py"
-    if backend == "c":
-        if _hungarian is None:
-            raise ValueError("compiled kernel is not available")
-        if maxw >= _C_KERNEL_WEIGHT_LIMIT:
-            raise ValueError("weights too large for the compiled kernel")
-        return _hungarian.solve_max_weight_bipartite(n, n, heads, rights, weights)
-    if backend == "py":
-        return _hungarian_py.solve_max_weight_bipartite(n, n, heads, rights, weights)
-    raise ValueError(f"unknown backend: {backend!r}")
+
+def _run_kernel(n: int, edges):
+    """Build the CSR input and run the matching kernel on it."""
+    heads, rights, weights = _kernel_csr(n, edges)
+    return _hungarian_py.solve_max_weight_bipartite(n, n, heads, rights, weights)
 
 
 def check_certificate(d: DoubledGraph, cert: PrimalDualCertificate) -> list[str]:

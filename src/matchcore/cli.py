@@ -32,7 +32,7 @@ def _err(msg: str) -> None:
 
 def _cmd_solve(args) -> int:
     g = load_instance(args.instance)
-    trace = run_pipeline(g, backend=args.backend)
+    trace = run_pipeline(g)
     if args.check:
         problems = audit_pipeline(trace)
         if problems:
@@ -114,8 +114,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--json", action="store_true", help="emit JSON")
     p_solve.add_argument("--check", action="store_true",
                          help="re-verify all invariants before emitting")
-    p_solve.add_argument("--backend", choices=("c", "py"), default=None,
-                         help="force a solver kernel (default: auto)")
     p_solve.set_defaults(func=_cmd_solve)
 
     p_verify = sub.add_parser("verify", help="check an imputation file")

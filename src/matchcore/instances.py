@@ -16,6 +16,10 @@ The on-disk format is line oriented (UTF-8, `#` starts a comment line):
 
     p mg <n> <m>      header: n vertices, m edges
     e <u> <v> <w>     one line per edge, 1-based endpoints, integer weight
+
+Every number is written in ASCII decimal digits with an optional minus
+sign (`-?[0-9]+`); a leading `+`, digit-group underscores or non-ASCII
+digits are rejected.
 """
 
 from __future__ import annotations
@@ -30,13 +34,26 @@ from .errors import InstanceFormatError
 Edge = tuple[int, int, int]
 
 
+def _plain_digits(line: str) -> bool:
+    """True when `int()` can read a token of `line` only as `-?[0-9]+`.
+
+    On a whitespace-free ASCII token `int()` accepts exactly
+    `[+-]?[0-9]+(_[0-9]+)*`, so a line that is ASCII and has no `+` and
+    no `_` leaves it the form the file format allows. Without this
+    check "+1_000" would read as 1000 and non-ASCII digits as numbers.
+    """
+    return line.isascii() and "+" not in line and "_" not in line
+
+
 @dataclass(frozen=True)
 class GameInstance:
     """An undirected simple graph with nonnegative integer edge weights.
 
-    Vertex ids are 0-based and dense in `range(vertex_count)`. Edges are
-    stored with endpoints normalized to `u < v`. Instances are immutable
-    after construction and safe to share between threads.
+    The vertex count, endpoints and weights must be `int`s; anything
+    else (a float, a `bool`, a `Fraction`) is rejected rather than
+    rounded. Vertex ids are 0-based and dense in `range(vertex_count)`.
+    Edges are stored with endpoints normalized to `u < v`. Instances are
+    immutable after construction and safe to share between threads.
     """
 
     vertex_count: int
@@ -44,11 +61,18 @@ class GameInstance:
     name: str | None = field(default=None, compare=False)
 
     def __post_init__(self):
+        # `type(x) is int` also rules out `bool`, an `int` subclass
+        if type(self.vertex_count) is not int:
+            raise ValueError(f"vertex_count is not an int: {self.vertex_count!r}")
         if self.vertex_count < 0:
             raise ValueError("vertex_count must be nonnegative")
         normalized = []
         seen = set()
         for (u, v, w) in self.edges:
+            if type(u) is not int or type(v) is not int:
+                raise ValueError(f"an endpoint of edge ({u!r}, {v!r}) is not an int")
+            if type(w) is not int:
+                raise ValueError(f"weight {w!r} on edge ({u}, {v}) is not an int")
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
             if not (0 <= u < self.vertex_count and 0 <= v < self.vertex_count):
@@ -60,7 +84,7 @@ class GameInstance:
             if (u, v) in seen:
                 raise ValueError(f"duplicate edge ({u}, {v})")
             seen.add((u, v))
-            normalized.append((u, v, int(w)))
+            normalized.append((u, v, w))
         object.__setattr__(self, "edges", tuple(normalized))
 
     @property
@@ -99,7 +123,7 @@ def parse_instance(text: str, name: str | None = None) -> GameInstance:
         if fields[0] == "p":
             if n is not None:
                 raise InstanceFormatError(lineno, "duplicate header")
-            if len(fields) != 4 or fields[1] != "mg":
+            if len(fields) != 4 or fields[1] != "mg" or not _plain_digits(line):
                 raise InstanceFormatError(lineno, f"malformed header: {line!r}")
             try:
                 n, m = int(fields[2]), int(fields[3])
@@ -111,7 +135,7 @@ def parse_instance(text: str, name: str | None = None) -> GameInstance:
         elif fields[0] == "e":
             if n is None:
                 raise InstanceFormatError(lineno, "edge before header")
-            if len(fields) != 4:
+            if len(fields) != 4 or not _plain_digits(line):
                 raise InstanceFormatError(lineno, f"malformed edge line: {line!r}")
             try:
                 u, v, w = int(fields[1]), int(fields[2]), int(fields[3])
@@ -123,7 +147,7 @@ def parse_instance(text: str, name: str | None = None) -> GameInstance:
                 raise InstanceFormatError(lineno, f"vertex id out of range in {line!r}")
             if u == v:
                 raise InstanceFormatError(lineno, f"self-loop at vertex {u}")
-            key = (min(u, v), max(u, v))
+            key = (u, v) if u < v else (v, u)
             if key in seen:
                 raise InstanceFormatError(
                     lineno, f"duplicate edge ({u}, {v}), first seen at line {seen[key]}")

@@ -180,10 +180,10 @@ def scaling_profile(g: GameInstance, comps: FractionalComponents) -> ScalingProf
     return ScalingProfile(tuple(factors))
 
 
-def run_pipeline(g: GameInstance, backend: str | None = None) -> PipelineTrace:
+def run_pipeline(g: GameInstance) -> PipelineTrace:
     """Run the full mechanism and retain every intermediate artifact."""
     d = double_graph(g)
-    cert = solve_bipartite(d, backend=backend)
+    cert = solve_bipartite(d)
     folded = fold_solution(g, d, cert)
     norm = normalize(g, folded)
     comps = decompose_components(g, norm)
@@ -232,9 +232,9 @@ def run_pipeline(g: GameInstance, backend: str | None = None) -> PipelineTrace:
     return PipelineTrace(g, d, cert, folded, norm, comps, analyses, profile, result)
 
 
-def run_mechanism(g: GameInstance, backend: str | None = None) -> ImputationResult:
+def run_mechanism(g: GameInstance) -> ImputationResult:
     """Compute the scaled-cover payout and its backing matching."""
-    return run_pipeline(g, backend=backend).result
+    return run_pipeline(g).result
 
 
 def audit_pipeline(trace: PipelineTrace) -> list[str]:

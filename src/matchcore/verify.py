@@ -312,8 +312,7 @@ def check_core(g: GameInstance, c: Sequence[Fraction], alpha: Fraction,
     raise ValueError(f"unknown mode: {mode!r}")
 
 
-def integrality_gap(g: GameInstance, max_edges: int = DEFAULT_MAX_EDGES,
-                    backend: str | None = None) -> GapReport:
+def integrality_gap(g: GameInstance, max_edges: int = DEFAULT_MAX_EDGES) -> GapReport:
     """Integral optimum (brute force) against the fractional optimum.
 
     The fractional side comes from the certified doubled-graph solve
@@ -322,7 +321,7 @@ def integrality_gap(g: GameInstance, max_edges: int = DEFAULT_MAX_EDGES,
     are available the core is nonempty exactly if they coincide.
     """
     d = double_graph(g)
-    cert = solve_bipartite(d, backend=backend)
+    cert = solve_bipartite(d)
     opt_f = Fraction(matched_weight(d, cert), 2)
     try:
         opt_i = worth_bruteforce(g, max_edges=max_edges)

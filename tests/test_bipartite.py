@@ -1,12 +1,12 @@
 """Doubling transform and the certified bipartite solver."""
 
+import random
 from fractions import Fraction
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from matchcore import bipartite
+from matchcore import _hungarian_py, bipartite
 from matchcore.bipartite import (
     PrimalDualCertificate,
     check_certificate,
@@ -14,15 +14,19 @@ from matchcore.bipartite import (
     matched_weight,
     solve_bipartite,
 )
-from matchcore.instances import GameInstance, gen_odd_cycle, gen_random, parse_instance
+from matchcore.instances import (
+    GameInstance,
+    gen_gap_family,
+    gen_odd_cycle,
+    gen_random,
+    parse_instance,
+)
 
-from oracles import bipartite_max_weight_dp, components
+from oracles import bipartite_max_weight_dp, components, reference_max_weight_bipartite
 
 K3 = parse_instance("p mg 3 3\ne 1 2 1\ne 2 3 1\ne 1 3 1\n")
 EDGE5 = parse_instance("p mg 2 1\ne 1 2 5\n")
 EMPTY = GameInstance(0, ())
-
-BACKENDS = ["py"] + (["c"] if bipartite._hungarian is not None else [])
 
 
 def doubled_pairs(d):
@@ -76,20 +80,18 @@ def test_double_empty():
     assert d.edges == () and d.vertex_count == 0
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_solve_doubled_k3(backend):
+def test_solve_doubled_k3():
     d = double_graph(K3)
-    cert = solve_bipartite(d, backend=backend)
+    cert = solve_bipartite(d)
     # stored half-units: 3 here means a true fractional optimum of 3/2
     assert matched_weight(d, cert) == 3
     assert cert.total_dual() == 3
     assert check_certificate(d, cert) == []
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_solve_doubled_single_edge(backend):
+def test_solve_doubled_single_edge():
     d = double_graph(EDGE5)
-    cert = solve_bipartite(d, backend=backend)
+    cert = solve_bipartite(d)
     assert matched_weight(d, cert) == 10
     assert len(cert.matched_edges) == 2
     assert cert.total_dual() == 10
@@ -145,14 +147,13 @@ def rand_instances():
     return cases
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_solver_matches_bruteforce_dp(backend):
+def test_solver_matches_bruteforce_dp():
     # oracle equivalence on every doubled graph with <= 16 doubled vertices
     for g in rand_instances():
         if g.vertex_count > 8:
             continue
         d = double_graph(g)
-        cert = solve_bipartite(d, backend=backend)
+        cert = solve_bipartite(d)
         assert check_certificate(d, cert) == []
         n = g.vertex_count
         oracle = bipartite_max_weight_dp(
@@ -168,24 +169,51 @@ def test_solver_certificates_on_larger_randoms():
         assert all(isinstance(x, int) for x in cert.duals)
 
 
-@pytest.mark.skipif(bipartite._hungarian is None, reason="compiled kernel absent")
-def test_kernels_agree_exactly():
-    for g in rand_instances():
-        d = double_graph(g)
-        a = solve_bipartite(d, backend="py")
-        b = solve_bipartite(d, backend="c")
-        assert a == b
+def sparse_instance(n, degree, max_weight, seed):
+    """Seeded graph with n*degree/2 distinct edges and weights 1..max_weight."""
+    rng = random.Random(seed)
+    chosen = {}
+    while len(chosen) < n * degree // 2:
+        a, b = rng.sample(range(n), 2)
+        chosen.setdefault((min(a, b), max(a, b)), rng.randint(1, max_weight))
+    return GameInstance(n, tuple((a, b, w) for (a, b), w in chosen.items()))
 
 
-def test_huge_weights_use_python_kernel():
+def parity_instances():
+    cases = list(rand_instances())
+    # weights 1..3: several vertices often turn tight in one dual step
+    for seed in range(800):
+        n = 4 + seed % 30
+        cases.append(gen_random(n, Fraction(1 + seed % 3, 4), 1 + seed % 3, seed=seed))
+    for seed in range(6):
+        # low weights on sparse graphs: many ties between slacks
+        g = sparse_instance(300 + 100 * seed, 3 + seed, 100, seed)
+        cases.append(g)
+        # the same graph in [2^63, 2^64), ties kept
+        cases.append(GameInstance(g.vertex_count, tuple(
+            (a, b, (1 << 63) + (w << 56)) for (a, b, w) in g.edges)))
+    for k in range(1, 6):
+        cases.append(gen_gap_family(k, connected=False))
+        cases.append(gen_gap_family(k, connected=True))
+    cases += [gen_odd_cycle(k) for k in range(1, 51)]
+    return cases
+
+
+def test_kernel_matches_reference_exactly():
+    # same algorithm as the full-scan reference, so the same 4-tuple
+    for g in parity_instances():
+        n = g.vertex_count
+        heads, rights, weights = bipartite._kernel_csr(n, double_graph(g).edges)
+        got = _hungarian_py.solve_max_weight_bipartite(n, n, heads, rights, weights)
+        assert got == reference_max_weight_bipartite(n, n, heads, rights, weights), g.name
+
+
+def test_huge_weights_solved_exactly():
     w = 1 << 80
     g = GameInstance(2, ((0, 1, w),))
     d = double_graph(g)
-    cert = solve_bipartite(d)  # auto backend must not overflow
+    cert = solve_bipartite(d)
     assert matched_weight(d, cert) == 2 * w
-    if bipartite._hungarian is not None:
-        with pytest.raises(ValueError):
-            solve_bipartite(d, backend="c")
 
 
 @settings(max_examples=60, deadline=None)
@@ -194,7 +222,10 @@ def test_certificate_property_random_graphs(data):
     n = data.draw(st.integers(0, 7))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     chosen = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
-    edges = tuple((u, v, data.draw(st.integers(0, 12))) for (u, v) in chosen)
+    # a general range, a tie-heavy one and one past 64-bit arithmetic
+    weight = data.draw(st.sampled_from([
+        st.integers(0, 12), st.integers(0, 2), st.integers(1 << 63, (1 << 63) + 4)]))
+    edges = tuple((u, v, data.draw(weight)) for (u, v) in chosen)
     g = GameInstance(n, edges)
     d = double_graph(g)
     cert = solve_bipartite(d)

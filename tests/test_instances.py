@@ -69,6 +69,22 @@ def test_parse_errors(text, line, fragment):
     assert fragment in str(err.value)
 
 
+@pytest.mark.parametrize("text,line", [
+    ("p mg 2 1\ne 1 2 +1_000\n", 2),
+    ("p mg 2 1\ne 1 2 +5\n", 2),
+    ("p mg 2 1\ne 1 2 1_000\n", 2),
+    ("p mg 2 1\ne \u0661 2 1\n", 2),  # ARABIC-INDIC DIGIT ONE
+    ("p mg 2 1\ne 1 2 \uff15\n", 2),  # FULLWIDTH DIGIT FIVE
+    ("# comment\np mg +2 1\ne 1 2 1\n", 2),
+    ("p mg 2 \u0661\ne 1 2 1\n", 1),
+])
+def test_parse_rejects_non_ascii_decimal_numbers(text, line):
+    with pytest.raises(InstanceFormatError) as err:
+        parse_instance(text)
+    assert err.value.line == line
+    assert "malformed" in str(err.value)
+
+
 def test_serialize_empty():
     assert serialize_instance(GameInstance(0, ())) == "p mg 0 0\n"
 
@@ -103,6 +119,20 @@ def test_instance_validation():
         GameInstance(2, ((0, 1, -1),))
     with pytest.raises(ValueError):
         GameInstance(2, ((0, 2, 1),))
+
+
+@pytest.mark.parametrize("n,edges", [
+    (2, ((0, 1, 1.5),)),
+    (2, ((0, 1, True),)),
+    (2, ((0, 1, Fraction(2)),)),
+    (2, ((0.0, 1, 1),)),
+    (2, ((0, True, 1),)),
+    (True, ()),
+])
+def test_instance_rejects_non_int(n, edges):
+    # coercing would change the instance silently (1.5 -> 1, True -> 1)
+    with pytest.raises(ValueError, match="not an int"):
+        GameInstance(n, edges)
 
 
 def test_gap_family_counts():

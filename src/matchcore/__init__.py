@@ -8,9 +8,10 @@ this package computes the next best thing: a payout within a factor
 2/3 (and usually better, per vertex) of every coalition's worth, never
 exceeding the grand coalition's worth.
 
-All arithmetic is exact: integer edge weights, integer duals on the
-doubled bipartite graph, `fractions.Fraction` everywhere else. The
-package is pure Python; its one matching kernel works on Python
+All arithmetic is exact: edge weights, the doubled bipartite graph's
+duals, the half-integral matching and cover and every payout check are
+integers on one half-unit scale, and `fractions.Fraction` appears only
+in results (payouts, factors, totals). The package is pure Python; its one matching kernel works on Python
 integers, so no weight is too large for it. Every run is certified by
 complementary slackness, and the `verify` module cross-checks results
 against brute-force enumeration at desk scale.
@@ -21,7 +22,6 @@ from .bipartite import (
     PrimalDualCertificate,
     check_certificate,
     double_graph,
-    matched_weight,
     solve_bipartite,
 )
 from .errors import BoundExceeded, InstanceFormatError, InvariantViolation, MatchcoreError
@@ -106,7 +106,6 @@ __all__ = [
     "heaviest_tiebreak",
     "integrality_gap",
     "load_instance",
-    "matched_weight",
     "normalize",
     "odd_girth",
     "parse_fraction",

@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from fractions import Fraction
 
 from .errors import BoundExceeded, InstanceFormatError, InvariantViolation
 from .instances import gen_gap_family, gen_odd_cycle, gen_random, load_instance, serialize_instance
@@ -46,7 +47,7 @@ def _cmd_solve(args) -> int:
     rows = [("vertex", "cover", "factor", "payout")]
     for i in range(g.vertex_count):
         rows.append((str(i + 1),
-                     format_fraction(trace.normalized.v[i]),
+                     format_fraction(Fraction(trace.normalized.v2[i], 2)),
                      format_fraction(res.factors.factors[i]),
                      format_fraction(res.c[i])))
     widths = [max(len(r[col]) for r in rows) for col in range(4)]
@@ -64,7 +65,7 @@ def _cmd_verify(args) -> int:
     g = load_instance(args.instance)
     with open(args.imputation, "r", encoding="utf-8") as fh:
         data = json.load(fh)
-    if not isinstance(data, dict) or "values" not in data:
+    if not isinstance(data, dict) or not isinstance(data.get("values"), list):
         raise ValueError("imputation file must be a JSON object with a 'values' array")
     values = [parse_fraction(x if isinstance(x, str) else str(x))
               for x in data["values"]]

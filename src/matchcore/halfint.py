@@ -15,8 +15,9 @@ used downstream: its edge weight w_C equals twice its cover value v_C,
 and the cover on C is uniquely determined, vertex by vertex, by the
 alternating matchings of C.
 
-Arithmetic convention: x is stored doubled (x2[e] = 2 x_e, an int in
-{0, 1, 2}) and covers are exact rationals with denominator 1 or 2.
+Arithmetic convention: x and the cover are stored doubled, as ints on
+the doubled graph's half-unit scale: x2[e] = 2 x_e in {0, 1, 2} and
+v2[i] = 2 v_i, the sum of i's two copies' duals.
 """
 
 from __future__ import annotations
@@ -33,13 +34,13 @@ from .instances import GameInstance
 class HalfIntegralSolution:
     """Optimal half-integral matching and cover on the original graph.
 
-    `x2[e]` is 2*x_e for edge index e of the instance; `v[i]` is the
-    cover value of vertex i. `normalized` records whether half-edges
+    `x2[e]` is 2*x_e for edge index e of the instance; `v2[i]` is twice
+    the cover value of vertex i. `normalized` records whether half-edges
     have been reduced to odd cycles only.
     """
 
     x2: tuple[int, ...]
-    v: tuple[Fraction, ...]
+    v2: tuple[int, ...]
     normalized: bool
 
 
@@ -47,14 +48,15 @@ class HalfIntegralSolution:
 class OddCycle:
     """A half-integral odd cycle: 2k+1 vertices in cyclic order.
 
-    `w_C` is the total weight of its edges, `v_C` the total cover on
-    its vertices; w_C = 2 v_C exactly.
+    `weights[t]` is the weight of the edge from `vertices[t]` to the
+    next vertex (the last edge closes the cycle) and `w_C` their total,
+    which equals 2 v_C, the cycle's sum of `v2`.
     """
 
     vertices: tuple[int, ...]
     k: int
+    weights: tuple[int, ...]
     w_C: int
-    v_C: Fraction
 
 
 @dataclass(frozen=True)
@@ -85,12 +87,9 @@ def fold_solution(g: GameInstance, d: DoubledGraph,
     InvariantViolation.
     """
     n = g.vertex_count
-    matched = cert.matched_edges
-    x2 = []
-    for (i, j, _) in g.edges:
-        x2.append(int((i, n + j) in matched) + int((j, n + i) in matched))
-
-    v2 = [cert.duals[i] + cert.duals[n + i] for i in range(n)]  # 2 * v_i
+    match_l = cert.match_l
+    x2 = [(match_l[i] == j) + (match_l[j] == i) for (i, j, _) in g.edges]
+    v2 = [a + b for a, b in zip(cert.u, cert.v)]  # 2 * v_i
 
     degree2 = [0] * n
     for e, (i, j, _) in enumerate(g.edges):
@@ -110,8 +109,7 @@ def fold_solution(g: GameInstance, d: DoubledGraph,
         raise InvariantViolation(
             f"strong duality lost in fold: 2*weight {weight2} != 2*cover {sum(v2)}")
 
-    v = tuple(Fraction(t, 2) for t in v2)
-    return HalfIntegralSolution(tuple(x2), v, normalized=False)
+    return HalfIntegralSolution(tuple(x2), tuple(v2), normalized=False)
 
 
 def _half_adjacency(g: GameInstance, x2) -> list[list[tuple[int, int]]]:
@@ -195,7 +193,7 @@ def normalize(g: GameInstance, s: HalfIntegralSolution) -> HalfIntegralSolution:
 
     if sum(w * x2[e] for e, (_, _, w) in enumerate(g.edges)) != solution_weight2(g, s):
         raise InvariantViolation("normalization changed the matching weight")
-    return HalfIntegralSolution(tuple(x2), s.v, normalized=True)
+    return HalfIntegralSolution(tuple(x2), s.v2, normalized=True)
 
 
 def decompose_components(g: GameInstance,
@@ -222,7 +220,7 @@ def decompose_components(g: GameInstance,
         verts = [a]
         e0, cur = pending[0]
         visited[e0] = True
-        w_C = g.edges[e0][2]
+        weights = [g.edges[e0][2]]
         while cur != a:
             verts.append(cur)
             if len(half[cur]) != 2:
@@ -231,15 +229,14 @@ def decompose_components(g: GameInstance,
             step = [(e, o) for (e, o) in half[cur] if not visited[e]]
             e, cur = step[0]
             visited[e] = True
-            w_C += g.edges[e][2]
+            weights.append(g.edges[e][2])
         length = len(verts)
         if length % 2 == 0 or length < 3:
             raise InvariantViolation(f"half cycle of even length {length}")
-        v_C = sum((s.v[i] for i in verts), Fraction(0))
-        if w_C != 2 * v_C:
-            raise InvariantViolation(
-                f"cycle weight {w_C} != twice its cover {v_C}")
-        cycles.append(OddCycle(tuple(verts), (length - 1) // 2, w_C, v_C))
+        w_C = sum(weights)
+        if w_C != sum(s.v2[i] for i in verts):
+            raise InvariantViolation(f"cycle weight {w_C} != twice its cover")
+        cycles.append(OddCycle(tuple(verts), (length - 1) // 2, tuple(weights), w_C))
 
     integral = tuple(e for e, val in enumerate(s.x2) if val == 2)
 

@@ -226,13 +226,16 @@ def gen_random(n: int, edge_probability: Fraction, max_weight: int,
     """Deterministic random instance for a fixed argument tuple.
 
     Each candidate vertex pair is included with the exact probability
-    `edge_probability` (an integer Bernoulli draw, no floating point);
+    `edge_probability`, an `int` or a `Fraction` (an integer Bernoulli
+    draw; a float or a `bool` is rejected);
     included edges get a uniform weight in 1..max_weight. With
     `bipartite=True` the first ceil(n/2) vertices form one side and only
     cross pairs are candidates.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
+    if type(edge_probability) not in (int, Fraction):
+        raise ValueError(f"edge_probability {edge_probability!r} is not an int or a Fraction")
     p = Fraction(edge_probability)
     if not (0 <= p <= 1):
         raise ValueError("edge_probability must be in [0, 1]")

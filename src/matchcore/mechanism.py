@@ -23,11 +23,14 @@ the pieces together:
 
 Every identity is asserted exactly on every run; a failure would mean
 the upstream solution was not optimal and raises InvariantViolation.
-All quantities from here on are exact rationals.
+The checks compare integers only (the doubled cover v2, each factor
+as the pair (2k, 2k+1), payouts by cross-multiplication); `Fraction`s
+are built only for the result.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -41,6 +44,7 @@ from .halfint import (
     fold_solution,
     normalize,
     solution_weight,
+    solution_weight2,
 )
 from .instances import GameInstance
 from .rationals import format_fraction
@@ -126,20 +130,19 @@ def heaviest_tiebreak(matchings) -> int:
     return best
 
 
-def analyze_cycle(g: GameInstance, cycle: OddCycle, v) -> CycleAnalysis:
+def analyze_cycle(cycle: OddCycle, v2) -> CycleAnalysis:
     """Build the 2k+1 alternating matchings of a cycle and check them.
 
-    Checks, exactly: every M_j has k edges and misses exactly vertex
-    i_j; v_{i_j} = v_C - w(M_j); the matching weights sum to 2k * v_C;
-    the heaviest reaches the (2k)/(2k+1) share of v_C.
+    Checks, in integers via v2 = 2v and w_C = 2 v_C: every M_j has k
+    edges and misses exactly vertex i_j; v_{i_j} = v_C - w(M_j); the
+    matching weights sum to 2k * v_C; the heaviest reaches the
+    (2k)/(2k+1) share of v_C.
     """
     verts = cycle.vertices
+    weights = cycle.weights
     length = len(verts)
     k = cycle.k
-    wmap = {}
-    for (a, b, w) in g.edges:
-        wmap[(a, b)] = w
-        wmap[(b, a)] = w
+    w_C = cycle.w_C
 
     matchings = []
     total = 0
@@ -147,26 +150,24 @@ def analyze_cycle(g: GameInstance, cycle: OddCycle, v) -> CycleAnalysis:
         edges = []
         weight = 0
         for t in range(k):
-            a = verts[(j + 1 + 2 * t) % length]
-            b = verts[(j + 2 + 2 * t) % length]
-            edges.append((a, b))
-            weight += wmap[(a, b)]
-        if v[verts[j]] != cycle.v_C - weight:
+            p = (j + 1 + 2 * t) % length
+            edges.append((verts[p], verts[(p + 1) % length]))
+            weight += weights[p]
+        if v2[verts[j]] != w_C - 2 * weight:
             raise InvariantViolation(
-                f"cycle cover at vertex {verts[j]}: {v[verts[j]]} != "
-                f"{cycle.v_C} - {weight}")
+                f"cycle cover at vertex {verts[j]}: 2v = {v2[verts[j]]} != "
+                f"{w_C} - 2*{weight}")
         matchings.append(CycleMatching(verts[j], tuple(edges), weight))
         total += weight
-    if total != 2 * k * cycle.v_C:
+    if total != k * w_C:
         raise InvariantViolation(
-            f"cycle matching weights sum to {total}, expected {2 * k * cycle.v_C}")
+            f"cycle matching weights sum to {total}, expected {k * w_C}")
 
     heaviest = heaviest_tiebreak(matchings)
     hw = matchings[heaviest].weight
-    if (2 * k + 1) * hw < 2 * k * cycle.v_C:
+    if (2 * k + 1) * hw < k * w_C:
         raise InvariantViolation(
-            f"heaviest cycle matching too light: {(2 * k + 1) * hw} < "
-            f"{2 * k * cycle.v_C}")
+            f"heaviest cycle matching too light: {(2 * k + 1) * hw} < {k * w_C}")
     return CycleAnalysis(cycle, tuple(matchings), heaviest, hw)
 
 
@@ -187,26 +188,28 @@ def run_pipeline(g: GameInstance) -> PipelineTrace:
     folded = fold_solution(g, d, cert)
     norm = normalize(g, folded)
     comps = decompose_components(g, norm)
-    analyses = tuple(analyze_cycle(g, cyc, norm.v) for cyc in comps.odd_cycles)
+    analyses = tuple(analyze_cycle(cyc, norm.v2) for cyc in comps.odd_cycles)
     profile = scaling_profile(g, comps)
 
-    c = tuple(profile.factors[i] * norm.v[i] for i in range(g.vertex_count))
+    # c_i = f_i * v_i = fnum[i] * v2[i] / (2 * fden[i])
+    fnum = [f.numerator for f in profile.factors]
+    fden = [f.denominator for f in profile.factors]
+    scaled = [f * x for f, x in zip(fnum, norm.v2)]
+    c = tuple(Fraction(x, 2 * f) for x, f in zip(scaled, fden))
 
-    matching = [tuple(sorted(g.edges[e][:2])) for e in comps.integral_edges]
+    matching = [g.edges[e][:2] for e in comps.integral_edges]
+    matching_weight = sum(g.edges[e][2] for e in comps.integral_edges)
     for analysis in analyses:
         for (a, b) in analysis.matchings[analysis.heaviest_index].edges:
             matching.append((min(a, b), max(a, b)))
+        matching_weight += analysis.heaviest_weight
     matching.sort()
 
-    wmap = {(a, b): w for (a, b, w) in g.edges}
-    used = set()
-    matching_weight = 0
+    used = [False] * g.vertex_count
     for (a, b) in matching:
-        if a in used or b in used:
+        if used[a] or used[b]:
             raise InvariantViolation(f"output edges are not a matching at ({a}, {b})")
-        used.add(a)
-        used.add(b)
-        matching_weight += wmap[(a, b)]
+        used[a] = used[b] = True
 
     allocated = sum(c, Fraction(0))
     if allocated > matching_weight:
@@ -215,9 +218,13 @@ def run_pipeline(g: GameInstance) -> PipelineTrace:
 
     factor_guarantee = min(profile.factors, default=Fraction(1))
     for (i, j, w) in g.edges:
-        if 3 * (c[i] + c[j]) < 2 * w:
+        di, dj = fden[i], fden[j]
+        pay = scaled[i] * dj + scaled[j] * di  # c_i + c_j = pay / den
+        den = 2 * di * dj
+        if 3 * pay < 2 * w * den:
             raise InvariantViolation(f"payout covers edge ({i}, {j}) below 2/3")
-        if c[i] + c[j] < min(profile.factors[i], profile.factors[j]) * w:
+        lo = i if fnum[i] * dj <= fnum[j] * di else j  # the smaller factor
+        if pay * fden[lo] < fnum[lo] * w * den:
             raise InvariantViolation(f"payout under the factor bound on ({i}, {j})")
 
     result = ImputationResult(
@@ -251,17 +258,19 @@ def audit_pipeline(trace: PipelineTrace) -> list[str]:
     problems += check_certificate(trace.doubled, trace.certificate)
 
     norm = trace.normalized
-    weight = solution_weight(g, norm)
-    cover_total = sum(norm.v, Fraction(0))
-    if weight != cover_total:
-        problems.append(f"weight(x) {weight} != cover total {cover_total}")
+    v2 = norm.v2
+    if solution_weight2(g, norm) != sum(v2):
+        problems.append(f"2*weight(x) {solution_weight2(g, norm)} != 2*cover total {sum(v2)}")
     for (i, j, w) in g.edges:
-        if norm.v[i] + norm.v[j] < w:
+        if v2[i] + v2[j] < 2 * w:
             problems.append(f"cover misses edge ({i}, {j})")
 
+    # payouts as integers over the lcm of their denominators
     res = trace.result
-    for i in range(g.vertex_count):
-        if res.c[i] != trace.profile.factors[i] * norm.v[i]:
+    scale = math.lcm(*(x.denominator for x in res.c))
+    pay = [x.numerator * (scale // x.denominator) for x in res.c]
+    for i, f in enumerate(trace.profile.factors):
+        if 2 * f.denominator * pay[i] != f.numerator * v2[i] * scale:
             problems.append(f"payout at vertex {i} is not factor * cover")
     edge_set = {(a, b) for (a, b, _) in g.edges}
     used = set()
@@ -274,6 +283,6 @@ def audit_pipeline(trace: PipelineTrace) -> list[str]:
     if res.allocated > res.matching_weight:
         problems.append("allocation exceeds the backing matching weight")
     for (i, j, w) in g.edges:
-        if 3 * (res.c[i] + res.c[j]) < 2 * w:
+        if 3 * (pay[i] + pay[j]) < 2 * w * scale:
             problems.append(f"payout covers edge ({i}, {j}) below 2/3")
     return problems

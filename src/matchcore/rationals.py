@@ -13,14 +13,15 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-_FRACTION_RE = re.compile(r"^(-?\d+)(?:/([1-9]\d*))?$")
+_FRACTION_RE = re.compile(r"^(-?[0-9]+)(?:/([1-9][0-9]*))?$")
 
 
 def parse_fraction(text: str) -> Fraction:
     """Parse `"a"` or `"a/b"` into an exact rational.
 
-    Rejects decimal notation, exponents, and zero denominators: the
-    interchange format is reduced integer fractions only.
+    Rejects decimal notation, exponents, zero denominators and digits
+    other than ASCII 0-9: the interchange format is integer fractions
+    only.
     """
     m = _FRACTION_RE.match(text.strip())
     if m is None:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .bipartite import double_graph, matched_weight, solve_bipartite
+from .bipartite import double_graph, solve_bipartite
 from .errors import BoundExceeded, InvariantViolation
 from .instances import GameInstance
 from .rationals import format_fraction
@@ -239,11 +239,16 @@ def check_core(g: GameInstance, c: Sequence[Fraction], alpha: Fraction,
     coalitions along edges are checked, which is sufficient for
     validity (any coalition's matching decomposes into such pairs) but
     is reported as the weaker check it is; the grand worth may then be
-    unknown if the instance is past brute-force reach.
+    unknown if the instance is past brute-force reach. Entries and
+    `alpha` must be `int`s or `Fraction`s (not floats or `bool`s).
     """
     n = g.vertex_count
     if len(c) != n:
         raise ValueError(f"imputation has {len(c)} entries for {n} vertices")
+    # `type(x)` rather than isinstance: `bool` is an `int` subclass
+    for x in (*c, alpha):
+        if type(x) not in (int, Fraction):
+            raise ValueError(f"{x!r} is not an int or a Fraction")
     c = [Fraction(x) for x in c]
     if any(x < 0 for x in c):
         raise ValueError("imputation entries must be nonnegative")
@@ -320,9 +325,8 @@ def integrality_gap(g: GameInstance, max_edges: int = DEFAULT_MAX_EDGES) -> GapR
     refused, in which case emptiness of the core is unknown. When both
     are available the core is nonempty exactly if they coincide.
     """
-    d = double_graph(g)
-    cert = solve_bipartite(d)
-    opt_f = Fraction(matched_weight(d, cert), 2)
+    cert = solve_bipartite(double_graph(g))
+    opt_f = Fraction(cert.total_dual(), 2)  # strong duality, certified
     try:
         opt_i = worth_bruteforce(g, max_edges=max_edges)
     except BoundExceeded:

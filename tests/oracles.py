@@ -56,6 +56,19 @@ def bipartite_max_weight_dp(nl: int, nr: int,
     return max(dp)
 
 
+def doubled_edges(edges: list[tuple[int, int, int]]) -> list[tuple[int, int, int]]:
+    """Both cross copies (i', j'') and (j', i'') of every edge (i, j, w).
+
+    Returned as (left, right, weight) with 0-based ids per side, the
+    input format of `bipartite_max_weight_dp`.
+    """
+    out = []
+    for (i, j, w) in edges:
+        out.append((i, j, w))
+        out.append((j, i, w))
+    return out
+
+
 def all_matchings(edges: list[tuple[int, int, int]]):
     """Yield every matching (as a tuple of edge indices); m <= ~16."""
     m = len(edges)

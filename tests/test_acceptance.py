@@ -4,13 +4,13 @@ Each test prints a single PASS line with its measured numbers once its
 assertions hold; run with `pytest tests/test_acceptance.py -v -s`.
 """
 
+import hashlib
 import json
 import time
 from fractions import Fraction
 
 import pytest
 
-from matchcore.bipartite import double_graph
 from matchcore.cli import main
 from matchcore.halfint import solution_weight
 from matchcore.instances import (
@@ -29,7 +29,7 @@ from matchcore.verify import (
     worth_bruteforce,
 )
 
-from oracles import bipartite_max_weight_dp
+from oracles import bipartite_max_weight_dp, doubled_edges
 
 K3 = parse_instance("p mg 3 3\ne 1 2 1\ne 2 3 1\ne 1 3 1\n")
 
@@ -163,7 +163,7 @@ def test_c05_bipartite_exactness():
     for g, trace in traces_for(corpus("bipartite")):
         res = trace.result
         assert set(trace.profile.factors) <= {Fraction(1)}
-        assert res.c == trace.normalized.v
+        assert res.c == tuple(Fraction(x, 2) for x in trace.normalized.v2)
         report = check_core(g, res.c, Fraction(1))
         assert report.violations == ()
         assert report.budget_ok is True
@@ -191,16 +191,25 @@ def test_c07_cycle_identity_ledger():
                  "bipartite", "high_girth"):
         for g, trace in traces_for(corpus(name)):
             norm = trace.normalized
-            assert solution_weight(g, norm) == sum(norm.v, Fraction(0))
+            v = [Fraction(x, 2) for x in norm.v2]
+            assert solution_weight(g, norm) == sum(v, Fraction(0))
             solves += 1
+            weight = {}
+            for (a, b, w) in g.edges:
+                weight[a, b] = weight[b, a] = w
             for analysis in trace.analyses:
                 cyc = analysis.cycle
                 k = cyc.k
-                assert cyc.w_C == 2 * cyc.v_C
-                assert sum(m.weight for m in analysis.matchings) == 2 * k * cyc.v_C
-                assert (2 * k + 1) * analysis.heaviest_weight >= 2 * k * cyc.v_C
+                L = 2 * k + 1
+                assert cyc.weights == tuple(
+                    weight[cyc.vertices[t], cyc.vertices[(t + 1) % L]] for t in range(L))
+                v_C = sum(v[i] for i in cyc.vertices)
+                assert cyc.w_C == 2 * v_C
+                assert sum(m.weight for m in analysis.matchings) == 2 * k * v_C
+                assert (2 * k + 1) * analysis.heaviest_weight >= 2 * k * v_C
                 for j, m in enumerate(analysis.matchings):
-                    assert norm.v[cyc.vertices[j]] == cyc.v_C - m.weight
+                    assert v[cyc.vertices[j]] == v_C - m.weight
+                    assert m.weight == sum(weight[e] for e in m.edges)
                 cycles += 1
     print(f"\n[acceptance 07] PASS identity ledger: {solves} solves at exact "
           f"strong duality, {cycles} odd cycles, zero tolerance")
@@ -214,9 +223,7 @@ def test_c08_oracle_equivalence():
             n = g.vertex_count
             if n > 12:
                 continue
-            d = double_graph(g)
-            dp = bipartite_max_weight_dp(
-                n, n, [(a, b - n, w) for (a, b, w) in d.edges])
+            dp = bipartite_max_weight_dp(n, n, doubled_edges(g.edges))
             assert trace.result.worth_fractional == Fraction(dp, 2)
             recursive = worth_bruteforce(g, max_edges=max(24, g.edge_count))
             assert recursive == coalition_worth_table(g, max_n=12)[-1]
@@ -275,3 +282,29 @@ def test_c10_large_instance_runtime(tmp_path, capsys):
     assert elapsed < 5.0
     print(f"\n[acceptance 10] PASS n=200 density 1/2: solve in {elapsed:.2f} s "
           f"({g.edge_count} edges)")
+
+
+# SHA-256 of `solve --json` stdout over each corpus, instance after
+# instance. Recorded while covers were still carried as `Fraction`s, so
+# every later refactor of the pipeline is held to byte-identical output.
+GOLDEN_SOLVE_JSON = {
+    "unit_triangle": "a58bb0dcdf9277ab695d552a37a2d3996d1426fe1a883ce2804f1929fd06f471",
+    "gap_family": "869a607723089b9f1a233024e2cbbfb8f2c7e3082b7d2914cbe13c59607f155d",
+    "odd_cycles": "6d126d869186e20be673569945a85adccf345bb96ac153fcf8aee162e3b9139e",
+    "random": "bf125aedc6aa0fa67cf29445dfe9fe99a1cada8599794249ec818b5f8f37cfa4",
+    "bipartite": "7bcbfc4ebcd2904f51c1813dd53241f6ed4bf500f71218c0b4c947358b35d28d",
+    "high_girth": "23b9b943191539145a7f6d3bd5697fae09b97419a0bd4a02faf4e99c3a573e35",
+}
+
+
+@pytest.mark.parametrize("name", list(GOLDEN_SOLVE_JSON))
+def test_c11_golden_solve_output(name, tmp_path, capsys):
+    path = tmp_path / "instance.mg"
+    digest = hashlib.sha256()
+    for g in corpus(name):
+        path.write_text(serialize_instance(g))
+        assert main(["solve", str(path), "--json"]) == 0
+        digest.update(capsys.readouterr().out.encode())
+    assert digest.hexdigest() == GOLDEN_SOLVE_JSON[name]
+    print(f"\n[acceptance 11] PASS {name}: {len(corpus(name))} solves "
+          f"byte-identical to the recorded output")

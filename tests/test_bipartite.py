@@ -3,15 +3,15 @@
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from matchcore import _hungarian_py, bipartite
+from matchcore import _hungarian_py
 from matchcore.bipartite import (
     PrimalDualCertificate,
     check_certificate,
     double_graph,
-    matched_weight,
     solve_bipartite,
 )
 from matchcore.instances import (
@@ -22,23 +22,42 @@ from matchcore.instances import (
     parse_instance,
 )
 
-from oracles import bipartite_max_weight_dp, components, reference_max_weight_bipartite
+from oracles import (
+    bipartite_max_weight_dp,
+    components,
+    doubled_edges,
+    reference_max_weight_bipartite,
+)
 
 K3 = parse_instance("p mg 3 3\ne 1 2 1\ne 2 3 1\ne 1 3 1\n")
 EDGE5 = parse_instance("p mg 2 1\ne 1 2 5\n")
+PATH3 = parse_instance("p mg 3 2\ne 1 2 1\ne 2 3 1\n")
 EMPTY = GameInstance(0, ())
 
 
+def doubled_triples(d):
+    """(left id, right id, weight) of every doubled edge in the CSR,
+    right ids shifted into the doubled id space n..2n-1."""
+    n = d.original.vertex_count
+    return [(i, n + d.rights[t], d.weights[t])
+            for i in range(n) for t in range(d.heads[i], d.heads[i + 1])]
+
+
 def doubled_pairs(d):
-    return [(a, b) for (a, b, _) in d.edges]
+    return [(a, b) for (a, b, _) in doubled_triples(d)]
+
+
+def matched_weight(g, cert):
+    """Half-unit weight of the certificate's matching, from the instance."""
+    return sum(w for (i, j, w) in doubled_edges(g.edges) if cert.match_l[i] == j)
 
 
 def test_double_counts():
     d = double_graph(K3)
-    assert d.vertex_count == 6
-    assert len(d.edges) == 6
-    assert all(a < 3 <= b for (a, b, _) in d.edges)
-    assert all(w == 1 for (_, _, w) in d.edges)
+    assert len(d.heads) == 4
+    assert len(doubled_triples(d)) == 6
+    assert all(a < 3 <= b for (a, b, _) in doubled_triples(d))
+    assert all(w == 1 for (_, _, w) in doubled_triples(d))
 
 
 def test_double_k3_is_six_cycle():
@@ -57,7 +76,7 @@ def test_double_odd_cycle_doubles_length():
     for k in (1, 2, 3):
         g = gen_odd_cycle(k)
         d = double_graph(g)
-        comps = components(d.vertex_count, doubled_pairs(d))
+        comps = components(2 * g.vertex_count, doubled_pairs(d))
         assert len(comps) == 1
         assert len(comps[0]) == 2 * (2 * k + 1)
 
@@ -65,26 +84,27 @@ def test_double_odd_cycle_doubles_length():
 def test_double_bipartite_gives_two_copies():
     g = gen_random(6, Fraction(1), 1, seed=0, bipartite=True)  # K_{3,3}
     d = double_graph(g)
-    comps = components(d.vertex_count, doubled_pairs(d))
+    comps = components(2 * g.vertex_count, doubled_pairs(d))
     assert len(comps) == 2
     assert sorted(len(c) for c in comps) == [6, 6]
 
 
 def test_double_single_edge():
     d = double_graph(EDGE5)
-    assert set(d.edges) == {(0, 3, 5), (1, 2, 5)}
+    assert (d.heads, d.rights, d.weights) == ([0, 1, 2], [1, 0], [5, 5])
+    assert set(doubled_triples(d)) == {(0, 3, 5), (1, 2, 5)}
 
 
 def test_double_empty():
     d = double_graph(EMPTY)
-    assert d.edges == () and d.vertex_count == 0
+    assert (d.heads, d.rights, d.weights) == ([0], [], [])
 
 
 def test_solve_doubled_k3():
     d = double_graph(K3)
     cert = solve_bipartite(d)
     # stored half-units: 3 here means a true fractional optimum of 3/2
-    assert matched_weight(d, cert) == 3
+    assert matched_weight(K3, cert) == 3
     assert cert.total_dual() == 3
     assert check_certificate(d, cert) == []
 
@@ -92,49 +112,69 @@ def test_solve_doubled_k3():
 def test_solve_doubled_single_edge():
     d = double_graph(EDGE5)
     cert = solve_bipartite(d)
-    assert matched_weight(d, cert) == 10
-    assert len(cert.matched_edges) == 2
+    assert matched_weight(EDGE5, cert) == 10
+    assert cert.match_l == (1, 0)
     assert cert.total_dual() == 10
 
 
 def test_solve_empty():
     d = double_graph(EMPTY)
     cert = solve_bipartite(d)
-    assert cert.matched_edges == frozenset()
-    assert cert.duals == ()
+    assert cert.match_l == cert.u == cert.v == ()
 
 
 def test_solve_zero_weights_only():
     g = GameInstance(3, ((0, 1, 0), (1, 2, 0)))
-    cert = solve_bipartite(double_graph(g))
-    assert cert.matched_edges == frozenset()
-    assert cert.duals == (0,) * 6
+    d = double_graph(g)
+    assert d.rights == []  # zero-weight edges never reach the kernel
+    cert = solve_bipartite(d)
+    assert cert.match_l == (-1,) * 3
+    assert cert.u == cert.v == (0,) * 3
+    assert check_certificate(d, cert) == []
 
 
 def test_certificate_tampering_detected():
     d = double_graph(K3)
     cert = solve_bipartite(d)
-    duals = list(cert.duals)
-    lowered = next(x for x in range(6) if duals[x] > 0)
-    duals[lowered] -= 1
-    bad = PrimalDualCertificate(cert.matched_edges, tuple(duals))
+    u = list(cert.u)
+    lowered = next(x for x in range(3) if u[x] > 0)
+    u[lowered] -= 1
+    bad = PrimalDualCertificate(cert.match_l, tuple(u), cert.v)
     msgs = " / ".join(check_certificate(d, bad))
     assert "infeasible" in msgs or "not tight" in msgs
+    # raising a matched dual keeps feasibility but loses tightness
+    raised = PrimalDualCertificate(cert.match_l, (cert.u[0] + 1,) + cert.u[1:], cert.v)
+    assert any("not tight" in m for m in check_certificate(d, raised))
 
 
 def test_certificate_unmatched_positive_dual_detected():
     d = double_graph(EDGE5)
     cert = solve_bipartite(d)
-    bad = PrimalDualCertificate(frozenset(), cert.duals)
+    bad = PrimalDualCertificate((-1, -1), cert.u, cert.v)
     msgs = check_certificate(d, bad)
     assert any("positive dual" in m for m in msgs)
 
 
 def test_certificate_non_matching_detected():
+    # two left copies on one right copy: 0' and 1' both on 2'' (id 5)
     d = double_graph(K3)
-    bad = PrimalDualCertificate(frozenset({(0, 4), (0, 5)}), (0,) * 6)
+    bad = PrimalDualCertificate((2, 2, -1), (0,) * 3, (0,) * 3)
     msgs = " ".join(check_certificate(d, bad))
-    assert "matched 2 times" in msgs
+    assert "vertex 5 is matched 2 times" in msgs
+
+
+@pytest.mark.parametrize("match_l, u, v, expected", [
+    # (0', 2'') is not a copy of an edge of the path 1-2-3
+    ((2, -1, -1), (0, 1, 0), (0, 0, 0), "not a doubled edge"),
+    ((3, -1, -1), (0, 1, 0), (0, 0, 0), "right copy 3: not a doubled edge"),
+    ((-2, -1, -1), (0, 1, 0), (0, 0, 0), "right copy -2: not a doubled edge"),
+    ((-1, -1), (0, 1, 0), (0, 0, 0), "have 2, 3, 3 entries, not 3"),
+    ((-1, -1, -1), (0, 1), (0, 0, 0), "have 3, 2, 3 entries"),
+    ((-1, -1, -1), (0, 1, 0), (0, 0, 0, 0), "have 3, 3, 4 entries"),
+])
+def test_certificate_rejects_malformed_arrays(match_l, u, v, expected):
+    msgs = check_certificate(double_graph(PATH3), PrimalDualCertificate(match_l, u, v))
+    assert any(expected in m for m in msgs), msgs
 
 
 def rand_instances():
@@ -156,9 +196,8 @@ def test_solver_matches_bruteforce_dp():
         cert = solve_bipartite(d)
         assert check_certificate(d, cert) == []
         n = g.vertex_count
-        oracle = bipartite_max_weight_dp(
-            n, n, [(a, b - n, w) for (a, b, w) in d.edges])
-        assert matched_weight(d, cert) == oracle
+        oracle = bipartite_max_weight_dp(n, n, doubled_edges(g.edges))
+        assert matched_weight(g, cert) == oracle
 
 
 def test_solver_certificates_on_larger_randoms():
@@ -166,7 +205,7 @@ def test_solver_certificates_on_larger_randoms():
         d = double_graph(g)
         cert = solve_bipartite(d)
         assert check_certificate(d, cert) == []
-        assert all(isinstance(x, int) for x in cert.duals)
+        assert all(isinstance(x, int) for x in cert.u + cert.v)
 
 
 def sparse_instance(n, degree, max_weight, seed):
@@ -203,17 +242,17 @@ def test_kernel_matches_reference_exactly():
     # same algorithm as the full-scan reference, so the same 4-tuple
     for g in parity_instances():
         n = g.vertex_count
-        heads, rights, weights = bipartite._kernel_csr(n, double_graph(g).edges)
-        got = _hungarian_py.solve_max_weight_bipartite(n, n, heads, rights, weights)
-        assert got == reference_max_weight_bipartite(n, n, heads, rights, weights), g.name
+        d = double_graph(g)
+        got = _hungarian_py.solve_max_weight_bipartite(n, n, d.heads, d.rights, d.weights)
+        assert got == reference_max_weight_bipartite(
+            n, n, d.heads, d.rights, d.weights), g.name
 
 
 def test_huge_weights_solved_exactly():
     w = 1 << 80
     g = GameInstance(2, ((0, 1, w),))
-    d = double_graph(g)
-    cert = solve_bipartite(d)
-    assert matched_weight(d, cert) == 2 * w
+    cert = solve_bipartite(double_graph(g))
+    assert matched_weight(g, cert) == 2 * w
 
 
 @settings(max_examples=60, deadline=None)
@@ -230,5 +269,5 @@ def test_certificate_property_random_graphs(data):
     d = double_graph(g)
     cert = solve_bipartite(d)
     assert check_certificate(d, cert) == []
-    oracle = bipartite_max_weight_dp(n, n, [(a, b - n, w) for (a, b, w) in d.edges])
-    assert matched_weight(d, cert) == oracle
+    oracle = bipartite_max_weight_dp(n, n, doubled_edges(g.edges))
+    assert matched_weight(g, cert) == oracle

@@ -131,6 +131,19 @@ def test_verify_wrong_length_exits_2(capsys, k3_path, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("values", ["23", {"2": 0, "3": 0}, 5, None])
+def test_verify_values_must_be_an_array(capsys, tmp_path, values):
+    # a string or an object would otherwise be read item by item
+    inst = tmp_path / "edge5.mg"
+    inst.write_text("p mg 2 1\ne 1 2 5\n")
+    imp = tmp_path / "imp.json"
+    imp.write_text(json.dumps({"values": values}))
+    code, out, err = run(capsys, "verify", str(inst), str(imp), "--alpha", "1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "'values' array" in err
+
+
 def test_gen_gap(capsys, tmp_path):
     out_path = tmp_path / "g3.mg"
     code, out, _ = run(capsys, "gen", "gap", "--n", "3", str(out_path))

@@ -15,7 +15,7 @@ from matchcore.halfint import (
 )
 from matchcore.instances import GameInstance, gen_odd_cycle, gen_random, parse_instance
 
-from oracles import bipartite_max_weight_dp
+from oracles import bipartite_max_weight_dp, doubled_edges
 
 K3 = parse_instance("p mg 3 3\ne 1 2 1\ne 2 3 1\ne 1 3 1\n")
 EDGE5 = parse_instance("p mg 2 1\ne 1 2 5\n")
@@ -29,7 +29,7 @@ def pipeline_fold(g):
 def test_fold_k3():
     s = pipeline_fold(K3)
     assert s.x2 == (1, 1, 1)
-    assert s.v == (Fraction(1, 2),) * 3
+    assert s.v2 == (1, 1, 1)  # cover 1/2 on each vertex
     assert solution_weight(K3, s) == Fraction(3, 2)
     assert not s.normalized
 
@@ -37,37 +37,37 @@ def test_fold_k3():
 def test_fold_single_edge():
     s = pipeline_fold(EDGE5)
     assert s.x2 == (2,)
-    assert s.v[0] + s.v[1] == 5
-    assert min(s.v) >= 0
+    assert s.v2[0] + s.v2[1] == 10
+    assert min(s.v2) >= 0
 
 
 def test_fold_empty():
     g = GameInstance(0, ())
     s = pipeline_fold(g)
-    assert s.x2 == () and s.v == ()
+    assert s.x2 == () and s.v2 == ()
 
 
 def test_fold_rejects_broken_certificate():
     d = double_graph(EDGE5)
     cert = solve_bipartite(d)
     # drop the matching but keep the duals: strong duality must fail
-    bad = PrimalDualCertificate(frozenset(), cert.duals)
+    bad = PrimalDualCertificate((-1, -1), cert.u, cert.v)
     with pytest.raises(InvariantViolation):
         fold_solution(EDGE5, d, bad)
 
 
 def test_normalize_path_keeps_low_endpoint_edge():
     g = parse_instance("p mg 3 2\ne 1 2 1\ne 2 3 1\n")
-    s = HalfIntegralSolution((1, 1), (Fraction(0), Fraction(1), Fraction(0)), False)
+    s = HalfIntegralSolution((1, 1), (0, 2, 0), False)
     out = normalize(g, s)
     assert out.x2 == (2, 0)
-    assert out.v == s.v
+    assert out.v2 == s.v2
     assert solution_weight(g, out) == solution_weight(g, s) == 1
 
 
 def test_normalize_even_cycle_picks_opposite_edges():
     g = parse_instance("p mg 4 4\ne 1 2 1\ne 2 3 1\ne 3 4 1\ne 1 4 1\n")
-    s = HalfIntegralSolution((1, 1, 1, 1), (Fraction(1, 2),) * 4, False)
+    s = HalfIntegralSolution((1, 1, 1, 1), (1,) * 4, False)
     out = normalize(g, s)
     assert out.x2 == (2, 0, 2, 0)
     assert solution_weight(g, out) == 2
@@ -83,13 +83,13 @@ def test_normalize_odd_cycle_is_fixed_point():
 
 def test_normalize_unequal_path_is_hard_failure():
     g = parse_instance("p mg 3 2\ne 1 2 2\ne 2 3 1\n")
-    s = HalfIntegralSolution((1, 1), (Fraction(1), Fraction(1), Fraction(0)), False)
+    s = HalfIntegralSolution((1, 1), (2, 2, 0), False)
     with pytest.raises(InvariantViolation):
         normalize(g, s)
 
 
 def test_normalize_lone_half_edge_is_hard_failure():
-    s = HalfIntegralSolution((1,), (Fraction(5, 2), Fraction(5, 2)), False)
+    s = HalfIntegralSolution((1,), (5, 5), False)
     with pytest.raises(InvariantViolation):
         normalize(EDGE5, s)
 
@@ -100,8 +100,8 @@ def test_decompose_k3():
     cyc = comps.odd_cycles[0]
     assert cyc.vertices == (0, 1, 2)
     assert cyc.k == 1
+    assert cyc.weights == (1, 1, 1)
     assert cyc.w_C == 3
-    assert cyc.v_C == Fraction(3, 2)
     assert comps.integral_edges == ()
 
 
@@ -110,8 +110,18 @@ def test_decompose_c5():
     comps = decompose_components(g, normalize(g, pipeline_fold(g)))
     assert len(comps.odd_cycles) == 1
     cyc = comps.odd_cycles[0]
-    assert cyc.k == 2 and cyc.w_C == 5 and cyc.v_C == Fraction(5, 2)
+    assert cyc.k == 2 and cyc.weights == (1,) * 5 and cyc.w_C == 5
     assert solution_weight(g, normalize(g, pipeline_fold(g))) == Fraction(5, 2)
+
+
+def test_decompose_weights_in_walk_order():
+    # triangle with weights 2 on 1-2 and 1 elsewhere, cover (1, 1, 0)
+    g = parse_instance("p mg 3 3\ne 1 2 2\ne 1 3 1\ne 2 3 1\n")
+    comps = decompose_components(g, HalfIntegralSolution((1, 1, 1), (2, 2, 0), True))
+    cyc = comps.odd_cycles[0]
+    assert cyc.vertices == (0, 1, 2)
+    assert cyc.weights == (2, 1, 1)  # edges 0-1, 1-2, 2-0
+    assert cyc.w_C == 4
 
 
 def test_decompose_bipartite_has_no_cycles():
@@ -129,7 +139,7 @@ def test_decompose_requires_normalized():
 
 def test_decompose_rejects_half_paths():
     g = parse_instance("p mg 3 2\ne 1 2 1\ne 2 3 1\n")
-    s = HalfIntegralSolution((1, 1), (Fraction(0), Fraction(1), Fraction(0)), True)
+    s = HalfIntegralSolution((1, 1), (0, 2, 0), True)
     with pytest.raises(InvariantViolation):
         decompose_components(g, s)
 
@@ -150,8 +160,7 @@ def test_fold_weight_matches_brute_force_lp():
     for g in rand_instances():
         s = pipeline_fold(g)
         n = g.vertex_count
-        d = double_graph(g)
-        dp = bipartite_max_weight_dp(n, n, [(a, b - n, w) for (a, b, w) in d.edges])
+        dp = bipartite_max_weight_dp(n, n, doubled_edges(g.edges))
         assert solution_weight(g, s) == Fraction(dp, 2)
 
 
@@ -161,7 +170,7 @@ def test_normalize_preserves_weight_and_cover():
         out = normalize(g, s)
         assert out.normalized
         assert solution_weight(g, out) == solution_weight(g, s)
-        assert out.v == s.v
+        assert out.v2 == s.v2
         # degree constraint still holds and halves are exactly the cycles
         comps = decompose_components(g, out)
         on_cycles = sum(len(c.vertices) for c in comps.odd_cycles)
@@ -172,7 +181,7 @@ def test_normalize_preserves_weight_and_cover():
 def test_cover_feasible_and_strong_duality():
     for g in rand_instances():
         s = pipeline_fold(g)
-        assert sum(s.v, Fraction(0)) == solution_weight(g, s)
+        assert Fraction(sum(s.v2), 2) == solution_weight(g, s)
         for (i, j, w) in g.edges:
-            assert s.v[i] + s.v[j] >= w
-        assert all(x.denominator in (1, 2) for x in s.v)
+            assert s.v2[i] + s.v2[j] >= 2 * w
+        assert all(type(x) is int for x in s.v2)

@@ -1,5 +1,6 @@
 """Instance model: parsing, serialization, generators, validation."""
 
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -182,6 +183,12 @@ def test_random_deterministic():
     assert serialize_instance(a) == serialize_instance(b)
     c = gen_random(8, Fraction(1, 2), 10, seed=43)
     assert serialize_instance(a) != serialize_instance(c)
+
+
+@pytest.mark.parametrize("p", [0.5, True, "1/2", Decimal("0.5")])
+def test_random_rejects_inexact_probability(p):
+    with pytest.raises(ValueError, match="not an int or a Fraction"):
+        gen_random(6, p, 5, seed=1)
 
 
 def test_random_extreme_probabilities():

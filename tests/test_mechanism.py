@@ -1,5 +1,6 @@
 """Scaled-cover mechanism: cycle analyses, factors, payouts."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -40,15 +41,14 @@ def test_c5_analysis():
     assert [m.weight for m in analysis.matchings] == [2, 2, 2, 2, 2]
     assert all(len(m.edges) == 2 for m in analysis.matchings)
     assert analysis.heaviest_weight == 2
-    # 5 * w(M') >= 4 * v_C holds with equality here
-    assert 5 * analysis.heaviest_weight == 4 * analysis.cycle.v_C
+    # 5 * w(M') >= 4 * v_C = 2 * w_C holds with equality here
+    assert 5 * analysis.heaviest_weight == 2 * analysis.cycle.w_C
 
 
 def test_uneven_triangle_analysis_by_hand():
     # cover (1, 1, 0) on the triangle with weights (2, 1, 1)
-    cycle = OddCycle((0, 1, 2), 1, 4, Fraction(2))
-    v = (Fraction(1), Fraction(1), Fraction(0))
-    analysis = analyze_cycle(TRI211, cycle, v)
+    cycle = OddCycle((0, 1, 2), 1, (2, 1, 1), 4)
+    analysis = analyze_cycle(cycle, (2, 2, 0))
     assert [m.weight for m in analysis.matchings] == [1, 1, 2]
     assert analysis.heaviest_weight == 2
     assert analysis.matchings[analysis.heaviest_index].removed_vertex == 2
@@ -59,7 +59,7 @@ def test_uneven_triangle_full_pipeline():
     # deterministic choice is the half cycle, and the payout it induces
     # is a valid 2/3-approximate one either way
     trace = run_pipeline(TRI211)
-    assert trace.normalized.v == (Fraction(1), Fraction(1), Fraction(0))
+    assert trace.normalized.v2 == (2, 2, 0)
     res = trace.result
     assert res.worth_fractional == 2
     assert res.c == (Fraction(2, 3), Fraction(2, 3), Fraction(0))
@@ -168,15 +168,28 @@ def test_mechanism_properties_random():
         assert audit_pipeline(trace) == []
 
 
+def test_audit_reports_tampered_payout():
+    trace = run_pipeline(K3)
+    # payouts over different denominators: 1/3 + 1/4 covers edge 1-3 at 7/12 < 2/3
+    c = (Fraction(1, 3), Fraction(1, 3), Fraction(1, 4))
+    bad = replace(trace, result=replace(trace.result, c=c))
+    problems = audit_pipeline(bad)
+    assert "payout at vertex 2 is not factor * cover" in problems
+    assert "payout covers edge (0, 2) below 2/3" in problems
+    assert "payout covers edge (1, 2) below 2/3" in problems
+    assert len(problems) == 3
+
+
 def test_cycle_identities_random():
     for g in rand_instances():
         trace = run_pipeline(g)
-        v = trace.normalized.v
+        v = [Fraction(x, 2) for x in trace.normalized.v2]
         for analysis in trace.analyses:
             cyc = analysis.cycle
             k = cyc.k
-            assert cyc.w_C == 2 * cyc.v_C
-            assert sum(m.weight for m in analysis.matchings) == 2 * k * cyc.v_C
-            assert (2 * k + 1) * analysis.heaviest_weight >= 2 * k * cyc.v_C
+            v_C = sum(v[i] for i in cyc.vertices)
+            assert cyc.w_C == 2 * v_C
+            assert sum(m.weight for m in analysis.matchings) == 2 * k * v_C
+            assert (2 * k + 1) * analysis.heaviest_weight >= 2 * k * v_C
             for j, m in enumerate(analysis.matchings):
-                assert v[cyc.vertices[j]] == cyc.v_C - m.weight
+                assert v[cyc.vertices[j]] == v_C - m.weight

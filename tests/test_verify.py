@@ -159,6 +159,24 @@ def test_check_core_argument_validation():
         check_core(K3, (THIRD,) * 3, Fraction(2, 3), mode="sampled")
 
 
+@pytest.mark.parametrize("c, alpha", [
+    ((THIRD, THIRD, 1 / 3), Fraction(2, 3)),
+    ((THIRD, THIRD, True), Fraction(2, 3)),
+    ((THIRD, THIRD, "1/3"), Fraction(2, 3)),
+    ((THIRD,) * 3, 0.6666666),
+    ((THIRD,) * 3, True),
+    ((THIRD,) * 3, "2/3"),
+])
+def test_check_core_rejects_inexact_types(c, alpha):
+    # a float would be taken at its binary value, `True` as 1
+    with pytest.raises(ValueError, match="not an int or a Fraction"):
+        check_core(K3, c, alpha)
+
+
+def test_check_core_accepts_ints():
+    assert check_core(K3, (0, 1, 0), 1).budget_ok is True
+
+
 def test_gap_family_reports():
     for n in (1, 2, 3):
         report = integrality_gap(gen_gap_family(n), max_edges=6 * n)

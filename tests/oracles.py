@@ -2,11 +2,19 @@
 
 Deliberately naive implementations, coded without reference to the
 package internals, so that agreement with the library is meaningful.
+The `reference_*` functions are earlier versions of library code, kept
+unchanged so that faster rewrites can be held to their exact output.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+from collections import deque
+from fractions import Fraction
+
+from matchcore.errors import BoundExceeded
+from matchcore.verify import CoalitionReport, CoalitionViolation, worth_bruteforce
 
 
 def max_matching_by_edge_subsets(edges: list[tuple[int, int, int]]) -> int:
@@ -240,3 +248,146 @@ def reference_max_weight_bipartite(
             j = pj
 
     return match_l, match_r, u, v
+
+
+def odd_girth_by_double_cover(n: int, edges) -> int | None:
+    """Shortest odd cycle as the shortest path from (v, 0) to (v, 1).
+
+    In the bipartite double cover every edge (u, v) joins (u, p) to
+    (v, 1 - p). A path from (v, 0) to (v, 1) is an odd closed walk
+    through v, and the shortest odd closed walk in a graph is a cycle.
+    """
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for (u, v, _) in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    best = None
+    for s in range(n):
+        dist = {(s, 0): 0}
+        queue = deque([(s, 0)])
+        while queue:
+            x, side = queue.popleft()
+            if (x, side) == (s, 1):
+                break
+            for y in adj[x]:
+                if (y, 1 - side) not in dist:
+                    dist[y, 1 - side] = dist[x, side] + 1
+                    queue.append((y, 1 - side))
+        if (s, 1) in dist and (best is None or dist[s, 1] < best):
+            best = dist[s, 1]
+    return best
+
+
+def reference_coalition_worth_table(g, max_n: int = 20) -> list[int]:
+    """`matchcore.verify.coalition_worth_table` as it was when it filled
+    the table one mask at a time, by lowest member."""
+    n = g.vertex_count
+    if n > max_n:
+        raise BoundExceeded(
+            f"{n} vertices need a 2^{n} table, above the bound {max_n}")
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for (u, v, w) in g.edges:
+        adj[u].append((v, w))
+        adj[v].append((u, w))
+    table = [0] * (1 << n)
+    for mask in range(1, 1 << n):
+        low = (mask & -mask).bit_length() - 1
+        rest = mask ^ (1 << low)
+        best = table[rest]
+        for (j, w) in adj[low]:
+            bit = 1 << j
+            if rest & bit:
+                cand = w + table[rest ^ bit]
+                if cand > best:
+                    best = cand
+        table[mask] = best
+    return table
+
+
+def _mask_members(mask: int) -> tuple[int, ...]:
+    out = []
+    i = 0
+    while mask:
+        if mask & 1:
+            out.append(i)
+        mask >>= 1
+        i += 1
+    return tuple(out)
+
+
+def reference_check_core(g, c, alpha, mode: str = "exhaustive",
+                         max_n: int = 20, max_edges: int = 24) -> CoalitionReport:
+    """`matchcore.verify.check_core` as it was when edges mode compared
+    `Fraction`s and exhaustive mode scanned masks one at a time."""
+    n = g.vertex_count
+    if len(c) != n:
+        raise ValueError(f"imputation has {len(c)} entries for {n} vertices")
+    for x in (*c, alpha):
+        if type(x) not in (int, Fraction):
+            raise ValueError(f"{x!r} is not an int or a Fraction")
+    c = [Fraction(x) for x in c]
+    if any(x < 0 for x in c):
+        raise ValueError("imputation entries must be nonnegative")
+    alpha = Fraction(alpha)
+    if not (0 < alpha <= 1):
+        raise ValueError("alpha must be in (0, 1]")
+    total = sum(c, Fraction(0))
+
+    if mode == "exhaustive":
+        table = reference_coalition_worth_table(g, max_n=max_n)
+        scale = math.lcm(*(x.denominator for x in c)) if c else 1
+        ci = [int(x * scale) for x in c]
+        alloc = [0] * (1 << n)
+        for mask in range(1, 1 << n):
+            low = (mask & -mask).bit_length() - 1
+            alloc[mask] = alloc[mask ^ (1 << low)] + ci[low]
+        a, b = alpha.numerator, alpha.denominator
+        violations = []
+        tight = []
+        worst_num = worst_den = None
+        for mask in range(1, 1 << n):
+            worth = table[mask]
+            lhs = b * alloc[mask]
+            rhs = a * scale * worth
+            if lhs < rhs:
+                violations.append(CoalitionViolation(
+                    _mask_members(mask), worth, Fraction(alloc[mask], scale)))
+            if worth > 0:
+                if lhs == rhs:
+                    tight.append(_mask_members(mask))
+                den = scale * worth
+                if worst_num is None or alloc[mask] * worst_den < worst_num * den:
+                    worst_num, worst_den = alloc[mask], den
+        worst = None if worst_num is None else Fraction(worst_num, worst_den)
+        grand = table[(1 << n) - 1]
+        return CoalitionReport(
+            alpha=alpha, mode=mode, checked_count=1 << n,
+            violations=tuple(violations), tight_coalitions=tuple(tight),
+            worst_ratio=worst, total_allocated=total,
+            grand_worth=grand, budget_ok=total <= grand)
+
+    if mode == "edges":
+        violations = []
+        tight = []
+        worst = None
+        for (i, j, w) in g.edges:
+            got = c[i] + c[j]
+            if got < alpha * w:
+                violations.append(CoalitionViolation((i, j), w, got))
+            if w > 0:
+                if got == alpha * w:
+                    tight.append((i, j))
+                ratio = got / w
+                if worst is None or ratio < worst:
+                    worst = ratio
+        try:
+            grand = worth_bruteforce(g, max_edges=max_edges)
+        except BoundExceeded:
+            grand = None
+        return CoalitionReport(
+            alpha=alpha, mode=mode, checked_count=g.edge_count,
+            violations=tuple(violations), tight_coalitions=tuple(tight),
+            worst_ratio=worst, total_allocated=total, grand_worth=grand,
+            budget_ok=None if grand is None else total <= grand)
+
+    raise ValueError(f"unknown mode: {mode!r}")

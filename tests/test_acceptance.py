@@ -308,3 +308,41 @@ def test_c11_golden_solve_output(name, tmp_path, capsys):
     assert digest.hexdigest() == GOLDEN_SOLVE_JSON[name]
     print(f"\n[acceptance 11] PASS {name}: {len(corpus(name))} solves "
           f"byte-identical to the recorded output")
+
+
+# SHA-256 of `verify` stdout and exit code over each corpus: every
+# instance's payout checked in both modes, at its `factor_guarantee`
+# and at alpha 1, so violations and budget failures are in the hash.
+# Recorded while `check_core` still compared `Fraction`s edge by edge
+# and built its coalition table one mask at a time.
+GOLDEN_VERIFY_JSON = {
+    "unit_triangle": "5a0eeaac2b30b3496e721ce5d0796295a368b761f1904e40bf442ccfa9d2efb1",
+    "gap_family": "c761e651469582be61529f4afbffb4a5dbc4a0e56a3f75e21dc82e2076526a6c",
+    "odd_cycles": "f56ebdbbfb332ea44e07de789fef647799bfc5656229239bc9c5f67880fb03ad",
+    "random": "1de8018f54d5301ed21eeaafcade79199d7931f7e352674c0ade2b3b1508a7fb",
+    "bipartite": "bf31901e8a497276eafe87e3d56f4328a561c7824b5e93d4548b71fa1a02a930",
+    "high_girth": "766560b34297b482ea6e0a78552bfe103c031c5d88c3ae34f64bee8ed221c8f8",
+}
+
+
+@pytest.mark.parametrize("name", list(GOLDEN_VERIFY_JSON))
+def test_c12_golden_verify_output(name, tmp_path, capsys):
+    path = tmp_path / "instance.mg"
+    payout = tmp_path / "payout.json"
+    digest = hashlib.sha256()
+    codes = {}
+    for g, trace in traces_for(corpus(name)):
+        res = trace.result.to_json_dict()
+        path.write_text(serialize_instance(g))
+        payout.write_text(json.dumps({"values": res["values"]}))
+        for mode in ("exhaustive", "edges"):
+            for alpha in (res["factor_guarantee"], "1"):
+                code = main(["verify", str(path), str(payout),
+                             "--mode", mode, "--alpha", alpha])
+                digest.update(capsys.readouterr().out.encode())
+                digest.update(f"exit {code}\n".encode())
+                codes[code] = codes.get(code, 0) + 1
+    assert digest.hexdigest() == GOLDEN_VERIFY_JSON[name]
+    print(f"\n[acceptance 12] PASS {name}: {len(corpus(name))} instances, "
+          f"4 verify runs each (exit codes {dict(sorted(codes.items()))}) "
+          f"byte-identical to the recorded output")

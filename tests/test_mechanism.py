@@ -193,3 +193,22 @@ def test_cycle_identities_random():
             assert (2 * k + 1) * analysis.heaviest_weight >= 2 * k * v_C
             for j, m in enumerate(analysis.matchings):
                 assert v[cyc.vertices[j]] == v_C - m.weight
+
+
+@pytest.mark.parametrize("n, degree, seed", [
+    (100, 3, 1), (150, 6, 2), (200, 4, 3), (250, 5, 4), (300, 3, 5), (300, 6, 6),
+])
+def test_payout_against_exact_matching_past_brute_force(n, degree, seed):
+    # networkx's blossom algorithm stays in integers on integer weights,
+    # so nu is the exact maximum-matching worth of the grand coalition
+    nx = pytest.importorskip("networkx")
+    g = gen_random(n, Fraction(degree, n - 1), 100, seed=seed)
+    graph = nx.Graph()
+    graph.add_weighted_edges_from(g.edges)
+    nu = sum(graph[u][v]["weight"] for (u, v) in nx.max_weight_matching(graph))
+    res = run_mechanism(g)
+    assert res.allocated <= res.matching_weight <= nu <= res.worth_fractional
+    assert 3 * nu >= 2 * res.worth_fractional
+    print(f"\n{g.name}: {g.edge_count} edges, nu {nu}, allocated "
+          f"{res.allocated} (shortfall {nu - res.allocated}), fractional "
+          f"optimum {res.worth_fractional}")

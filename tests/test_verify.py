@@ -1,5 +1,6 @@
 """Verification oracles: worths, coalition checks, gap, odd girth."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -22,7 +23,12 @@ from matchcore.verify import (
     worth_bruteforce,
 )
 
-from oracles import max_matching_by_edge_subsets
+from oracles import (
+    max_matching_by_edge_subsets,
+    odd_girth_by_double_cover,
+    reference_check_core,
+    reference_coalition_worth_table,
+)
 
 K3 = parse_instance("p mg 3 3\ne 1 2 1\ne 2 3 1\ne 1 3 1\n")
 EDGE5 = parse_instance("p mg 2 1\ne 1 2 5\n")
@@ -41,6 +47,15 @@ def test_worth_k3():
 def test_worth_validates_members():
     with pytest.raises(ValueError):
         worth_bruteforce(K3, (0, 5))
+
+
+@pytest.mark.parametrize("coalition", [
+    (0, 1.5), (0, 1.0), (0, True), (1, True), (0, Fraction(1)), (0, "1"),
+])
+def test_worth_rejects_inexact_members(coalition):
+    # 1.5 matched no vertex and 1.0 or True matched vertex 1 by value
+    with pytest.raises(ValueError, match="not an int"):
+        worth_bruteforce(K3, coalition)
 
 
 def test_worth_bound_refusal():
@@ -71,6 +86,54 @@ def test_worth_table_matches_recursive():
         for mask in range(1 << n):
             members = [i for i in range(n) if mask >> i & 1]
             assert table[mask] == worth_bruteforce(g, members)
+
+
+def random_graph(rng, n, heavy):
+    """Edges with probability 1/2; weights in 0..9, or 0 and >= 2^63 when
+    `heavy`; the last two vertices are left isolated."""
+    edges = []
+    for u in range(n - 2):
+        for v in range(u + 1, n - 2):
+            if rng.random() < 0.5:
+                w = rng.choice((0, 1 << 63, (1 << 64) + rng.randrange(9))) if heavy \
+                    else rng.randrange(10)
+                edges.append((u, v, w))
+    return GameInstance(n, tuple(edges))
+
+
+def test_worth_table_matches_reference():
+    rng = random.Random(7)
+    for n in (0, 1, 2, 3, 5, 8, 11, 13, 14, 15, 16):
+        for heavy in (False, True):
+            g = random_graph(rng, n, heavy)
+            assert coalition_worth_table(g) == reference_coalition_worth_table(g)
+
+
+def random_imputations(rng, g):
+    """The mechanism's payout, random fractions (often violating, some
+    zero) and plain ints."""
+    top = 2 * max((w for (_, _, w) in g.edges), default=1)
+    n = g.vertex_count
+    yield run_mechanism(g).c
+    yield tuple(Fraction(rng.randrange(top), rng.choice((1, 2, 3, 6, 7, 10)))
+                if rng.random() < 0.8 else Fraction(0) for _ in range(n))
+    yield tuple(rng.randrange(top) if rng.random() < 0.8 else 0 for _ in range(n))
+
+
+def test_check_core_matches_reference():
+    rng = random.Random(11)
+    compared = violating = 0
+    for seed in range(30):
+        n = seed % 15
+        g = random_graph(rng, n, heavy=seed % 5 == 4)
+        for c in random_imputations(rng, g):
+            for alpha in (Fraction(2, 3), Fraction(3, 4), 1):
+                for mode in ("exhaustive", "edges"):
+                    report = check_core(g, c, alpha, mode=mode)
+                    assert report == reference_check_core(g, c, alpha, mode=mode)
+                    compared += 1
+                    violating += bool(report.violations)
+    assert violating > compared // 4  # the random imputations do violate
 
 
 def test_worth_table_bound():
@@ -241,6 +304,44 @@ def test_odd_girth_mixed():
     edges = [(0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 4, 1), (0, 4, 1),
              (5, 6, 1), (6, 7, 1), (5, 7, 1)]
     assert odd_girth(GameInstance(8, tuple(edges))) == 3
+
+
+def cycle_edges(vertices):
+    return [(u, v, 1) for u, v in zip(vertices, vertices[1:] + vertices[:1])]
+
+
+PETERSEN = GameInstance(10, tuple(
+    [(i, (i + 1) % 5, 1) for i in range(5)] + [(i, i + 5, 1) for i in range(5)]
+    + [(5 + i, 5 + (i + 2) % 5, 1) for i in range(5)]))
+
+
+@pytest.mark.parametrize("g, girth", [
+    (GameInstance(12, tuple(cycle_edges(list(range(5))) + cycle_edges(list(range(5, 12))))), 5),
+    (PETERSEN, 5),
+    # a 201-cycle through vertex 0 whose chord 100-104 closes a 5-cycle
+    (GameInstance(201, tuple(cycle_edges(list(range(201))) + [(100, 104, 1)])), 5),
+    # a 99-cycle on the low vertices, found first, and a 7-cycle after it
+    (GameInstance(106, tuple(cycle_edges(list(range(99))) + cycle_edges(list(range(99, 106))))), 7),
+    # a 5-cycle of zero-weight edges still counts
+    (GameInstance(12, tuple([(u, v, 0) for (u, v, _) in cycle_edges(list(range(5)))]
+                            + cycle_edges(list(range(5, 12))))), 5),
+])
+def test_odd_girth_fixtures(g, girth):
+    assert odd_girth_by_double_cover(g.vertex_count, g.edges) == girth
+    assert odd_girth(g) == girth
+
+
+def test_odd_girth_matches_double_cover():
+    girths = set()
+    for seed in range(80):
+        n = 4 + seed % 30
+        p = Fraction(2 + seed % 2, n + seed % 7)  # average degree 2-3
+        for bip in (False, True):
+            g = gen_random(n, p, 3, seed=seed, bipartite=bip)
+            girth = odd_girth(g)
+            assert girth == odd_girth_by_double_cover(n, g.edges)
+            girths.add(girth)
+    assert girths == {None, 3, 5, 7, 9}
 
 
 def test_odd_girth_bipartite_randoms():

@@ -51,7 +51,6 @@ from .mechanism import (
     ScalingProfile,
     analyze_cycle,
     audit_pipeline,
-    heaviest_tiebreak,
     run_mechanism,
     run_pipeline,
     scaling_profile,
@@ -103,7 +102,6 @@ __all__ = [
     "gen_odd_cycle",
     "gen_random",
     "guaranteed_alpha",
-    "heaviest_tiebreak",
     "integrality_gap",
     "load_instance",
     "normalize",

@@ -45,6 +45,48 @@ def _plain_digits(line: str) -> bool:
     return line.isascii() and "+" not in line and "_" not in line
 
 
+class _BadEdge(ValueError):
+    """`GameInstance` rejects `edges[index]` of its input; `kind` is
+    "type", "negative", "range", "self-loop" or "duplicate"."""
+
+    def __init__(self, index: int, kind: str, message: str):
+        super().__init__(message)
+        self.index = index
+        self.kind = kind
+
+
+def _normalized_edges(n: int, edges) -> tuple[Edge, ...]:
+    """Check every edge in input order and return them with `u < v`.
+
+    The one place where edges are validated; raises `_BadEdge` at the
+    first edge that fails: a non-`int` endpoint or weight, a negative
+    weight, an endpoint outside `range(n)`, a self-loop or a repeated
+    vertex pair.
+    """
+    normalized = []
+    seen = set()
+    for idx, (u, v, w) in enumerate(edges):
+        # `type(x) is int` also rules out `bool`, an `int` subclass
+        if type(u) is not int or type(v) is not int:
+            raise _BadEdge(idx, "type", f"an endpoint of edge ({u!r}, {v!r}) is not an int")
+        if type(w) is not int:
+            raise _BadEdge(idx, "type", f"weight {w!r} on edge ({u}, {v}) is not an int")
+        if w < 0:
+            raise _BadEdge(idx, "negative", f"negative weight on edge ({u}, {v})")
+        if not (0 <= u < n and 0 <= v < n):
+            raise _BadEdge(idx, "range", f"edge ({u}, {v}) out of range")
+        if u == v:
+            raise _BadEdge(idx, "self-loop", f"self-loop at vertex {u}")
+        if u > v:
+            u, v = v, u
+        key = u * n + v  # one int per pair, as 0 <= u < v < n
+        if key in seen:
+            raise _BadEdge(idx, "duplicate", f"duplicate edge ({u}, {v})")
+        seen.add(key)
+        normalized.append((u, v, w))
+    return tuple(normalized)
+
+
 @dataclass(frozen=True)
 class GameInstance:
     """An undirected simple graph with nonnegative integer edge weights.
@@ -61,31 +103,11 @@ class GameInstance:
     name: str | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        # `type(x) is int` also rules out `bool`, an `int` subclass
         if type(self.vertex_count) is not int:
             raise ValueError(f"vertex_count is not an int: {self.vertex_count!r}")
         if self.vertex_count < 0:
             raise ValueError("vertex_count must be nonnegative")
-        normalized = []
-        seen = set()
-        for (u, v, w) in self.edges:
-            if type(u) is not int or type(v) is not int:
-                raise ValueError(f"an endpoint of edge ({u!r}, {v!r}) is not an int")
-            if type(w) is not int:
-                raise ValueError(f"weight {w!r} on edge ({u}, {v}) is not an int")
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            if not (0 <= u < self.vertex_count and 0 <= v < self.vertex_count):
-                raise ValueError(f"edge ({u}, {v}) out of range")
-            if w < 0:
-                raise ValueError(f"negative weight on edge ({u}, {v})")
-            if u > v:
-                u, v = v, u
-            if (u, v) in seen:
-                raise ValueError(f"duplicate edge ({u}, {v})")
-            seen.add((u, v))
-            normalized.append((u, v, w))
-        object.__setattr__(self, "edges", tuple(normalized))
+        object.__setattr__(self, "edges", _normalized_edges(self.vertex_count, self.edges))
 
     @property
     def edge_count(self) -> int:
@@ -107,22 +129,30 @@ def parse_instance(text: str, name: str | None = None) -> GameInstance:
 
     Every rejection names the offending 1-based line: malformed header,
     bad edge line, self-loop, duplicate edge, negative weight, vertex id
-    out of range, or an edge count that disagrees with the header.
+    out of range, or an edge count that disagrees with the header. The
+    loop below reads the syntax; the edges are checked once, by
+    `GameInstance`, and its rejection is restated with the edge's line.
     """
+    lines = text.splitlines()
     n = m = None
     header_line = 0
     edges: list[Edge] = []
     edge_lines: list[int] = []
-    seen: dict[tuple[int, int], int] = {}
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    def malformed(lineno: int, message: str) -> InstanceFormatError:
+        # a bad edge on an earlier line is the first fault in the file
+        if edges:
+            _build(n, edges, edge_lines, lines, name)
+        return InstanceFormatError(lineno, message)
+
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         fields = line.split()
         if fields[0] == "p":
             if n is not None:
-                raise InstanceFormatError(lineno, "duplicate header")
+                raise malformed(lineno, "duplicate header")
             if len(fields) != 4 or fields[1] != "mg" or not _plain_digits(line):
                 raise InstanceFormatError(lineno, f"malformed header: {line!r}")
             try:
@@ -136,36 +166,49 @@ def parse_instance(text: str, name: str | None = None) -> GameInstance:
             if n is None:
                 raise InstanceFormatError(lineno, "edge before header")
             if len(fields) != 4 or not _plain_digits(line):
-                raise InstanceFormatError(lineno, f"malformed edge line: {line!r}")
+                raise malformed(lineno, f"malformed edge line: {line!r}")
             try:
                 u, v, w = int(fields[1]), int(fields[2]), int(fields[3])
             except ValueError:
-                raise InstanceFormatError(lineno, f"malformed edge line: {line!r}")
-            if w < 0:
-                raise InstanceFormatError(lineno, f"negative weight {w}")
-            if not (1 <= u <= n and 1 <= v <= n):
-                raise InstanceFormatError(lineno, f"vertex id out of range in {line!r}")
-            if u == v:
-                raise InstanceFormatError(lineno, f"self-loop at vertex {u}")
-            key = (u, v) if u < v else (v, u)
-            if key in seen:
-                raise InstanceFormatError(
-                    lineno, f"duplicate edge ({u}, {v}), first seen at line {seen[key]}")
-            seen[key] = lineno
+                raise malformed(lineno, f"malformed edge line: {line!r}")
             edges.append((u - 1, v - 1, w))
             edge_lines.append(lineno)
         else:
-            raise InstanceFormatError(lineno, f"unknown directive: {fields[0]!r}")
+            raise malformed(lineno, f"unknown directive: {fields[0]!r}")
 
     if n is None:
         raise InstanceFormatError(1, "missing header")
+    g = _build(n, edges, edge_lines, lines, name)
     if len(edges) != m:
         if len(edges) > m:
             raise InstanceFormatError(
                 edge_lines[m], f"more edge lines than the {m} declared")
         raise InstanceFormatError(
             header_line, f"header declares {m} edges but {len(edges)} found")
-    return GameInstance(n, tuple(edges), name=name)
+    return g
+
+
+def _build(n: int, edges: list[Edge], edge_lines: list[int], lines: list[str],
+           name: str | None) -> GameInstance:
+    """`GameInstance(n, edges)`, a rejected edge reported at its line in
+    the file's 1-based terms."""
+    try:
+        return GameInstance(n, tuple(edges), name=name)
+    except _BadEdge as bad:
+        u, v, w = edges[bad.index]
+        lineno = edge_lines[bad.index]
+        if bad.kind == "negative":
+            reason = f"negative weight {w}"
+        elif bad.kind == "range":
+            reason = f"vertex id out of range in {lines[lineno - 1].strip()!r}"
+        elif bad.kind == "self-loop":
+            reason = f"self-loop at vertex {u + 1}"
+        else:  # a duplicate: parsed numbers are always ints
+            first = next(i for i, (a, b, _) in enumerate(edges)
+                         if {a, b} == {u, v})
+            reason = (f"duplicate edge ({u + 1}, {v + 1}), "
+                      f"first seen at line {edge_lines[first]}")
+        raise InstanceFormatError(lineno, reason) from None
 
 
 def serialize_instance(g: GameInstance) -> str:

@@ -21,6 +21,10 @@ the pieces together:
 - therefore sum of c over a cycle is at most w(M'), and globally
   sum(c) <= w(T) <= worth of the grand coalition.
 
+The 2k+1 matching weights follow from the cycle's edge weights by a
+two-step recurrence, and only the heaviest matching is built edge by
+edge, so a cycle of length L costs O(L).
+
 Every identity is asserted exactly on every run; a failure would mean
 the upstream solution was not optimal and raises InvariantViolation.
 The checks compare integers only (the doubled cover v2, each factor
@@ -62,12 +66,17 @@ class CycleMatching:
 
 @dataclass(frozen=True)
 class CycleAnalysis:
-    """All 2k+1 alternating matchings of one cycle and the heaviest."""
+    """The weights of a cycle's 2k+1 alternating matchings and the heaviest.
+
+    `matching_weights[j]` is w(M_j), the matching left by deleting
+    `cycle.vertices[j]`. The weights come from a two-step recurrence on
+    the cycle's edge weights and only `heaviest` is built edge by edge,
+    so an analysis costs O(L) for a cycle of length L.
+    """
 
     cycle: OddCycle
-    matchings: tuple[CycleMatching, ...]
-    heaviest_index: int
-    heaviest_weight: int
+    matching_weights: tuple[int, ...]
+    heaviest: CycleMatching
 
 
 @dataclass(frozen=True)
@@ -116,27 +125,17 @@ class PipelineTrace:
     result: ImputationResult
 
 
-def heaviest_tiebreak(matchings) -> int:
-    """Index of the heaviest matching; ties go to the smallest removed id."""
-    if not matchings:
-        raise ValueError("no matchings to choose from")
-    best = 0
-    for idx in range(1, len(matchings)):
-        m = matchings[idx]
-        b = matchings[best]
-        if m.weight > b.weight or (m.weight == b.weight
-                                   and m.removed_vertex < b.removed_vertex):
-            best = idx
-    return best
-
-
 def analyze_cycle(cycle: OddCycle, v2) -> CycleAnalysis:
-    """Build the 2k+1 alternating matchings of a cycle and check them.
+    """Weigh the 2k+1 alternating matchings of a cycle and check them.
 
-    Checks, in integers via v2 = 2v and w_C = 2 v_C: every M_j has k
-    edges and misses exactly vertex i_j; v_{i_j} = v_C - w(M_j); the
-    matching weights sum to 2k * v_C; the heaviest reaches the
-    (2k)/(2k+1) share of v_C.
+    Deleting vertices[j] leaves M_j, the edges at walk positions j+1,
+    j+3, ..., j+2k-1 (mod L = 2k+1). So w(M_0) = weights[1] + weights[3]
+    + ... + weights[2k-1], and M_{j+2} trades edge j+1 for edge j:
+    w(M_{j+2}) = w(M_j) + weights[j] - weights[j+1]. L is odd, so steps
+    of 2 reach every j. Checks, in integers via v2 = 2v and w_C = 2 v_C:
+    v_{i_j} = v_C - w(M_j) at every vertex; the matching weights sum to
+    2k * v_C; the heaviest reaches the (2k)/(2k+1) share of v_C. Ties
+    for the heaviest go to the smallest removed vertex id.
     """
     verts = cycle.vertices
     weights = cycle.weights
@@ -144,31 +143,35 @@ def analyze_cycle(cycle: OddCycle, v2) -> CycleAnalysis:
     k = cycle.k
     w_C = cycle.w_C
 
-    matchings = []
-    total = 0
-    for j in range(length):
-        edges = []
-        weight = 0
-        for t in range(k):
-            p = (j + 1 + 2 * t) % length
-            edges.append((verts[p], verts[(p + 1) % length]))
-            weight += weights[p]
+    matching_weights = [0] * length
+    weight = sum(weights[1:length - 1:2])
+    j = 0
+    for _ in range(length):
+        matching_weights[j] = weight
+        weight += weights[j] - weights[(j + 1) % length]
+        j = (j + 2) % length
+
+    for j, weight in enumerate(matching_weights):
         if v2[verts[j]] != w_C - 2 * weight:
             raise InvariantViolation(
                 f"cycle cover at vertex {verts[j]}: 2v = {v2[verts[j]]} != "
                 f"{w_C} - 2*{weight}")
-        matchings.append(CycleMatching(verts[j], tuple(edges), weight))
-        total += weight
+    total = sum(matching_weights)
     if total != k * w_C:
         raise InvariantViolation(
             f"cycle matching weights sum to {total}, expected {k * w_C}")
 
-    heaviest = heaviest_tiebreak(matchings)
-    hw = matchings[heaviest].weight
+    hw = max(matching_weights)
+    best = min((verts[j], j) for j in range(length) if matching_weights[j] == hw)[1]
     if (2 * k + 1) * hw < k * w_C:
         raise InvariantViolation(
             f"heaviest cycle matching too light: {(2 * k + 1) * hw} < {k * w_C}")
-    return CycleAnalysis(cycle, tuple(matchings), heaviest, hw)
+    edges = []
+    for t in range(k):
+        p = (best + 1 + 2 * t) % length
+        edges.append((verts[p], verts[(p + 1) % length]))
+    return CycleAnalysis(cycle, tuple(matching_weights),
+                         CycleMatching(verts[best], tuple(edges), hw))
 
 
 def scaling_profile(g: GameInstance, comps: FractionalComponents) -> ScalingProfile:
@@ -200,9 +203,9 @@ def run_pipeline(g: GameInstance) -> PipelineTrace:
     matching = [g.edges[e][:2] for e in comps.integral_edges]
     matching_weight = sum(g.edges[e][2] for e in comps.integral_edges)
     for analysis in analyses:
-        for (a, b) in analysis.matchings[analysis.heaviest_index].edges:
+        for (a, b) in analysis.heaviest.edges:
             matching.append((min(a, b), max(a, b)))
-        matching_weight += analysis.heaviest_weight
+        matching_weight += analysis.heaviest.weight
     matching.sort()
 
     used = [False] * g.vertex_count
@@ -211,8 +214,11 @@ def run_pipeline(g: GameInstance) -> PipelineTrace:
             raise InvariantViolation(f"output edges are not a matching at ({a}, {b})")
         used[a] = used[b] = True
 
-    allocated = sum(c, Fraction(0))
-    if allocated > matching_weight:
+    # sum(c) = sum(scaled[i] * (half // fden[i])) / (2 * half), half = lcm(fden)
+    half = math.lcm(*fden)
+    total = sum(x * (half // f) for x, f in zip(scaled, fden))
+    allocated = Fraction(total, 2 * half)
+    if total > 2 * half * matching_weight:
         raise InvariantViolation(
             f"allocation {allocated} exceeds its matching weight {matching_weight}")
 

@@ -388,17 +388,27 @@ def odd_girth(g: GameInstance) -> int | None:
     starts is a shortest odd cycle (an edge between levels of equal
     parity always joins one level to itself). Each search stops at the
     first such edge, or once 2d+1 can no longer beat the best cycle
-    found so far, and a 3 ends the whole scan. Zero-weight edges count
-    as edges.
+    found so far, and a 3 ends the whole scan. A search that runs out
+    of vertices without such an edge has explored a bipartite piece of
+    the graph; no later search can reach it and none starts inside it,
+    so on a bipartite graph each vertex is searched once, in O(n+m)
+    overall. Zero-weight edges count as edges.
     """
     n = g.vertex_count
     adj: list[list[int]] = [[] for _ in range(n)]
     for (u, v, _) in g.edges:
         adj[u].append(v)
         adj[v].append(u)
+    # One level array serves every search. -1 marks a vertex no search
+    # holds; a start already searched is set to n, never a level, so
+    # later searches keep to the vertices above it; a bipartite piece
+    # keeps the levels its search left.
+    dist = [-1] * n
     best: int | None = None
     for s in range(n):
-        found = _odd_walk_from(adj, s, best)
+        if dist[s] >= 0:
+            continue
+        found = _odd_walk_from(adj, dist, s, best)
         if found is not None:
             best = found
             if best == 3:
@@ -406,12 +416,13 @@ def odd_girth(g: GameInstance) -> int | None:
     return best
 
 
-def _odd_walk_from(adj: list[list[int]], s: int, bound: int | None) -> int | None:
-    """Shortest odd closed walk through `s` among vertices s, s+1, ...,
-    if one is shorter than `bound`."""
-    n = len(adj)
-    dist = [n] * s + [-1] * (n - s)  # n: below s, never a level
+def _odd_walk_from(adj: list[list[int]], dist: list[int], s: int,
+                   bound: int | None) -> int | None:
+    """Shortest odd closed walk through `s` among the vertices at level
+    -1, if one is shorter than `bound`. Unless the search runs out of
+    vertices, its levels are set back to -1 and `dist[s]` to n."""
     dist[s] = 0
+    reached = [s]
     frontier = [s]
     d = 0
     while frontier and (bound is None or 2 * d + 1 < bound):
@@ -423,10 +434,20 @@ def _odd_walk_from(adj: list[list[int]], s: int, bound: int | None) -> int | Non
                     dist[y] = d + 1
                     nxt.append(y)
                 elif dy == d:
+                    _release(dist, s, reached + nxt)
                     return 2 * d + 1
+        reached += nxt
         frontier = nxt
         d += 1
+    if frontier:  # cut short by the bound
+        _release(dist, s, reached)
     return None
+
+
+def _release(dist: list[int], s: int, reached: list[int]) -> None:
+    for x in reached:
+        dist[x] = -1
+    dist[s] = len(dist)
 
 
 def guaranteed_alpha(g: GameInstance) -> Fraction:

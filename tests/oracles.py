@@ -11,9 +11,12 @@ from __future__ import annotations
 import itertools
 import math
 from collections import deque
+from dataclasses import dataclass
 from fractions import Fraction
 
-from matchcore.errors import BoundExceeded
+from matchcore.errors import BoundExceeded, InvariantViolation
+from matchcore.halfint import OddCycle
+from matchcore.mechanism import CycleMatching
 from matchcore.verify import CoalitionReport, CoalitionViolation, worth_bruteforce
 
 
@@ -95,6 +98,14 @@ def all_matchings(edges: list[tuple[int, int, int]]):
                 picked.append(e)
         if ok:
             yield tuple(picked)
+
+
+def alternating_matching(vertices, j: int) -> tuple[tuple[int, int], ...]:
+    """M_j of an odd cycle walked as `vertices`: every other edge after
+    vertices[j], the k edges left when vertices[j] is deleted."""
+    length = len(vertices)
+    return tuple((vertices[(j + 1 + 2 * t) % length], vertices[(j + 2 + 2 * t) % length])
+                 for t in range(length // 2))
 
 
 def components(n: int, pairs: list[tuple[int, int]]) -> list[set[int]]:
@@ -391,3 +402,64 @@ def reference_check_core(g, c, alpha, mode: str = "exhaustive",
             budget_ok=None if grand is None else total <= grand)
 
     raise ValueError(f"unknown mode: {mode!r}")
+
+
+@dataclass(frozen=True)
+class ReferenceCycleAnalysis:
+    """`matchcore.mechanism.CycleAnalysis` as it was when it held all
+    2k+1 alternating matchings of the cycle."""
+
+    cycle: OddCycle
+    matchings: tuple[CycleMatching, ...]
+    heaviest_index: int
+    heaviest_weight: int
+
+
+def reference_heaviest_tiebreak(matchings) -> int:
+    """Index of the heaviest matching; ties go to the smallest removed id."""
+    if not matchings:
+        raise ValueError("no matchings to choose from")
+    best = 0
+    for idx in range(1, len(matchings)):
+        m = matchings[idx]
+        b = matchings[best]
+        if m.weight > b.weight or (m.weight == b.weight
+                                   and m.removed_vertex < b.removed_vertex):
+            best = idx
+    return best
+
+
+def reference_analyze_cycle(cycle: OddCycle, v2) -> ReferenceCycleAnalysis:
+    """`matchcore.mechanism.analyze_cycle` as it was when it built all
+    2k+1 alternating matchings edge by edge, O(L^2) per cycle."""
+    verts = cycle.vertices
+    weights = cycle.weights
+    length = len(verts)
+    k = cycle.k
+    w_C = cycle.w_C
+
+    matchings = []
+    total = 0
+    for j in range(length):
+        edges = []
+        weight = 0
+        for t in range(k):
+            p = (j + 1 + 2 * t) % length
+            edges.append((verts[p], verts[(p + 1) % length]))
+            weight += weights[p]
+        if v2[verts[j]] != w_C - 2 * weight:
+            raise InvariantViolation(
+                f"cycle cover at vertex {verts[j]}: 2v = {v2[verts[j]]} != "
+                f"{w_C} - 2*{weight}")
+        matchings.append(CycleMatching(verts[j], tuple(edges), weight))
+        total += weight
+    if total != k * w_C:
+        raise InvariantViolation(
+            f"cycle matching weights sum to {total}, expected {k * w_C}")
+
+    heaviest = reference_heaviest_tiebreak(matchings)
+    hw = matchings[heaviest].weight
+    if (2 * k + 1) * hw < k * w_C:
+        raise InvariantViolation(
+            f"heaviest cycle matching too light: {(2 * k + 1) * hw} < {k * w_C}")
+    return ReferenceCycleAnalysis(cycle, tuple(matchings), heaviest, hw)

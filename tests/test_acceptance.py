@@ -29,7 +29,7 @@ from matchcore.verify import (
     worth_bruteforce,
 )
 
-from oracles import bipartite_max_weight_dp, doubled_edges
+from oracles import alternating_matching, bipartite_max_weight_dp, doubled_edges
 
 K3 = parse_instance("p mg 3 3\ne 1 2 1\ne 2 3 1\ne 1 3 1\n")
 
@@ -205,11 +205,15 @@ def test_c07_cycle_identity_ledger():
                     weight[cyc.vertices[t], cyc.vertices[(t + 1) % L]] for t in range(L))
                 v_C = sum(v[i] for i in cyc.vertices)
                 assert cyc.w_C == 2 * v_C
-                assert sum(m.weight for m in analysis.matchings) == 2 * k * v_C
-                assert (2 * k + 1) * analysis.heaviest_weight >= 2 * k * v_C
-                for j, m in enumerate(analysis.matchings):
-                    assert v[cyc.vertices[j]] == v_C - m.weight
-                    assert m.weight == sum(weight[e] for e in m.edges)
+                assert sum(analysis.matching_weights) == 2 * k * v_C
+                assert (2 * k + 1) * analysis.heaviest.weight >= 2 * k * v_C
+                for j, mw in enumerate(analysis.matching_weights):
+                    assert v[cyc.vertices[j]] == v_C - mw
+                    edges = alternating_matching(cyc.vertices, j)
+                    assert mw == sum(weight[e] for e in edges)
+                    if cyc.vertices[j] == analysis.heaviest.removed_vertex:
+                        assert analysis.heaviest.edges == edges
+                        assert analysis.heaviest.weight == mw
                 cycles += 1
     print(f"\n[acceptance 07] PASS identity ledger: {solves} solves at exact "
           f"strong duality, {cycles} odd cycles, zero tolerance")

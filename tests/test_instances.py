@@ -70,6 +70,20 @@ def test_parse_errors(text, line, fragment):
     assert fragment in str(err.value)
 
 
+@pytest.mark.parametrize("text,line,fragment", [
+    ("p mg 3 2\ne 1 1 1\ne 1 2\n", 2, "self-loop"),
+    ("p mg 3 2\ne 1 2 -1\np mg 3 2\n", 2, "negative weight"),
+    ("p mg 3 1\ne 1 4 1\nq\n", 2, "out of range"),
+    ("p mg 3 1\ne 1 2 1\ne 2 1 1\n", 3, "first seen at line 2"),
+])
+def test_parse_reports_the_first_fault_in_the_file(text, line, fragment):
+    # a bad edge is reported before a later syntax or count error
+    with pytest.raises(InstanceFormatError) as err:
+        parse_instance(text)
+    assert err.value.line == line
+    assert fragment in str(err.value)
+
+
 @pytest.mark.parametrize("text,line", [
     ("p mg 2 1\ne 1 2 +1_000\n", 2),
     ("p mg 2 1\ne 1 2 +5\n", 2),

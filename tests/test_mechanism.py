@@ -1,23 +1,23 @@
 """Scaled-cover mechanism: cycle analyses, factors, payouts."""
 
+import random
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+from matchcore.errors import InvariantViolation
 from matchcore.halfint import OddCycle, decompose_components, normalize
 from matchcore.instances import GameInstance, gen_gap_family, gen_odd_cycle, gen_random, parse_instance
 from matchcore.mechanism import (
-    CycleMatching,
     analyze_cycle,
     audit_pipeline,
-    heaviest_tiebreak,
     run_mechanism,
     run_pipeline,
     scaling_profile,
 )
 
-from oracles import max_matching_by_edge_subsets
+from oracles import alternating_matching, max_matching_by_edge_subsets, reference_analyze_cycle
 
 K3 = parse_instance("p mg 3 3\ne 1 2 1\ne 2 3 1\ne 1 3 1\n")
 EDGE5 = parse_instance("p mg 2 1\ne 1 2 5\n")
@@ -28,30 +28,31 @@ def test_k3_analysis():
     trace = run_pipeline(K3)
     assert len(trace.analyses) == 1
     analysis = trace.analyses[0]
-    assert [m.weight for m in analysis.matchings] == [1, 1, 1]
-    assert all(len(m.edges) == 1 for m in analysis.matchings)
-    assert analysis.heaviest_weight == 1
+    assert analysis.matching_weights == (1, 1, 1)
+    assert len(analysis.heaviest.edges) == 1
+    assert analysis.heaviest.weight == 1
     # ties break to the smallest removed vertex id
-    assert analysis.matchings[analysis.heaviest_index].removed_vertex == 0
+    assert analysis.heaviest.removed_vertex == 0
 
 
 def test_c5_analysis():
     trace = run_pipeline(gen_odd_cycle(2))
     analysis = trace.analyses[0]
-    assert [m.weight for m in analysis.matchings] == [2, 2, 2, 2, 2]
-    assert all(len(m.edges) == 2 for m in analysis.matchings)
-    assert analysis.heaviest_weight == 2
+    assert analysis.matching_weights == (2, 2, 2, 2, 2)
+    assert len(analysis.heaviest.edges) == 2
+    assert analysis.heaviest.weight == 2
     # 5 * w(M') >= 4 * v_C = 2 * w_C holds with equality here
-    assert 5 * analysis.heaviest_weight == 2 * analysis.cycle.w_C
+    assert 5 * analysis.heaviest.weight == 2 * analysis.cycle.w_C
 
 
 def test_uneven_triangle_analysis_by_hand():
     # cover (1, 1, 0) on the triangle with weights (2, 1, 1)
     cycle = OddCycle((0, 1, 2), 1, (2, 1, 1), 4)
     analysis = analyze_cycle(cycle, (2, 2, 0))
-    assert [m.weight for m in analysis.matchings] == [1, 1, 2]
-    assert analysis.heaviest_weight == 2
-    assert analysis.matchings[analysis.heaviest_index].removed_vertex == 2
+    assert analysis.matching_weights == (1, 1, 2)
+    assert analysis.heaviest.weight == 2
+    assert analysis.heaviest.removed_vertex == 2
+    assert analysis.heaviest.edges == ((0, 1),)
 
 
 def test_uneven_triangle_full_pipeline():
@@ -68,12 +69,22 @@ def test_uneven_triangle_full_pipeline():
     assert res.matching_weight == 2
 
 
-def test_heaviest_tiebreak_rules():
-    mk = lambda rv, w: CycleMatching(rv, (), w)
-    assert heaviest_tiebreak([mk(4, 1), mk(2, 1), mk(3, 1)]) == 1
-    assert heaviest_tiebreak([mk(4, 1), mk(2, 3), mk(3, 3)]) == 1
-    with pytest.raises(ValueError):
-        heaviest_tiebreak([])
+def test_analyze_cycle_tiebreak_rules():
+    # a triangle walked 4, 2, 3: M_j is the one edge opposite vertices[j]
+    v2 = [0] * 5
+    # all three matchings weigh 1: the smallest removed id, 2, wins
+    v2[4] = v2[2] = v2[3] = 1
+    analysis = analyze_cycle(OddCycle((4, 2, 3), 1, (1, 1, 1), 3), v2)
+    assert analysis.matching_weights == (1, 1, 1)
+    assert analysis.heaviest.removed_vertex == 2
+    assert analysis.heaviest.edges == ((3, 4),)
+    # weights 1, 3, 3: the tie between removing 2 and 3 goes to 2
+    v2[4], v2[2], v2[3] = 5, 1, 1
+    analysis = analyze_cycle(OddCycle((4, 2, 3), 1, (3, 1, 3), 7), v2)
+    assert analysis.matching_weights == (1, 3, 3)
+    assert analysis.heaviest.removed_vertex == 2
+    assert analysis.heaviest.edges == ((3, 4),)
+    assert analysis.heaviest.weight == 3
 
 
 def test_scaling_profile_values():
@@ -184,15 +195,23 @@ def test_cycle_identities_random():
     for g in rand_instances():
         trace = run_pipeline(g)
         v = [Fraction(x, 2) for x in trace.normalized.v2]
+        weight = {}
+        for (a, b, w) in g.edges:
+            weight[a, b] = weight[b, a] = w
         for analysis in trace.analyses:
             cyc = analysis.cycle
             k = cyc.k
             v_C = sum(v[i] for i in cyc.vertices)
             assert cyc.w_C == 2 * v_C
-            assert sum(m.weight for m in analysis.matchings) == 2 * k * v_C
-            assert (2 * k + 1) * analysis.heaviest_weight >= 2 * k * v_C
-            for j, m in enumerate(analysis.matchings):
-                assert v[cyc.vertices[j]] == v_C - m.weight
+            assert sum(analysis.matching_weights) == 2 * k * v_C
+            assert (2 * k + 1) * analysis.heaviest.weight >= 2 * k * v_C
+            for j, mw in enumerate(analysis.matching_weights):
+                assert v[cyc.vertices[j]] == v_C - mw
+                edges = alternating_matching(cyc.vertices, j)
+                assert mw == sum(weight[e] for e in edges)
+                if cyc.vertices[j] == analysis.heaviest.removed_vertex:
+                    assert analysis.heaviest.edges == edges
+                    assert analysis.heaviest.weight == mw
 
 
 @pytest.mark.parametrize("n, degree, seed", [
@@ -212,3 +231,59 @@ def test_payout_against_exact_matching_past_brute_force(n, degree, seed):
     print(f"\n{g.name}: {g.edge_count} edges, nu {nu}, allocated "
           f"{res.allocated} (shortfall {nu - res.allocated}), fractional "
           f"optimum {res.worth_fractional}")
+
+
+def random_cycle(rng, length, draw):
+    """An odd cycle on scattered vertex ids and a v2 that satisfies its
+    identities, v2[vertices[j]] = w_C - 2 w(M_j), with w(M_j) summed
+    edge by edge."""
+    verts = tuple(rng.sample(range(3 * length), length))
+    weights = tuple(draw() for _ in range(length))
+    w_C = sum(weights)
+    v2 = [0] * (3 * length)
+    for j in range(length):
+        mw = sum(weights[(j + 1 + 2 * t) % length] for t in range(length // 2))
+        v2[verts[j]] = w_C - 2 * mw
+    return OddCycle(verts, length // 2, weights, w_C), v2
+
+
+CYCLE_WEIGHTS = {
+    "0-2": lambda rng: rng.randint(0, 2),
+    "1-100": lambda rng: rng.randint(1, 100),
+    "2^63": lambda rng: 2 ** 63 + rng.randint(0, 3),
+}
+
+
+def assert_matches_reference(rng, length, draw):
+    cycle, v2 = random_cycle(rng, length, draw)
+    ref = reference_analyze_cycle(cycle, v2)
+    got = analyze_cycle(cycle, v2)
+    assert got.cycle == cycle
+    assert got.matching_weights == tuple(m.weight for m in ref.matchings)
+    assert got.heaviest == ref.matchings[ref.heaviest_index]
+    assert got.heaviest.weight == ref.heaviest_weight
+
+    # one vertex's cover moved by 2 either way: both name that vertex
+    j = rng.randrange(length)
+    for delta in (2, -2):
+        bad = list(v2)
+        bad[cycle.vertices[j]] += delta
+        with pytest.raises(InvariantViolation) as want:
+            reference_analyze_cycle(cycle, bad)
+        with pytest.raises(InvariantViolation) as err:
+            analyze_cycle(cycle, bad)
+        assert str(err.value) == str(want.value)
+        assert f"at vertex {cycle.vertices[j]}:" in str(err.value)
+
+
+@pytest.mark.parametrize("kind", sorted(CYCLE_WEIGHTS))
+def test_analyze_cycle_matches_reference(kind):
+    rng = random.Random(f"analyze_cycle {kind}")
+    for length in [3, 5, 601] + [2 * rng.randint(1, 300) + 1 for _ in range(12)]:
+        assert_matches_reference(rng, length, lambda: CYCLE_WEIGHTS[kind](rng))
+
+
+def test_analyze_cycle_1001_matches_reference():
+    rng = random.Random("analyze_cycle 1001")
+    assert_matches_reference(rng, 1001, lambda: CYCLE_WEIGHTS["0-2"](rng))
+    assert_matches_reference(rng, 1001, lambda: CYCLE_WEIGHTS["2^63"](rng))

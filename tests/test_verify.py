@@ -322,6 +322,10 @@ PETERSEN = GameInstance(10, tuple(
     (GameInstance(201, tuple(cycle_edges(list(range(201))) + [(100, 104, 1)])), 5),
     # a 99-cycle on the low vertices, found first, and a 7-cycle after it
     (GameInstance(106, tuple(cycle_edges(list(range(99))) + cycle_edges(list(range(99, 106))))), 7),
+    # vertex 0's component is an even cycle with a pendant path; the
+    # 5-cycle after it is found all the same
+    (GameInstance(15, tuple(cycle_edges(list(range(6))) + [(5, 6, 1), (6, 7, 1), (7, 8, 1)]
+                            + cycle_edges(list(range(9, 14))))), 5),
     # a 5-cycle of zero-weight edges still counts
     (GameInstance(12, tuple([(u, v, 0) for (u, v, _) in cycle_edges(list(range(5)))]
                             + cycle_edges(list(range(5, 12))))), 5),

@@ -11,10 +11,11 @@ exceeding the grand coalition's worth.
 All arithmetic is exact: edge weights, the doubled bipartite graph's
 duals, the half-integral matching and cover and every payout check are
 integers on one half-unit scale, and `fractions.Fraction` appears only
-in results (payouts, factors, totals). The package is pure Python; its one matching kernel works on Python
-integers, so no weight is too large for it. Every run is certified by
-complementary slackness, and the `verify` module cross-checks results
-against brute-force enumeration at desk scale.
+in results (payouts, factors, totals). The package is pure Python; its
+one matching kernel works on Python integers, so no weight is too large
+for it. Every run is certified by complementary slackness, and the
+`verify` module cross-checks results against brute-force enumeration
+at desk scale.
 """
 
 from .bipartite import (
@@ -31,7 +32,6 @@ from .halfint import (
     OddCycle,
     decompose_components,
     fold_solution,
-    normalize,
     solution_weight,
 )
 from .instances import (
@@ -53,7 +53,6 @@ from .mechanism import (
     audit_pipeline,
     run_mechanism,
     run_pipeline,
-    scaling_profile,
 )
 from .rationals import format_fraction, parse_fraction
 from .verify import (
@@ -104,13 +103,11 @@ __all__ = [
     "guaranteed_alpha",
     "integrality_gap",
     "load_instance",
-    "normalize",
     "odd_girth",
     "parse_fraction",
     "parse_instance",
     "run_mechanism",
     "run_pipeline",
-    "scaling_profile",
     "serialize_instance",
     "solution_weight",
     "solve_bipartite",

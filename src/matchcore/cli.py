@@ -47,7 +47,7 @@ def _cmd_solve(args) -> int:
     rows = [("vertex", "cover", "factor", "payout")]
     for i in range(g.vertex_count):
         rows.append((str(i + 1),
-                     format_fraction(Fraction(trace.normalized.v2[i], 2)),
+                     format_fraction(Fraction(trace.folded.v2[i], 2)),
                      format_fraction(res.factors.factors[i]),
                      format_fraction(res.c[i])))
     widths = [max(len(r[col]) for r in rows) for col in range(4)]

@@ -8,12 +8,13 @@ value exactly, so weight(x) = sum(v) certifies that both are optimal.
 
 Edges at value 1/2 form disjoint paths and cycles. Each path or even
 cycle is a 50/50 blend of its two alternating matchings, which must be
-of equal weight at an optimum; normalization replaces the blend with
-one of them, after which the half-edges that remain form vertex-
-disjoint odd cycles. Every odd cycle C satisfies two exact identities
-used downstream: its edge weight w_C equals twice its cover value v_C,
-and the cover on C is uniquely determined, vertex by vertex, by the
-alternating matchings of C.
+of equal weight at an optimum. `decompose_components` walks the
+half-edges once: it replaces each such blend with one of its matchings
+and records the rest, vertex-disjoint odd cycles, in the same pass.
+Every odd cycle C satisfies two exact identities used downstream: its
+edge weight w_C equals twice its cover value v_C, and the cover on C is
+uniquely determined, vertex by vertex, by the alternating matchings of
+C.
 
 Arithmetic convention: x and the cover are stored doubled, as ints on
 the doubled graph's half-unit scale: x2[e] = 2 x_e in {0, 1, 2} and
@@ -25,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bipartite import DoubledGraph, PrimalDualCertificate
+from .bipartite import PrimalDualCertificate
 from .errors import InvariantViolation
 from .instances import GameInstance
 
@@ -35,13 +36,11 @@ class HalfIntegralSolution:
     """Optimal half-integral matching and cover on the original graph.
 
     `x2[e]` is 2*x_e for edge index e of the instance; `v2[i]` is twice
-    the cover value of vertex i. `normalized` records whether half-edges
-    have been reduced to odd cycles only.
+    the cover value of vertex i.
     """
 
     x2: tuple[int, ...]
     v2: tuple[int, ...]
-    normalized: bool
 
 
 @dataclass(frozen=True)
@@ -61,7 +60,8 @@ class OddCycle:
 
 @dataclass(frozen=True)
 class FractionalComponents:
-    """Normalized support split into odd cycles and integral edges."""
+    """The support with half paths and even cycles resolved: odd
+    cycles and integral edges."""
 
     odd_cycles: tuple[OddCycle, ...]
     integral_edges: tuple[int, ...]  # edge indices with x = 1
@@ -77,8 +77,7 @@ def solution_weight(g: GameInstance, s: HalfIntegralSolution) -> Fraction:
     return Fraction(solution_weight2(g, s), 2)
 
 
-def fold_solution(g: GameInstance, d: DoubledGraph,
-                  cert: PrimalDualCertificate) -> HalfIntegralSolution:
+def fold_solution(g: GameInstance, cert: PrimalDualCertificate) -> HalfIntegralSolution:
     """Average the doubled matching and sum the doubled duals.
 
     Validates, in exact arithmetic, that the fold produced a
@@ -109,17 +108,20 @@ def fold_solution(g: GameInstance, d: DoubledGraph,
         raise InvariantViolation(
             f"strong duality lost in fold: 2*weight {weight2} != 2*cover {sum(v2)}")
 
-    return HalfIntegralSolution(tuple(x2), tuple(v2), normalized=False)
+    return HalfIntegralSolution(tuple(x2), tuple(v2))
 
 
 def _half_adjacency(g: GameInstance, x2) -> list[list[tuple[int, int]]]:
-    """Per-vertex (edge index, other endpoint) lists over half-edges."""
+    """Per-vertex (edge index, other endpoint) lists over half-edges,
+    lower-id neighbor first; a vertex with three or more is rejected."""
     half: list[list[tuple[int, int]]] = [[] for _ in range(g.vertex_count)]
     for e, (i, j, _) in enumerate(g.edges):
         if x2[e] == 1:
             half[i].append((e, j))
             half[j].append((e, i))
-    for lst in half:
+    for i, lst in enumerate(half):
+        if len(lst) > 2:
+            raise InvariantViolation(f"vertex {i} has {len(lst)} half-edges")
         lst.sort(key=lambda t: t[1])
     return half
 
@@ -141,15 +143,19 @@ def _resolve_alternating(g: GameInstance, x2: list[int], run: list[int]) -> None
         x2[e] = 2 if pos % 2 == 0 else 0
 
 
-def normalize(g: GameInstance, s: HalfIntegralSolution) -> HalfIntegralSolution:
-    """Reduce half-edges to odd cycles; weight and cover are unchanged.
+def decompose_components(g: GameInstance,
+                         s: HalfIntegralSolution) -> FractionalComponents:
+    """Resolve half paths and even cycles; collect the odd cycles.
 
-    Paths are resolved starting from their lowest-id endpoint, even
-    cycles starting at their lowest-id vertex walking toward its
-    lower-id neighbor, so the result is deterministic.
+    One walk over the half-edges. Open runs go first, each from its
+    lowest-id endpoint; then every cycle is walked from its lowest-id
+    vertex toward that vertex's lower-id neighbor, so the result is
+    deterministic. A run or an even cycle becomes its first alternating
+    matching in walk order; an odd cycle is reported in that canonical
+    cyclic order and checked against the exact identity w_C = 2 v_C.
+    The cover is not touched and the matching weight is checked to be
+    unchanged, so weight(x) = sum(v) still holds.
     """
-    if s.normalized:
-        return s
     x2 = list(s.x2)
     half = _half_adjacency(g, x2)
     visited = [False] * len(g.edges)
@@ -174,74 +180,34 @@ def normalize(g: GameInstance, s: HalfIntegralSolution) -> HalfIntegralSolution:
         _resolve_alternating(g, x2, run)
 
     # Remaining half components are cycles.
+    cycles = []
     for a in range(g.vertex_count):
         start = [(e, o) for (e, o) in half[a] if not visited[e]]
         if not start:
             continue
         e0, cur = start[0]  # lowest-id unvisited vertex, lower-id neighbor first
+        verts = [a]
         run = [e0]
         visited[e0] = True
         while cur != a:
-            step = [(e, o) for (e, o) in half[cur] if not visited[e]]
-            e, cur = step[0]
+            verts.append(cur)
+            e, cur = [(e, o) for (e, o) in half[cur] if not visited[e]][0]
             visited[e] = True
             run.append(e)
-        if len(run) < 3:
-            raise InvariantViolation("two-edge half cycle in a simple graph")
         if len(run) % 2 == 0:
             _resolve_alternating(g, x2, run)
+            continue
+        weights = tuple(g.edges[e][2] for e in run)
+        cycles.append(OddCycle(tuple(verts), len(run) // 2, weights, sum(weights)))
 
     if sum(w * x2[e] for e, (_, _, w) in enumerate(g.edges)) != solution_weight2(g, s):
         raise InvariantViolation("normalization changed the matching weight")
-    return HalfIntegralSolution(tuple(x2), s.v2, normalized=True)
-
-
-def decompose_components(g: GameInstance,
-                         s: HalfIntegralSolution) -> FractionalComponents:
-    """Collect the odd cycles and integral edges of a normalized solution.
-
-    Each cycle is reported with its vertices in canonical cyclic order
-    (lowest id first, walking toward its lower-id neighbor) and checked
-    against the exact identity w_C = 2 v_C.
-    """
-    if not s.normalized:
-        raise ValueError("decompose_components requires a normalized solution")
-    half = _half_adjacency(g, s.x2)
-    visited = [False] * len(g.edges)
-    cycles = []
-
-    for a in range(g.vertex_count):
-        pending = [(e, o) for (e, o) in half[a] if not visited[e]]
-        if not pending:
-            continue
-        if len(half[a]) != 2:
-            raise InvariantViolation(
-                f"half-edge at vertex {a} is not on a cycle (degree {len(half[a])})")
-        verts = [a]
-        e0, cur = pending[0]
-        visited[e0] = True
-        weights = [g.edges[e0][2]]
-        while cur != a:
-            verts.append(cur)
-            if len(half[cur]) != 2:
-                raise InvariantViolation(
-                    f"half-edge path through vertex {cur} after normalization")
-            step = [(e, o) for (e, o) in half[cur] if not visited[e]]
-            e, cur = step[0]
-            visited[e] = True
-            weights.append(g.edges[e][2])
-        length = len(verts)
-        if length % 2 == 0 or length < 3:
-            raise InvariantViolation(f"half cycle of even length {length}")
-        w_C = sum(weights)
-        if w_C != sum(s.v2[i] for i in verts):
-            raise InvariantViolation(f"cycle weight {w_C} != twice its cover")
-        cycles.append(OddCycle(tuple(verts), (length - 1) // 2, tuple(weights), w_C))
-
-    integral = tuple(e for e, val in enumerate(s.x2) if val == 2)
+    integral = tuple(e for e, val in enumerate(x2) if val == 2)
 
     used = set()
     for cyc in cycles:
+        if cyc.w_C != sum(s.v2[i] for i in cyc.vertices):
+            raise InvariantViolation(f"cycle weight {cyc.w_C} != twice its cover")
         for i in cyc.vertices:
             if i in used:
                 raise InvariantViolation(f"vertex {i} on two components")

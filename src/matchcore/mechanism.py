@@ -2,7 +2,7 @@
 
 Pipeline: double the graph, solve it with a certified bipartite
 matching, fold back to a half-integral matching x and optimal cover v,
-normalize the half-edges to odd cycles, then pay each agent
+walk the half-edges once down to odd cycles, then pay each agent
 
     c_i = f(i) * v_i,   f(i) = 2k/(2k+1) if i lies on a half cycle of
                         length 2k+1, and 1 otherwise.
@@ -28,8 +28,9 @@ edge, so a cycle of length L costs O(L).
 Every identity is asserted exactly on every run; a failure would mean
 the upstream solution was not optimal and raises InvariantViolation.
 The checks compare integers only (the doubled cover v2, each factor
-as the pair (2k, 2k+1), payouts by cross-multiplication); `Fraction`s
-are built only for the result.
+as the pair (2k, 2k+1) read off the cycle lengths, payouts by
+cross-multiplication); `Fraction`s are built only for the result, the
+factors one per distinct cycle length.
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ from .halfint import (
     OddCycle,
     decompose_components,
     fold_solution,
-    normalize,
     solution_weight,
     solution_weight2,
 )
@@ -118,7 +118,6 @@ class PipelineTrace:
     doubled: DoubledGraph
     certificate: PrimalDualCertificate
     folded: HalfIntegralSolution
-    normalized: HalfIntegralSolution
     components: FractionalComponents
     analyses: tuple[CycleAnalysis, ...]
     profile: ScalingProfile
@@ -174,30 +173,23 @@ def analyze_cycle(cycle: OddCycle, v2) -> CycleAnalysis:
                          CycleMatching(verts[best], tuple(edges), hw))
 
 
-def scaling_profile(g: GameInstance, comps: FractionalComponents) -> ScalingProfile:
-    """Multiplier 2k/(2k+1) on each odd cycle, 1 everywhere else."""
-    factors = [Fraction(1)] * g.vertex_count
-    for cycle in comps.odd_cycles:
-        f = Fraction(2 * cycle.k, 2 * cycle.k + 1)
-        for i in cycle.vertices:
-            factors[i] = f
-    return ScalingProfile(tuple(factors))
-
-
 def run_pipeline(g: GameInstance) -> PipelineTrace:
     """Run the full mechanism and retain every intermediate artifact."""
     d = double_graph(g)
     cert = solve_bipartite(d)
-    folded = fold_solution(g, d, cert)
-    norm = normalize(g, folded)
-    comps = decompose_components(g, norm)
-    analyses = tuple(analyze_cycle(cyc, norm.v2) for cyc in comps.odd_cycles)
-    profile = scaling_profile(g, comps)
+    folded = fold_solution(g, cert)
+    comps = decompose_components(g, folded)
+    analyses = tuple(analyze_cycle(cyc, folded.v2) for cyc in comps.odd_cycles)
 
+    # f_i = fnum[i] / fden[i]: 2k/(2k+1) on a cycle of length 2k+1, else 1;
     # c_i = f_i * v_i = fnum[i] * v2[i] / (2 * fden[i])
-    fnum = [f.numerator for f in profile.factors]
-    fden = [f.denominator for f in profile.factors]
-    scaled = [f * x for f, x in zip(fnum, norm.v2)]
+    fnum = [1] * g.vertex_count
+    fden = [1] * g.vertex_count
+    for cycle in comps.odd_cycles:
+        for i in cycle.vertices:
+            fnum[i] = 2 * cycle.k
+            fden[i] = 2 * cycle.k + 1
+    scaled = [f * x for f, x in zip(fnum, folded.v2)]
     c = tuple(Fraction(x, 2 * f) for x, f in zip(scaled, fden))
 
     matching = [g.edges[e][:2] for e in comps.integral_edges]
@@ -222,7 +214,6 @@ def run_pipeline(g: GameInstance) -> PipelineTrace:
         raise InvariantViolation(
             f"allocation {allocated} exceeds its matching weight {matching_weight}")
 
-    factor_guarantee = min(profile.factors, default=Fraction(1))
     for (i, j, w) in g.edges:
         di, dj = fden[i], fden[j]
         pay = scaled[i] * dj + scaled[j] * di  # c_i + c_j = pay / den
@@ -233,16 +224,19 @@ def run_pipeline(g: GameInstance) -> PipelineTrace:
         if pay * fden[lo] < fnum[lo] * w * den:
             raise InvariantViolation(f"payout under the factor bound on ({i}, {j})")
 
+    # one Fraction per distinct factor; fden[i] is 1 or a cycle length 2k+1
+    factor_of = {f: Fraction(f - 1, f) if f > 1 else Fraction(1) for f in set(fden)}
+    profile = ScalingProfile(tuple(factor_of[f] for f in fden))
     result = ImputationResult(
         c=c,
         matching=tuple(matching),
         factors=profile,
-        worth_fractional=solution_weight(g, norm),
+        worth_fractional=solution_weight(g, folded),
         matching_weight=matching_weight,
         allocated=allocated,
-        factor_guarantee=factor_guarantee,
+        factor_guarantee=min(factor_of.values(), default=Fraction(1)),
     )
-    return PipelineTrace(g, d, cert, folded, norm, comps, analyses, profile, result)
+    return PipelineTrace(g, d, cert, folded, comps, analyses, profile, result)
 
 
 def run_mechanism(g: GameInstance) -> ImputationResult:
@@ -263,10 +257,10 @@ def audit_pipeline(trace: PipelineTrace) -> list[str]:
     g = trace.instance
     problems += check_certificate(trace.doubled, trace.certificate)
 
-    norm = trace.normalized
-    v2 = norm.v2
-    if solution_weight2(g, norm) != sum(v2):
-        problems.append(f"2*weight(x) {solution_weight2(g, norm)} != 2*cover total {sum(v2)}")
+    v2 = trace.folded.v2
+    weight2 = solution_weight2(g, trace.folded)
+    if weight2 != sum(v2):
+        problems.append(f"2*weight(x) {weight2} != 2*cover total {sum(v2)}")
     for (i, j, w) in g.edges:
         if v2[i] + v2[j] < 2 * w:
             problems.append(f"cover misses edge ({i}, {j})")

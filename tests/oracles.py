@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from matchcore.errors import BoundExceeded, InvariantViolation
-from matchcore.halfint import OddCycle
+from matchcore.halfint import FractionalComponents, OddCycle, solution_weight2
 from matchcore.mechanism import CycleMatching
 from matchcore.verify import CoalitionReport, CoalitionViolation, worth_bruteforce
 
@@ -463,3 +463,153 @@ def reference_analyze_cycle(cycle: OddCycle, v2) -> ReferenceCycleAnalysis:
         raise InvariantViolation(
             f"heaviest cycle matching too light: {(2 * k + 1) * hw} < {k * w_C}")
     return ReferenceCycleAnalysis(cycle, tuple(matchings), heaviest, hw)
+
+
+@dataclass(frozen=True)
+class ReferenceHalfIntegralSolution:
+    """`matchcore.halfint.HalfIntegralSolution` as it was when it carried
+    a `normalized` flag that ordered normalization before decomposition."""
+
+    x2: tuple[int, ...]
+    v2: tuple[int, ...]
+    normalized: bool
+
+
+def _reference_half_adjacency(g, x2) -> list[list[tuple[int, int]]]:
+    """Per-vertex (edge index, other endpoint) lists over half-edges."""
+    half: list[list[tuple[int, int]]] = [[] for _ in range(g.vertex_count)]
+    for e, (i, j, _) in enumerate(g.edges):
+        if x2[e] == 1:
+            half[i].append((e, j))
+            half[j].append((e, i))
+    for lst in half:
+        lst.sort(key=lambda t: t[1])
+    return half
+
+
+def _reference_resolve_alternating(g, x2: list[int], run: list[int]) -> None:
+    """Replace a half path/even cycle by its first alternating matching."""
+    keep = sum(g.edges[e][2] for pos, e in enumerate(run) if pos % 2 == 0)
+    drop = sum(g.edges[e][2] for pos, e in enumerate(run) if pos % 2 == 1)
+    if keep != drop:
+        raise InvariantViolation(
+            f"alternating matchings differ in weight ({keep} vs {drop}); "
+            "the half-integral solution was not optimal")
+    for pos, e in enumerate(run):
+        x2[e] = 2 if pos % 2 == 0 else 0
+
+
+def reference_normalize(g, s: ReferenceHalfIntegralSolution) -> ReferenceHalfIntegralSolution:
+    """`matchcore.halfint.normalize` as it was before it merged into
+    `decompose_components`: the first of two walks over the half-edges.
+
+    Paths are resolved starting from their lowest-id endpoint, even
+    cycles starting at their lowest-id vertex walking toward its
+    lower-id neighbor, so the result is deterministic.
+    """
+    if s.normalized:
+        return s
+    x2 = list(s.x2)
+    half = _reference_half_adjacency(g, x2)
+    visited = [False] * len(g.edges)
+
+    # Open runs first: start from every degree-1 endpoint.
+    for a in range(g.vertex_count):
+        if len(half[a]) != 1:
+            continue
+        e0, nxt = half[a][0]
+        if visited[e0]:
+            continue
+        run = [e0]
+        visited[e0] = True
+        cur = nxt
+        while True:
+            step = [(e, o) for (e, o) in half[cur] if not visited[e]]
+            if not step:
+                break
+            e, cur = step[0]
+            visited[e] = True
+            run.append(e)
+        _reference_resolve_alternating(g, x2, run)
+
+    # Remaining half components are cycles.
+    for a in range(g.vertex_count):
+        start = [(e, o) for (e, o) in half[a] if not visited[e]]
+        if not start:
+            continue
+        e0, cur = start[0]  # lowest-id unvisited vertex, lower-id neighbor first
+        run = [e0]
+        visited[e0] = True
+        while cur != a:
+            step = [(e, o) for (e, o) in half[cur] if not visited[e]]
+            e, cur = step[0]
+            visited[e] = True
+            run.append(e)
+        if len(run) < 3:
+            raise InvariantViolation("two-edge half cycle in a simple graph")
+        if len(run) % 2 == 0:
+            _reference_resolve_alternating(g, x2, run)
+
+    if sum(w * x2[e] for e, (_, _, w) in enumerate(g.edges)) != solution_weight2(g, s):
+        raise InvariantViolation("normalization changed the matching weight")
+    return ReferenceHalfIntegralSolution(tuple(x2), s.v2, normalized=True)
+
+
+def reference_decompose_components(
+        g, s: ReferenceHalfIntegralSolution) -> FractionalComponents:
+    """`matchcore.halfint.decompose_components` as it was when it walked
+    the half-edges a second time, after `reference_normalize`.
+
+    Each cycle is reported with its vertices in canonical cyclic order
+    (lowest id first, walking toward its lower-id neighbor) and checked
+    against the exact identity w_C = 2 v_C.
+    """
+    if not s.normalized:
+        raise ValueError("decompose_components requires a normalized solution")
+    half = _reference_half_adjacency(g, s.x2)
+    visited = [False] * len(g.edges)
+    cycles = []
+
+    for a in range(g.vertex_count):
+        pending = [(e, o) for (e, o) in half[a] if not visited[e]]
+        if not pending:
+            continue
+        if len(half[a]) != 2:
+            raise InvariantViolation(
+                f"half-edge at vertex {a} is not on a cycle (degree {len(half[a])})")
+        verts = [a]
+        e0, cur = pending[0]
+        visited[e0] = True
+        weights = [g.edges[e0][2]]
+        while cur != a:
+            verts.append(cur)
+            if len(half[cur]) != 2:
+                raise InvariantViolation(
+                    f"half-edge path through vertex {cur} after normalization")
+            step = [(e, o) for (e, o) in half[cur] if not visited[e]]
+            e, cur = step[0]
+            visited[e] = True
+            weights.append(g.edges[e][2])
+        length = len(verts)
+        if length % 2 == 0 or length < 3:
+            raise InvariantViolation(f"half cycle of even length {length}")
+        w_C = sum(weights)
+        if w_C != sum(s.v2[i] for i in verts):
+            raise InvariantViolation(f"cycle weight {w_C} != twice its cover")
+        cycles.append(OddCycle(tuple(verts), (length - 1) // 2, tuple(weights), w_C))
+
+    integral = tuple(e for e, val in enumerate(s.x2) if val == 2)
+
+    used = set()
+    for cyc in cycles:
+        for i in cyc.vertices:
+            if i in used:
+                raise InvariantViolation(f"vertex {i} on two components")
+            used.add(i)
+    for e in integral:
+        for i in g.edges[e][:2]:
+            if i in used:
+                raise InvariantViolation(f"vertex {i} on two components")
+            used.add(i)
+
+    return FractionalComponents(tuple(cycles), integral)

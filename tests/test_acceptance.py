@@ -163,7 +163,7 @@ def test_c05_bipartite_exactness():
     for g, trace in traces_for(corpus("bipartite")):
         res = trace.result
         assert set(trace.profile.factors) <= {Fraction(1)}
-        assert res.c == tuple(Fraction(x, 2) for x in trace.normalized.v2)
+        assert res.c == tuple(Fraction(x, 2) for x in trace.folded.v2)
         report = check_core(g, res.c, Fraction(1))
         assert report.violations == ()
         assert report.budget_ok is True
@@ -190,9 +190,13 @@ def test_c07_cycle_identity_ledger():
     for name in ("unit_triangle", "gap_family", "odd_cycles", "random",
                  "bipartite", "high_girth"):
         for g, trace in traces_for(corpus(name)):
-            norm = trace.normalized
-            v = [Fraction(x, 2) for x in norm.v2]
-            assert solution_weight(g, norm) == sum(v, Fraction(0))
+            folded = trace.folded
+            v = [Fraction(x, 2) for x in folded.v2]
+            assert solution_weight(g, folded) == sum(v, Fraction(0))
+            # resolving the half paths and even cycles kept the weight
+            comps = trace.components
+            integral = sum(g.edges[e][2] for e in comps.integral_edges)
+            assert 2 * integral + sum(c.w_C for c in comps.odd_cycles) == sum(folded.v2)
             solves += 1
             weight = {}
             for (a, b, w) in g.edges:

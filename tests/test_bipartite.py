@@ -271,3 +271,68 @@ def test_certificate_property_random_graphs(data):
     assert check_certificate(d, cert) == []
     oracle = bipartite_max_weight_dp(n, n, doubled_edges(g.edges))
     assert matched_weight(g, cert) == oracle
+
+
+def csr_certificate_problems(nl, nr, heads, rights, weights, out):
+    """Check the kernel's contract on its own CSR input, sharing no code
+    with `check_certificate`: nonnegative duals, u[i] + v[j] >= w on every
+    CSR entry with equality on matched ones, zero dual on unmatched
+    vertices, `match_l`/`match_r` mirror each other over CSR entries, and
+    the matched weight equals the dual total."""
+    match_l, match_r, u, v = out
+    if (len(match_l), len(u), len(match_r), len(v)) != (nl, nl, nr, nr):
+        return ["array lengths differ from nl/nr"]
+    problems = []
+    entry = {}
+    for i in range(nl):
+        for t in range(heads[i], heads[i + 1]):
+            j, w = rights[t], weights[t]
+            entry[i, j] = w
+            if u[i] + v[j] < w:
+                problems.append(f"infeasible on ({i}, {j})")
+    if min(u + v, default=0) < 0:
+        problems.append("negative dual")
+    matched = 0
+    for i, j in enumerate(match_l):
+        if j == -1:
+            if u[i] != 0:
+                problems.append(f"unmatched left {i} has dual {u[i]}")
+        elif (i, j) not in entry or match_r[j] != i:
+            problems.append(f"left {i} matched to {j} inconsistently")
+        elif u[i] + v[j] != entry[i, j]:
+            problems.append(f"matched ({i}, {j}) not tight")
+        else:
+            matched += entry[i, j]
+    for j, i in enumerate(match_r):
+        if i == -1:
+            if v[j] != 0:
+                problems.append(f"unmatched right {j} has dual {v[j]}")
+        elif not 0 <= i < nl or match_l[i] != j:
+            problems.append(f"right {j} matched to {i} inconsistently")
+    if matched != sum(u) + sum(v):
+        problems.append(f"matched weight {matched} != dual total {sum(u) + sum(v)}")
+    return problems
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_kernel_contract_on_raw_csr(data):
+    # a general CSR graph, not a doubled one: unequal sides, so at least
+    # |nl - nr| vertices end unmatched at dual zero
+    nl = data.draw(st.integers(0, 8))
+    nr = data.draw(st.integers(0, 8).filter(lambda x: x != nl))
+    weight = data.draw(st.sampled_from([
+        st.integers(1, 12), st.integers(1, 2), st.integers(1 << 63, (1 << 63) + 8)]))
+    heads, rights, weights = [0], [], []
+    for _ in range(nl):
+        row = sorted(data.draw(st.sets(st.integers(0, nr - 1), max_size=nr))) if nr else []
+        rights += row
+        weights += [data.draw(weight) for _ in row]
+        heads.append(len(rights))
+    out = _hungarian_py.solve_max_weight_bipartite(nl, nr, heads, rights, weights)
+    assert csr_certificate_problems(nl, nr, heads, rights, weights, out) == []
+    if nr <= 6:
+        # the dual total, equal to the matched weight as checked above
+        triples = [(i, rights[t], weights[t])
+                   for i in range(nl) for t in range(heads[i], heads[i + 1])]
+        assert sum(out[2]) + sum(out[3]) == bipartite_max_weight_dp(nl, nr, triples)

@@ -1,4 +1,4 @@
-"""Folding, normalization, and odd-cycle decomposition."""
+"""Folding and the one-walk odd-cycle decomposition."""
 
 from fractions import Fraction
 
@@ -10,20 +10,24 @@ from matchcore.halfint import (
     HalfIntegralSolution,
     decompose_components,
     fold_solution,
-    normalize,
     solution_weight,
 )
-from matchcore.instances import GameInstance, gen_odd_cycle, gen_random, parse_instance
+from matchcore.instances import GameInstance, gen_gap_family, gen_odd_cycle, gen_random, parse_instance
 
-from oracles import bipartite_max_weight_dp, doubled_edges
+from oracles import (
+    ReferenceHalfIntegralSolution,
+    bipartite_max_weight_dp,
+    doubled_edges,
+    reference_decompose_components,
+    reference_normalize,
+)
 
 K3 = parse_instance("p mg 3 3\ne 1 2 1\ne 2 3 1\ne 1 3 1\n")
 EDGE5 = parse_instance("p mg 2 1\ne 1 2 5\n")
 
 
 def pipeline_fold(g):
-    d = double_graph(g)
-    return fold_solution(g, d, solve_bipartite(d))
+    return fold_solution(g, solve_bipartite(double_graph(g)))
 
 
 def test_fold_k3():
@@ -31,7 +35,6 @@ def test_fold_k3():
     assert s.x2 == (1, 1, 1)
     assert s.v2 == (1, 1, 1)  # cover 1/2 on each vertex
     assert solution_weight(K3, s) == Fraction(3, 2)
-    assert not s.normalized
 
 
 def test_fold_single_edge():
@@ -53,49 +56,47 @@ def test_fold_rejects_broken_certificate():
     # drop the matching but keep the duals: strong duality must fail
     bad = PrimalDualCertificate((-1, -1), cert.u, cert.v)
     with pytest.raises(InvariantViolation):
-        fold_solution(EDGE5, d, bad)
+        fold_solution(EDGE5, bad)
 
 
 def test_normalize_path_keeps_low_endpoint_edge():
     g = parse_instance("p mg 3 2\ne 1 2 1\ne 2 3 1\n")
-    s = HalfIntegralSolution((1, 1), (0, 2, 0), False)
-    out = normalize(g, s)
-    assert out.x2 == (2, 0)
-    assert out.v2 == s.v2
-    assert solution_weight(g, out) == solution_weight(g, s) == 1
+    comps = decompose_components(g, HalfIntegralSolution((1, 1), (0, 2, 0)))
+    assert comps.integral_edges == (0,)
+    assert comps.odd_cycles == ()
 
 
 def test_normalize_even_cycle_picks_opposite_edges():
     g = parse_instance("p mg 4 4\ne 1 2 1\ne 2 3 1\ne 3 4 1\ne 1 4 1\n")
-    s = HalfIntegralSolution((1, 1, 1, 1), (1,) * 4, False)
-    out = normalize(g, s)
-    assert out.x2 == (2, 0, 2, 0)
-    assert solution_weight(g, out) == 2
-
-
-def test_normalize_odd_cycle_is_fixed_point():
-    s = pipeline_fold(K3)
-    out = normalize(K3, s)
-    assert out.x2 == s.x2
-    assert out.normalized
-    assert normalize(K3, out) is out
+    comps = decompose_components(g, HalfIntegralSolution((1, 1, 1, 1), (1,) * 4))
+    assert comps.integral_edges == (0, 2)
+    assert comps.odd_cycles == ()
 
 
 def test_normalize_unequal_path_is_hard_failure():
     g = parse_instance("p mg 3 2\ne 1 2 2\ne 2 3 1\n")
-    s = HalfIntegralSolution((1, 1), (2, 2, 0), False)
-    with pytest.raises(InvariantViolation):
-        normalize(g, s)
+    s = HalfIntegralSolution((1, 1), (2, 2, 0))
+    with pytest.raises(InvariantViolation, match="differ in weight"):
+        decompose_components(g, s)
 
 
 def test_normalize_lone_half_edge_is_hard_failure():
-    s = HalfIntegralSolution((1,), (5, 5), False)
+    s = HalfIntegralSolution((1,), (5, 5))
     with pytest.raises(InvariantViolation):
-        normalize(EDGE5, s)
+        decompose_components(EDGE5, s)
+
+
+def test_decompose_rejects_three_half_edges_at_a_vertex():
+    # a theta graph: vertices 1 and 2 joined by paths of 2, 2 and 3 edges
+    g = parse_instance("p mg 6 7\ne 1 3 1\ne 3 2 1\ne 1 4 1\ne 4 2 1\n"
+                       "e 1 5 1\ne 5 6 1\ne 6 2 1\n")
+    s = HalfIntegralSolution((1,) * 7, (1,) * 6)
+    with pytest.raises(InvariantViolation, match="vertex 0 has 3 half-edges"):
+        decompose_components(g, s)
 
 
 def test_decompose_k3():
-    comps = decompose_components(K3, normalize(K3, pipeline_fold(K3)))
+    comps = decompose_components(K3, pipeline_fold(K3))
     assert len(comps.odd_cycles) == 1
     cyc = comps.odd_cycles[0]
     assert cyc.vertices == (0, 1, 2)
@@ -107,17 +108,17 @@ def test_decompose_k3():
 
 def test_decompose_c5():
     g = gen_odd_cycle(2)
-    comps = decompose_components(g, normalize(g, pipeline_fold(g)))
+    comps = decompose_components(g, pipeline_fold(g))
     assert len(comps.odd_cycles) == 1
     cyc = comps.odd_cycles[0]
     assert cyc.k == 2 and cyc.weights == (1,) * 5 and cyc.w_C == 5
-    assert solution_weight(g, normalize(g, pipeline_fold(g))) == Fraction(5, 2)
+    assert solution_weight(g, pipeline_fold(g)) == Fraction(5, 2)
 
 
 def test_decompose_weights_in_walk_order():
     # triangle with weights 2 on 1-2 and 1 elsewhere, cover (1, 1, 0)
     g = parse_instance("p mg 3 3\ne 1 2 2\ne 1 3 1\ne 2 3 1\n")
-    comps = decompose_components(g, HalfIntegralSolution((1, 1, 1), (2, 2, 0), True))
+    comps = decompose_components(g, HalfIntegralSolution((1, 1, 1), (2, 2, 0)))
     cyc = comps.odd_cycles[0]
     assert cyc.vertices == (0, 1, 2)
     assert cyc.weights == (2, 1, 1)  # edges 0-1, 1-2, 2-0
@@ -126,22 +127,10 @@ def test_decompose_weights_in_walk_order():
 
 def test_decompose_bipartite_has_no_cycles():
     g = gen_random(8, Fraction(3, 4), 9, seed=5, bipartite=True)
-    s = normalize(g, pipeline_fold(g))
+    s = pipeline_fold(g)
     comps = decompose_components(g, s)
     assert comps.odd_cycles == ()
-    assert all(val in (0, 2) for val in s.x2)
-
-
-def test_decompose_requires_normalized():
-    with pytest.raises(ValueError):
-        decompose_components(K3, pipeline_fold(K3))
-
-
-def test_decompose_rejects_half_paths():
-    g = parse_instance("p mg 3 2\ne 1 2 1\ne 2 3 1\n")
-    s = HalfIntegralSolution((1, 1), (0, 2, 0), True)
-    with pytest.raises(InvariantViolation):
-        decompose_components(g, s)
+    assert 2 * sum(g.edges[e][2] for e in comps.integral_edges) == sum(s.v2)
 
 
 def rand_instances():
@@ -167,15 +156,56 @@ def test_fold_weight_matches_brute_force_lp():
 def test_normalize_preserves_weight_and_cover():
     for g in rand_instances():
         s = pipeline_fold(g)
-        out = normalize(g, s)
-        assert out.normalized
-        assert solution_weight(g, out) == solution_weight(g, s)
-        assert out.v2 == s.v2
-        # degree constraint still holds and halves are exactly the cycles
-        comps = decompose_components(g, out)
-        on_cycles = sum(len(c.vertices) for c in comps.odd_cycles)
-        assert on_cycles == sum(1 for e, val in enumerate(out.x2) if val == 1) and \
-            all(len(c.vertices) % 2 == 1 for c in comps.odd_cycles)
+        comps = decompose_components(g, s)
+        # 2 * integral weight + sum of w_C is 2 * weight(x) = sum(v2)
+        integral = sum(g.edges[e][2] for e in comps.integral_edges)
+        assert 2 * integral + sum(c.w_C for c in comps.odd_cycles) == sum(s.v2)
+        # every odd cycle walks half-edges of the fold
+        half = {(a, b) for e, (a, b, _) in enumerate(g.edges) if s.x2[e] == 1}
+        for c in comps.odd_cycles:
+            L = len(c.vertices)
+            assert L == 2 * c.k + 1
+            assert all(tuple(sorted((c.vertices[t], c.vertices[(t + 1) % L]))) in half
+                       for t in range(L))
+
+
+def reference_cases():
+    """(instance, solution) pairs: folded solves plus hand-made half-edges."""
+    cases = []
+    graphs = rand_instances() + [gen_odd_cycle(k) for k in range(1, 51)]
+    graphs += [gen_gap_family(k, connected=c) for k in range(1, 6) for c in (False, True)]
+    for g in graphs:
+        s = pipeline_fold(g)
+        cases.append((g, s))
+        if g.vertex_count:
+            # a cover moved at vertex 0: w_C = 2 v_C fails if 0 is on a cycle
+            cases.append((g, HalfIntegralSolution(s.x2, (s.v2[0] + 2,) + s.v2[1:])))
+    path = parse_instance("p mg 3 2\ne 1 2 1\ne 2 3 1\n")
+    square = parse_instance("p mg 4 4\ne 1 2 1\ne 2 3 1\ne 3 4 1\ne 1 4 1\n")
+    unequal = parse_instance("p mg 3 2\ne 1 2 2\ne 2 3 1\n")
+    cases += [(path, HalfIntegralSolution((1, 1), (0, 2, 0))),
+              (square, HalfIntegralSolution((1, 1, 1, 1), (1,) * 4)),
+              (unequal, HalfIntegralSolution((1, 1), (2, 2, 0))),
+              (EDGE5, HalfIntegralSolution((1,), (5, 5)))]
+    return cases
+
+
+def test_decompose_matches_two_walk_reference():
+    raised = 0
+    for g, s in reference_cases():
+        try:
+            want = reference_decompose_components(
+                g, reference_normalize(g, ReferenceHalfIntegralSolution(s.x2, s.v2, False)))
+        except InvariantViolation as err:
+            with pytest.raises(InvariantViolation) as got:
+                decompose_components(g, s)
+            assert str(got.value) == str(err)
+            raised += 1
+            continue
+        comps = decompose_components(g, s)
+        assert comps.integral_edges == want.integral_edges
+        assert comps.odd_cycles == want.odd_cycles
+    assert raised > 0
 
 
 def test_cover_feasible_and_strong_duality():

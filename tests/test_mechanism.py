@@ -7,14 +7,13 @@ from fractions import Fraction
 import pytest
 
 from matchcore.errors import InvariantViolation
-from matchcore.halfint import OddCycle, decompose_components, normalize
+from matchcore.halfint import OddCycle
 from matchcore.instances import GameInstance, gen_gap_family, gen_odd_cycle, gen_random, parse_instance
 from matchcore.mechanism import (
     analyze_cycle,
     audit_pipeline,
     run_mechanism,
     run_pipeline,
-    scaling_profile,
 )
 
 from oracles import alternating_matching, max_matching_by_edge_subsets, reference_analyze_cycle
@@ -60,7 +59,7 @@ def test_uneven_triangle_full_pipeline():
     # deterministic choice is the half cycle, and the payout it induces
     # is a valid 2/3-approximate one either way
     trace = run_pipeline(TRI211)
-    assert trace.normalized.v2 == (2, 2, 0)
+    assert trace.folded.v2 == (2, 2, 0)
     res = trace.result
     assert res.worth_fractional == 2
     assert res.c == (Fraction(2, 3), Fraction(2, 3), Fraction(0))
@@ -194,7 +193,7 @@ def test_audit_reports_tampered_payout():
 def test_cycle_identities_random():
     for g in rand_instances():
         trace = run_pipeline(g)
-        v = [Fraction(x, 2) for x in trace.normalized.v2]
+        v = [Fraction(x, 2) for x in trace.folded.v2]
         weight = {}
         for (a, b, w) in g.edges:
             weight[a, b] = weight[b, a] = w

@@ -32,7 +32,6 @@ from .halfint import (
     OddCycle,
     decompose_components,
     fold_solution,
-    solution_weight,
 )
 from .instances import (
     GameInstance,
@@ -48,13 +47,12 @@ from .mechanism import (
     CycleMatching,
     ImputationResult,
     PipelineTrace,
-    ScalingProfile,
     analyze_cycle,
     audit_pipeline,
     run_mechanism,
     run_pipeline,
 )
-from .rationals import format_fraction, parse_fraction
+from .rationals import parse_fraction
 from .verify import (
     CoalitionReport,
     CoalitionViolation,
@@ -87,7 +85,6 @@ __all__ = [
     "OddCycle",
     "PipelineTrace",
     "PrimalDualCertificate",
-    "ScalingProfile",
     "analyze_cycle",
     "audit_pipeline",
     "check_certificate",
@@ -96,7 +93,6 @@ __all__ = [
     "decompose_components",
     "double_graph",
     "fold_solution",
-    "format_fraction",
     "gen_gap_family",
     "gen_odd_cycle",
     "gen_random",
@@ -109,7 +105,6 @@ __all__ = [
     "run_mechanism",
     "run_pipeline",
     "serialize_instance",
-    "solution_weight",
     "solve_bipartite",
     "worth_bruteforce",
     "__version__",

@@ -86,7 +86,7 @@ def solve_bipartite(d: DoubledGraph) -> PrimalDualCertificate:
     """
     match_l, _, u, v = _run_kernel(d)
     cert = PrimalDualCertificate(tuple(match_l), tuple(u), tuple(v))
-    problems = check_certificate(d, cert)
+    problems = check_certificate(d.original, cert)
     if problems:
         raise InvariantViolation(
             f"solver produced an invalid certificate: {problems[0]}")
@@ -99,11 +99,12 @@ def _run_kernel(d: DoubledGraph):
     return _hungarian_py.solve_max_weight_bipartite(n, n, d.heads, d.rights, d.weights)
 
 
-def check_certificate(d: DoubledGraph, cert: PrimalDualCertificate) -> list[str]:
-    """Independently verify a certificate; empty result means optimal.
+def check_certificate(g: GameInstance, cert: PrimalDualCertificate) -> list[str]:
+    """Independently verify a certificate for the double of `g`; empty
+    result means optimal.
 
     Checks, in half-unit integer arithmetic throughout, against both
-    doubled copies of every edge of the instance:
+    doubled copies of every edge of `g` (never the kernel's CSR):
 
     - the matched pairs exist in the doubled graph and form a matching;
     - dual feasibility: duals are nonnegative and cover every edge;
@@ -114,7 +115,7 @@ def check_certificate(d: DoubledGraph, cert: PrimalDualCertificate) -> list[str]
 
     Violations are returned as data, one message per offence.
     """
-    n = d.original.vertex_count
+    n = g.vertex_count
     match_l, u, v = cert.match_l, cert.u, cert.v
     if not len(match_l) == len(u) == len(v) == n:
         return [f"match_l, u and v have {len(match_l)}, {len(u)}, {len(v)} entries, not {n}"]
@@ -123,7 +124,7 @@ def check_certificate(d: DoubledGraph, cert: PrimalDualCertificate) -> list[str]
     is_edge = [False] * n  # is_edge[i]: (i', match_l[i]'') is a doubled edge
     matched_weight = 0
     problems = []
-    for (i, j, w) in d.original.edges:
+    for (i, j, w) in g.edges:
         for (a, b) in ((i, j), (j, i)):
             reduced = u[a] + v[b] - w
             if reduced < 0:

@@ -23,7 +23,7 @@ from fractions import Fraction
 from .errors import BoundExceeded, InstanceFormatError, InvariantViolation
 from .instances import gen_gap_family, gen_odd_cycle, gen_random, load_instance, serialize_instance
 from .mechanism import audit_pipeline, run_pipeline
-from .rationals import format_fraction, parse_fraction
+from .rationals import parse_fraction
 from .verify import check_core, integrality_gap
 
 
@@ -47,17 +47,16 @@ def _cmd_solve(args) -> int:
     rows = [("vertex", "cover", "factor", "payout")]
     for i in range(g.vertex_count):
         rows.append((str(i + 1),
-                     format_fraction(Fraction(trace.folded.v2[i], 2)),
-                     format_fraction(res.factors.factors[i]),
-                     format_fraction(res.c[i])))
+                     str(Fraction(trace.folded.v2[i], 2)),
+                     str(res.factors[i]),
+                     str(res.c[i])))
     widths = [max(len(r[col]) for r in rows) for col in range(4)]
     for r in rows:
         print("  ".join(x.rjust(w) for x, w in zip(r, widths)))
     pairs = " ".join(f"{u + 1}-{v + 1}" for (u, v) in res.matching) or "(empty)"
-    print(f"matching: {pairs}  weight {format_fraction(res.matching_weight)}")
-    print(f"allocated {format_fraction(res.allocated)} of fractional optimum "
-          f"{format_fraction(res.worth_fractional)}, factor guarantee "
-          f"{format_fraction(res.factor_guarantee)}")
+    print(f"matching: {pairs}  weight {res.matching_weight}")
+    print(f"allocated {res.allocated} of fractional optimum "
+          f"{res.worth_fractional}, factor guarantee {res.factor_guarantee}")
     return 0
 
 

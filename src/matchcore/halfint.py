@@ -24,7 +24,6 @@ v2[i] = 2 v_i, the sum of i's two copies' duals.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .bipartite import PrimalDualCertificate
 from .errors import InvariantViolation
@@ -70,11 +69,6 @@ class FractionalComponents:
 def solution_weight2(g: GameInstance, s: HalfIntegralSolution) -> int:
     """Twice the matching weight of x (exact integer)."""
     return sum(w * s.x2[e] for e, (_, _, w) in enumerate(g.edges))
-
-
-def solution_weight(g: GameInstance, s: HalfIntegralSolution) -> Fraction:
-    """Matching weight of x, equal to the fractional optimum."""
-    return Fraction(solution_weight2(g, s), 2)
 
 
 def fold_solution(g: GameInstance, cert: PrimalDualCertificate) -> HalfIntegralSolution:

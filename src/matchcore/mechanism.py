@@ -39,7 +39,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bipartite import DoubledGraph, PrimalDualCertificate, check_certificate, double_graph, solve_bipartite
+from .bipartite import PrimalDualCertificate, check_certificate, double_graph, solve_bipartite
 from .errors import InvariantViolation
 from .halfint import (
     FractionalComponents,
@@ -47,11 +47,9 @@ from .halfint import (
     OddCycle,
     decompose_components,
     fold_solution,
-    solution_weight,
     solution_weight2,
 )
 from .instances import GameInstance
-from .rationals import format_fraction
 
 
 @dataclass(frozen=True)
@@ -80,19 +78,13 @@ class CycleAnalysis:
 
 
 @dataclass(frozen=True)
-class ScalingProfile:
-    """Per-vertex payout multipliers, each in [2/3, 1]."""
-
-    factors: tuple[Fraction, ...]
-
-
-@dataclass(frozen=True)
 class ImputationResult:
-    """The mechanism's output: payouts plus the matching backing them."""
+    """The mechanism's output: payouts, their per-vertex factors in
+    [2/3, 1] and the matching backing them."""
 
     c: tuple[Fraction, ...]
     matching: tuple[tuple[int, int], ...]
-    factors: ScalingProfile
+    factors: tuple[Fraction, ...]
     worth_fractional: Fraction
     matching_weight: int
     allocated: Fraction
@@ -100,27 +92,26 @@ class ImputationResult:
 
     def to_json_dict(self) -> dict:
         return {
-            "values": [format_fraction(x) for x in self.c],
+            "values": [str(x) for x in self.c],
             "matching": [[u + 1, v + 1] for (u, v) in self.matching],
-            "factors": [format_fraction(x) for x in self.factors.factors],
-            "allocated": format_fraction(self.allocated),
-            "matching_weight": format_fraction(self.matching_weight),
-            "fractional_optimum": format_fraction(self.worth_fractional),
-            "factor_guarantee": format_fraction(self.factor_guarantee),
+            "factors": [str(x) for x in self.factors],
+            "allocated": str(self.allocated),
+            "matching_weight": str(self.matching_weight),
+            "fractional_optimum": str(self.worth_fractional),
+            "factor_guarantee": str(self.factor_guarantee),
         }
 
 
 @dataclass(frozen=True)
 class PipelineTrace:
-    """Every intermediate artifact of one mechanism run."""
+    """Every intermediate artifact of one mechanism run; all but the
+    instance and the result are made of ints only."""
 
     instance: GameInstance
-    doubled: DoubledGraph
     certificate: PrimalDualCertificate
     folded: HalfIntegralSolution
     components: FractionalComponents
     analyses: tuple[CycleAnalysis, ...]
-    profile: ScalingProfile
     result: ImputationResult
 
 
@@ -173,6 +164,17 @@ def analyze_cycle(cycle: OddCycle, v2) -> CycleAnalysis:
                          CycleMatching(verts[best], tuple(edges), hw))
 
 
+def _factor_pairs(n: int, odd_cycles) -> tuple[list[int], list[int]]:
+    """Each vertex's factor as fnum[i] / fden[i]: 2k/(2k+1) on a cycle
+    of length 2k+1, else 1/1."""
+    fnum = [1] * n
+    fden = [1] * n
+    for cycle in odd_cycles:
+        for i in cycle.vertices:
+            fnum[i], fden[i] = 2 * cycle.k, 2 * cycle.k + 1
+    return fnum, fden
+
+
 def run_pipeline(g: GameInstance) -> PipelineTrace:
     """Run the full mechanism and retain every intermediate artifact."""
     d = double_graph(g)
@@ -181,14 +183,8 @@ def run_pipeline(g: GameInstance) -> PipelineTrace:
     comps = decompose_components(g, folded)
     analyses = tuple(analyze_cycle(cyc, folded.v2) for cyc in comps.odd_cycles)
 
-    # f_i = fnum[i] / fden[i]: 2k/(2k+1) on a cycle of length 2k+1, else 1;
     # c_i = f_i * v_i = fnum[i] * v2[i] / (2 * fden[i])
-    fnum = [1] * g.vertex_count
-    fden = [1] * g.vertex_count
-    for cycle in comps.odd_cycles:
-        for i in cycle.vertices:
-            fnum[i] = 2 * cycle.k
-            fden[i] = 2 * cycle.k + 1
+    fnum, fden = _factor_pairs(g.vertex_count, comps.odd_cycles)
     scaled = [f * x for f, x in zip(fnum, folded.v2)]
     c = tuple(Fraction(x, 2 * f) for x, f in zip(scaled, fden))
 
@@ -226,17 +222,16 @@ def run_pipeline(g: GameInstance) -> PipelineTrace:
 
     # one Fraction per distinct factor; fden[i] is 1 or a cycle length 2k+1
     factor_of = {f: Fraction(f - 1, f) if f > 1 else Fraction(1) for f in set(fden)}
-    profile = ScalingProfile(tuple(factor_of[f] for f in fden))
     result = ImputationResult(
         c=c,
         matching=tuple(matching),
-        factors=profile,
-        worth_fractional=solution_weight(g, folded),
+        factors=tuple(factor_of[f] for f in fden),
+        worth_fractional=Fraction(sum(folded.v2), 2),  # = weight(x), per the fold
         matching_weight=matching_weight,
         allocated=allocated,
         factor_guarantee=min(factor_of.values(), default=Fraction(1)),
     )
-    return PipelineTrace(g, d, cert, folded, comps, analyses, profile, result)
+    return PipelineTrace(g, cert, folded, comps, analyses, result)
 
 
 def run_mechanism(g: GameInstance) -> ImputationResult:
@@ -247,42 +242,59 @@ def run_mechanism(g: GameInstance) -> ImputationResult:
 def audit_pipeline(trace: PipelineTrace) -> list[str]:
     """Re-verify a finished run from its artifacts; [] means all good.
 
-    Defence in depth for `solve --check`: everything here was already
-    asserted while the pipeline ran, but this pass re-derives the facts
-    from the outputs alone (certificate check, strong duality, cover
-    feasibility, scaled-cover bounds, budget order) without trusting
-    any intermediate bookkeeping.
+    Defence in depth for `solve --check`: the pipeline asserted all of
+    this while it ran, but this pass re-derives it in integers from the
+    instance and the stored artifacts: the certificate, strong duality,
+    cover feasibility, each factor against its vertex's cycle length,
+    each payout as factor * cover, the output matching and the 2/3
+    bound on every edge. It also recomputes every total the result
+    stores (fractional optimum, matching weight, allocation, factor
+    guarantee) and checks the payouts against the matching weight.
     """
-    problems = []
     g = trace.instance
-    problems += check_certificate(trace.doubled, trace.certificate)
-
+    problems = check_certificate(g, trace.certificate)
     v2 = trace.folded.v2
+    total2 = sum(v2)
     weight2 = solution_weight2(g, trace.folded)
-    if weight2 != sum(v2):
-        problems.append(f"2*weight(x) {weight2} != 2*cover total {sum(v2)}")
+    if weight2 != total2:
+        problems.append(f"2*weight(x) {weight2} != 2*cover total {total2}")
+    res = trace.result
+    opt = res.worth_fractional
+    if 2 * opt.numerator != total2 * opt.denominator:
+        problems.append(f"fractional optimum {opt} is not half the cover total {total2}")
+
+    # payouts as integers over the lcm of their denominators
+    scale = math.lcm(*(x.denominator for x in res.c))
+    pay = [x.numerator * (scale // x.denominator) for x in res.c]
+    fnum, fden = _factor_pairs(g.vertex_count, trace.components.odd_cycles)
+    for i, f in enumerate(res.factors):
+        if f.numerator * fden[i] != fnum[i] * f.denominator:
+            problems.append(f"factor {f} at vertex {i} is not {Fraction(fnum[i], fden[i])}")
+        if 2 * f.denominator * pay[i] != f.numerator * v2[i] * scale:
+            problems.append(f"payout at vertex {i} is not factor * cover")
+    if res.factor_guarantee != min(res.factors, default=1):
+        problems.append(f"factor guarantee {res.factor_guarantee} is not the least factor")
     for (i, j, w) in g.edges:
         if v2[i] + v2[j] < 2 * w:
             problems.append(f"cover misses edge ({i}, {j})")
+        if 3 * (pay[i] + pay[j]) < 2 * w * scale:
+            problems.append(f"payout covers edge ({i}, {j}) below 2/3")
 
-    # payouts as integers over the lcm of their denominators
-    res = trace.result
-    scale = math.lcm(*(x.denominator for x in res.c))
-    pay = [x.numerator * (scale // x.denominator) for x in res.c]
-    for i, f in enumerate(trace.profile.factors):
-        if 2 * f.denominator * pay[i] != f.numerator * v2[i] * scale:
-            problems.append(f"payout at vertex {i} is not factor * cover")
-    edge_set = {(a, b) for (a, b, _) in g.edges}
+    weight_of = {(a, b): w for (a, b, w) in g.edges}
+    weight = 0
     used = set()
     for (a, b) in res.matching:
-        if (a, b) not in edge_set:
+        if (a, b) not in weight_of:
             problems.append(f"output edge ({a}, {b}) not in the instance")
+        weight += weight_of.get((a, b), 0)
         if a in used or b in used:
             problems.append(f"output edges clash at ({a}, {b})")
         used.update((a, b))
-    if res.allocated > res.matching_weight:
-        problems.append("allocation exceeds the backing matching weight")
-    for (i, j, w) in g.edges:
-        if 3 * (pay[i] + pay[j]) < 2 * w * scale:
-            problems.append(f"payout covers edge ({i}, {j}) below 2/3")
+    if weight != res.matching_weight:
+        problems.append(f"matching weight {res.matching_weight} != output edges' total {weight}")
+    total = sum(pay)
+    if total * res.allocated.denominator != res.allocated.numerator * scale:
+        problems.append("allocation is not the sum of the payouts")
+    if total > res.matching_weight * scale:
+        problems.append("payouts exceed the backing matching weight")
     return problems

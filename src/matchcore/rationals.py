@@ -2,10 +2,12 @@
 
 All monetary quantities in this package (edge weights, covers,
 imputations, ratios) are exact rationals; nothing is ever represented
-in floating point. Internally we use `fractions.Fraction`, which stores
-values in lowest terms with a positive denominator. Externally values
-cross the CLI/JSON boundary as reduced-fraction strings: `"a/b"`, or
-plain `"a"` when the value is an integer.
+in floating point. Internally we use `int`s and `fractions.Fraction`,
+which stores values in lowest terms with a positive denominator.
+Externally values cross the CLI/JSON boundary as reduced-fraction
+strings: output is `str` of the exact value, which for an `int` or a
+`Fraction` is `"a/b"`, or plain `"a"` when the value is an integer.
+`parse_fraction` reads that form back.
 """
 
 from __future__ import annotations
@@ -30,7 +32,3 @@ def parse_fraction(text: str) -> Fraction:
     den = int(m.group(2)) if m.group(2) else 1
     return Fraction(num, den)
 
-
-def format_fraction(value: Fraction | int) -> str:
-    """Render an exact rational as `"a"` or `"a/b"` in lowest terms."""
-    return str(Fraction(value))

@@ -35,7 +35,6 @@ from typing import Iterable, Sequence
 from .bipartite import double_graph, solve_bipartite
 from .errors import BoundExceeded, InvariantViolation
 from .instances import GameInstance
-from .rationals import format_fraction
 
 DEFAULT_MAX_EDGES = 24
 DEFAULT_MAX_VERTICES = 20
@@ -77,25 +76,23 @@ class CoalitionReport:
 
     def to_json_dict(self) -> dict:
         return {
-            "alpha": format_fraction(self.alpha),
+            "alpha": str(self.alpha),
             "mode": self.mode,
             "checked_count": self.checked_count,
             "violations": [
                 {
                     "coalition": [i + 1 for i in viol.members],
-                    "worth": format_fraction(viol.worth),
-                    "allocated": format_fraction(viol.allocated),
+                    "worth": str(viol.worth),
+                    "allocated": str(viol.allocated),
                 }
                 for viol in self.violations
             ],
             "tight_coalitions": [
                 [i + 1 for i in members] for members in self.tight_coalitions
             ],
-            "worst_ratio": None if self.worst_ratio is None
-            else format_fraction(self.worst_ratio),
-            "total_allocated": format_fraction(self.total_allocated),
-            "grand_worth": None if self.grand_worth is None
-            else format_fraction(self.grand_worth),
+            "worst_ratio": None if self.worst_ratio is None else str(self.worst_ratio),
+            "total_allocated": str(self.total_allocated),
+            "grand_worth": None if self.grand_worth is None else str(self.grand_worth),
             "budget_ok": self.budget_ok,
         }
 
@@ -116,10 +113,9 @@ class GapReport:
 
     def to_json_dict(self) -> dict:
         return {
-            "opt_integral": None if self.opt_integral is None
-            else format_fraction(self.opt_integral),
-            "opt_fractional": format_fraction(self.opt_fractional),
-            "ratio": None if self.ratio is None else format_fraction(self.ratio),
+            "opt_integral": None if self.opt_integral is None else str(self.opt_integral),
+            "opt_fractional": str(self.opt_fractional),
+            "ratio": None if self.ratio is None else str(self.ratio),
             "core_nonempty": "unknown" if self.core_nonempty is None
             else self.core_nonempty,
         }

@@ -4,6 +4,7 @@ Each test prints a single PASS line with its measured numbers once its
 assertions hold; run with `pytest tests/test_acceptance.py -v -s`.
 """
 
+import dataclasses
 import hashlib
 import json
 import time
@@ -12,7 +13,7 @@ from fractions import Fraction
 import pytest
 
 from matchcore.cli import main
-from matchcore.halfint import solution_weight
+from matchcore.halfint import solution_weight2
 from matchcore.instances import (
     gen_gap_family,
     gen_odd_cycle,
@@ -162,7 +163,7 @@ def test_c04_random_coalition_guarantee():
 def test_c05_bipartite_exactness():
     for g, trace in traces_for(corpus("bipartite")):
         res = trace.result
-        assert set(trace.profile.factors) <= {Fraction(1)}
+        assert set(trace.result.factors) <= {Fraction(1)}
         assert res.c == tuple(Fraction(x, 2) for x in trace.folded.v2)
         report = check_core(g, res.c, Fraction(1))
         assert report.violations == ()
@@ -192,7 +193,7 @@ def test_c07_cycle_identity_ledger():
         for g, trace in traces_for(corpus(name)):
             folded = trace.folded
             v = [Fraction(x, 2) for x in folded.v2]
-            assert solution_weight(g, folded) == sum(v, Fraction(0))
+            assert Fraction(solution_weight2(g, folded), 2) == sum(v, Fraction(0))
             # resolving the half paths and even cycles kept the weight
             comps = trace.components
             integral = sum(g.edges[e][2] for e in comps.integral_edges)
@@ -354,3 +355,24 @@ def test_c12_golden_verify_output(name, tmp_path, capsys):
     print(f"\n[acceptance 12] PASS {name}: {len(corpus(name))} instances, "
           f"4 verify runs each (exit codes {dict(sorted(codes.items()))}) "
           f"byte-identical to the recorded output")
+
+
+def _int_leaves(value, path):
+    """Paths of the leaves under `value` that are not plain `int`s,
+    walking dataclasses, tuples and lists."""
+    if dataclasses.is_dataclass(value):
+        return [p for f in dataclasses.fields(value)
+                for p in _int_leaves(getattr(value, f.name), f"{path}.{f.name}")]
+    if isinstance(value, (tuple, list)):
+        return [p for i, x in enumerate(value) for p in _int_leaves(x, f"{path}[{i}]")]
+    return [] if type(value) is int else [f"{path}: {value!r}"]
+
+
+def test_trace_artifacts_are_ints():
+    # everything but the instance and the result serialises as integers
+    for name in ("unit_triangle", "gap_family", "odd_cycles", "random",
+                 "bipartite", "high_girth"):
+        for g, trace in traces_for(corpus(name)):
+            for f in dataclasses.fields(trace):
+                if f.name not in ("instance", "result"):
+                    assert _int_leaves(getattr(trace, f.name), f.name) == []

@@ -106,7 +106,7 @@ def test_solve_doubled_k3():
     # stored half-units: 3 here means a true fractional optimum of 3/2
     assert matched_weight(K3, cert) == 3
     assert cert.total_dual() == 3
-    assert check_certificate(d, cert) == []
+    assert check_certificate(K3, cert) == []
 
 
 def test_solve_doubled_single_edge():
@@ -130,7 +130,7 @@ def test_solve_zero_weights_only():
     cert = solve_bipartite(d)
     assert cert.match_l == (-1,) * 3
     assert cert.u == cert.v == (0,) * 3
-    assert check_certificate(d, cert) == []
+    assert check_certificate(g, cert) == []
 
 
 def test_certificate_tampering_detected():
@@ -140,18 +140,18 @@ def test_certificate_tampering_detected():
     lowered = next(x for x in range(3) if u[x] > 0)
     u[lowered] -= 1
     bad = PrimalDualCertificate(cert.match_l, tuple(u), cert.v)
-    msgs = " / ".join(check_certificate(d, bad))
+    msgs = " / ".join(check_certificate(K3, bad))
     assert "infeasible" in msgs or "not tight" in msgs
     # raising a matched dual keeps feasibility but loses tightness
     raised = PrimalDualCertificate(cert.match_l, (cert.u[0] + 1,) + cert.u[1:], cert.v)
-    assert any("not tight" in m for m in check_certificate(d, raised))
+    assert any("not tight" in m for m in check_certificate(K3, raised))
 
 
 def test_certificate_unmatched_positive_dual_detected():
     d = double_graph(EDGE5)
     cert = solve_bipartite(d)
     bad = PrimalDualCertificate((-1, -1), cert.u, cert.v)
-    msgs = check_certificate(d, bad)
+    msgs = check_certificate(EDGE5, bad)
     assert any("positive dual" in m for m in msgs)
 
 
@@ -159,7 +159,7 @@ def test_certificate_non_matching_detected():
     # two left copies on one right copy: 0' and 1' both on 2'' (id 5)
     d = double_graph(K3)
     bad = PrimalDualCertificate((2, 2, -1), (0,) * 3, (0,) * 3)
-    msgs = " ".join(check_certificate(d, bad))
+    msgs = " ".join(check_certificate(K3, bad))
     assert "vertex 5 is matched 2 times" in msgs
 
 
@@ -173,7 +173,7 @@ def test_certificate_non_matching_detected():
     ((-1, -1, -1), (0, 1, 0), (0, 0, 0, 0), "have 3, 3, 4 entries"),
 ])
 def test_certificate_rejects_malformed_arrays(match_l, u, v, expected):
-    msgs = check_certificate(double_graph(PATH3), PrimalDualCertificate(match_l, u, v))
+    msgs = check_certificate(PATH3, PrimalDualCertificate(match_l, u, v))
     assert any(expected in m for m in msgs), msgs
 
 
@@ -194,7 +194,7 @@ def test_solver_matches_bruteforce_dp():
             continue
         d = double_graph(g)
         cert = solve_bipartite(d)
-        assert check_certificate(d, cert) == []
+        assert check_certificate(g, cert) == []
         n = g.vertex_count
         oracle = bipartite_max_weight_dp(n, n, doubled_edges(g.edges))
         assert matched_weight(g, cert) == oracle
@@ -204,7 +204,7 @@ def test_solver_certificates_on_larger_randoms():
     for g in rand_instances():
         d = double_graph(g)
         cert = solve_bipartite(d)
-        assert check_certificate(d, cert) == []
+        assert check_certificate(g, cert) == []
         assert all(isinstance(x, int) for x in cert.u + cert.v)
 
 
@@ -268,7 +268,7 @@ def test_certificate_property_random_graphs(data):
     g = GameInstance(n, edges)
     d = double_graph(g)
     cert = solve_bipartite(d)
-    assert check_certificate(d, cert) == []
+    assert check_certificate(g, cert) == []
     oracle = bipartite_max_weight_dp(n, n, doubled_edges(g.edges))
     assert matched_weight(g, cert) == oracle
 

@@ -10,7 +10,7 @@ from matchcore.halfint import (
     HalfIntegralSolution,
     decompose_components,
     fold_solution,
-    solution_weight,
+    solution_weight2,
 )
 from matchcore.instances import GameInstance, gen_gap_family, gen_odd_cycle, gen_random, parse_instance
 
@@ -34,7 +34,7 @@ def test_fold_k3():
     s = pipeline_fold(K3)
     assert s.x2 == (1, 1, 1)
     assert s.v2 == (1, 1, 1)  # cover 1/2 on each vertex
-    assert solution_weight(K3, s) == Fraction(3, 2)
+    assert Fraction(solution_weight2(K3, s), 2) == Fraction(3, 2)
 
 
 def test_fold_single_edge():
@@ -112,7 +112,7 @@ def test_decompose_c5():
     assert len(comps.odd_cycles) == 1
     cyc = comps.odd_cycles[0]
     assert cyc.k == 2 and cyc.weights == (1,) * 5 and cyc.w_C == 5
-    assert solution_weight(g, pipeline_fold(g)) == Fraction(5, 2)
+    assert Fraction(solution_weight2(g, pipeline_fold(g)), 2) == Fraction(5, 2)
 
 
 def test_decompose_weights_in_walk_order():
@@ -150,7 +150,7 @@ def test_fold_weight_matches_brute_force_lp():
         s = pipeline_fold(g)
         n = g.vertex_count
         dp = bipartite_max_weight_dp(n, n, doubled_edges(g.edges))
-        assert solution_weight(g, s) == Fraction(dp, 2)
+        assert Fraction(solution_weight2(g, s), 2) == Fraction(dp, 2)
 
 
 def test_normalize_preserves_weight_and_cover():
@@ -211,7 +211,7 @@ def test_decompose_matches_two_walk_reference():
 def test_cover_feasible_and_strong_duality():
     for g in rand_instances():
         s = pipeline_fold(g)
-        assert Fraction(sum(s.v2), 2) == solution_weight(g, s)
+        assert Fraction(sum(s.v2), 2) == Fraction(solution_weight2(g, s), 2)
         for (i, j, w) in g.edges:
             assert s.v2[i] + s.v2[j] >= 2 * w
         assert all(type(x) is int for x in s.v2)

@@ -88,11 +88,11 @@ def test_analyze_cycle_tiebreak_rules():
 
 def test_scaling_profile_values():
     trace = run_pipeline(K3)
-    assert trace.profile.factors == (Fraction(2, 3),) * 3
+    assert trace.result.factors == (Fraction(2, 3),) * 3
     trace5 = run_pipeline(gen_odd_cycle(2))
-    assert trace5.profile.factors == (Fraction(4, 5),) * 5
+    assert trace5.result.factors == (Fraction(4, 5),) * 5
     bip = gen_random(8, Fraction(1, 2), 5, seed=11, bipartite=True)
-    assert set(run_pipeline(bip).profile.factors) == {Fraction(1)}
+    assert set(run_pipeline(bip).result.factors) == {Fraction(1)}
 
 
 def test_k3_mechanism():
@@ -168,7 +168,7 @@ def test_mechanism_properties_random():
         # per-edge bounds, exact
         for (i, j, w) in g.edges:
             assert 3 * (res.c[i] + res.c[j]) >= 2 * w
-            fmin = min(trace.profile.factors[i], trace.profile.factors[j])
+            fmin = min(trace.result.factors[i], trace.result.factors[j])
             assert res.c[i] + res.c[j] >= fmin * w
             assert res.c[i] + res.c[j] >= res.factor_guarantee * w
         # budget chain against an independent exhaustive matcher
@@ -187,7 +187,48 @@ def test_audit_reports_tampered_payout():
     assert "payout at vertex 2 is not factor * cover" in problems
     assert "payout covers edge (0, 2) below 2/3" in problems
     assert "payout covers edge (1, 2) below 2/3" in problems
-    assert len(problems) == 3
+    # the payouts now sum to 11/12, not the stored allocation 1
+    assert "allocation is not the sum of the payouts" in problems
+    assert len(problems) == 4
+
+
+def test_audit_reports_payout_over_budget():
+    trace = run_pipeline(gen_odd_cycle(1))
+    # vertex 0 paid its full cover 1/2 at factor 1: the payouts sum to
+    # 7/6, over the backing matching's weight 1 and the stored allocation
+    res = trace.result
+    bad = replace(trace, result=replace(
+        res, c=(Fraction(1, 2),) + res.c[1:], factors=(Fraction(1),) + res.factors[1:]))
+    problems = audit_pipeline(bad)
+    assert "payouts exceed the backing matching weight" in problems
+    assert "allocation is not the sum of the payouts" in problems
+    assert "factor 1 at vertex 0 is not 2/3" in problems
+
+
+def test_audit_checks_factors_against_cycle_lengths():
+    # a lone edge lies on no cycle, so both endpoints must keep factor 1
+    trace = run_pipeline(GameInstance(2, ((0, 1, 4),)))
+    res = trace.result
+    assert res.c == (2, 2)
+    bad = replace(trace, result=replace(
+        res, c=(Fraction(4, 3), res.c[1]), factors=(Fraction(2, 3), res.factors[1])))
+    problems = audit_pipeline(bad)
+    assert "factor 2/3 at vertex 0 is not 1" in problems
+    assert "factor guarantee 1 is not the least factor" in problems
+
+
+@pytest.mark.parametrize("field, expected", [
+    ("matching_weight", "matching weight 3 != output edges' total 2"),
+    ("worth_fractional", "fractional optimum 7/2 is not half the cover total 5"),
+    ("allocated", "allocation is not the sum of the payouts"),
+    ("factor_guarantee", "factor guarantee 9/5 is not the least factor"),
+])
+def test_audit_recomputes_stored_totals(field, expected):
+    trace = run_pipeline(gen_odd_cycle(2))
+    res = trace.result
+    bad = replace(trace, result=replace(res, **{field: getattr(res, field) + 1}))
+    assert audit_pipeline(trace) == []
+    assert audit_pipeline(bad) == [expected]
 
 
 def test_cycle_identities_random():

@@ -16,6 +16,7 @@ rational values cross this boundary as reduced-fraction strings.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -102,6 +103,7 @@ def _cmd_gap(args) -> int:
     return 3 if report.opt_integral is None else 0
 
 
+@functools.cache  # built at the first call, then reused: it holds no per-call state
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="matchcore",

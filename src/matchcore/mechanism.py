@@ -245,11 +245,13 @@ def audit_pipeline(trace: PipelineTrace) -> list[str]:
     Defence in depth for `solve --check`: the pipeline asserted all of
     this while it ran, but this pass re-derives it in integers from the
     instance and the stored artifacts: the certificate, strong duality,
-    cover feasibility, each factor against its vertex's cycle length,
-    each payout as factor * cover, the output matching and the 2/3
-    bound on every edge. It also recomputes every total the result
-    stores (fractional optimum, matching weight, allocation, factor
-    guarantee) and checks the payouts against the matching weight.
+    cover feasibility, one payout and one factor per vertex (a wrong
+    count skips the per-vertex checks), each factor against its
+    vertex's cycle length, each payout as factor * cover, the output
+    matching and the 2/3 bound on every edge. It also recomputes every
+    total the result stores (fractional optimum, matching weight,
+    allocation, factor guarantee) and checks the payouts against the
+    matching weight.
     """
     g = trace.instance
     problems = check_certificate(g, trace.certificate)
@@ -266,18 +268,24 @@ def audit_pipeline(trace: PipelineTrace) -> list[str]:
     # payouts as integers over the lcm of their denominators
     scale = math.lcm(*(x.denominator for x in res.c))
     pay = [x.numerator * (scale // x.denominator) for x in res.c]
-    fnum, fden = _factor_pairs(g.vertex_count, trace.components.odd_cycles)
-    for i, f in enumerate(res.factors):
-        if f.numerator * fden[i] != fnum[i] * f.denominator:
-            problems.append(f"factor {f} at vertex {i} is not {Fraction(fnum[i], fden[i])}")
-        if 2 * f.denominator * pay[i] != f.numerator * v2[i] * scale:
-            problems.append(f"payout at vertex {i} is not factor * cover")
+    n = g.vertex_count
+    per_vertex = len(pay) == n and len(res.factors) == n
+    for name, values in (("payouts", pay), ("factors", res.factors)):
+        if len(values) != n:
+            problems.append(f"{len(values)} {name} for {n} vertices")
+    if per_vertex:
+        fnum, fden = _factor_pairs(n, trace.components.odd_cycles)
+        for i, f in enumerate(res.factors):
+            if f.numerator * fden[i] != fnum[i] * f.denominator:
+                problems.append(f"factor {f} at vertex {i} is not {Fraction(fnum[i], fden[i])}")
+            if 2 * f.denominator * pay[i] != f.numerator * v2[i] * scale:
+                problems.append(f"payout at vertex {i} is not factor * cover")
     if res.factor_guarantee != min(res.factors, default=1):
         problems.append(f"factor guarantee {res.factor_guarantee} is not the least factor")
     for (i, j, w) in g.edges:
         if v2[i] + v2[j] < 2 * w:
             problems.append(f"cover misses edge ({i}, {j})")
-        if 3 * (pay[i] + pay[j]) < 2 * w * scale:
+        if per_vertex and 3 * (pay[i] + pay[j]) < 2 * w * scale:
             problems.append(f"payout covers edge ({i}, {j}) below 2/3")
 
     weight_of = {(a, b): w for (a, b, w) in g.edges}

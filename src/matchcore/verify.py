@@ -13,10 +13,14 @@ builds `Fraction`s only for the report.
 
 Costs: `check_core` in edges mode is O(m); in exhaustive mode it is
 O(2^n * degree) for the subset table plus one pass over all 2^n
-coalitions. `odd_girth` runs one breadth-first search per vertex, over
-the vertices numbered from it on, each cut off once it cannot beat the
-shortest odd cycle found so far; O(n * m) stays the worst case, but a
-triangle ends the scan and a short odd cycle cuts every later search.
+coalitions, in O(2^(n-1)) memory: it stores the worths of the
+coalitions without the top vertex, all that the others' worths read,
+and streams the rest of the worths and every coalition's allocation in
+slices of at most 4,096 masks. `odd_girth` runs one breadth-first
+search per vertex, over the vertices numbered from it on, each cut off
+once it cannot beat the shortest odd cycle found so far; O(n * m)
+stays the worst case, but a triangle ends the scan and a short odd
+cycle cuts every later search.
 
 Two deliberately different exact matchers are provided so they can be
 played against each other: `worth_bruteforce` enumerates matchings
@@ -30,6 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, Sequence
 
 from .bipartite import double_graph, solve_bipartite
@@ -204,57 +209,106 @@ def coalition_worth_table(g: GameInstance,
     Subset dynamic programming, O(2^n * degree): independent of the
     recursive matcher above and of the solver pipeline. The table is
     built one block per vertex k, the coalitions whose highest member
-    is k. The block starts as a copy of the table below it (k stays
-    unmatched); each lower neighbour j then offers w(j, k) plus the
-    worth of the coalition without j and k, applied as list slices.
+    is k, in slices of at most `_SLICE` masks (`_block_slice`). The
+    exhaustive `check_core` stores this table only for the instance
+    without its top vertex and streams that vertex's block.
     """
     n = g.vertex_count
-    if n > max_n:
-        raise BoundExceeded(
-            f"{n} vertices need a 2^{n} table, above the bound {max_n}")
+    _check_size(n, max_n)
     lower: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for (u, v, w) in g.edges:
-        if u < v:
-            lower[v].append((u, w))
-        else:
-            lower[u].append((v, w))
+    for (u, v, w) in g.edges:  # normalized: u < v
+        lower[v].append((u, w))
     table = [0] * (1 << n)
     for k in range(n):
         half = 1 << k
-        for dst, src in _slices(half, 0, half, 1):
-            table[dst] = table[src]
-        for (j, w) in lower[k]:
-            # The block's masks holding j form 2^(k-j-1) runs of 2^j
-            # consecutive masks, or equally 2^j strides of 2^(k-j-1)
-            # masks each; take whichever needs fewer slices.
-            run = 1 << j
-            if 2 * j + 1 >= k:
-                cuts = [(lo, lo - half - run, run, 1)
-                        for lo in range(half + run, 2 * half, 2 * run)]
-            else:
-                cuts = [(half + run + off, off, half // (2 * run), 2 * run)
-                        for off in range(run)]
-            for cut in cuts:
-                for dst, src in _slices(*cut):
-                    table[dst] = [x if x >= y + w else y + w
-                                  for x, y in zip(table[dst], table[src])]
+        size = min(half, _SLICE)
+        for start in range(0, half, size):
+            table[half + start:half + start + size] = _block_slice(
+                table, lower[k], start, size)
     return table
 
 
-# Elements per slice of the 2^n tables of exhaustive checks: each slice
-# is copied out of its table, so this bounds the temporary lists, which
-# would otherwise reach 2^(n-1) entries and stay resident after they
-# are freed: 2.5 MiB more peak RSS over exhaustive checks at n=14-18.
-_SLICE = 1 << 12
+# Masks per slice of the worth table's blocks as they are built and of
+# the exhaustive check's worth and allocation streams. A slice is the
+# largest list built besides the stored 2^(n-1) worths, about 160 KiB
+# of distinct ints, where one full 2^n table of them is 9 MiB at n=18.
+_SLICE_BITS = 12
+_SLICE = 1 << _SLICE_BITS
 
 
-def _slices(dst: int, src: int, count: int, step: int):
-    """`count` list positions from `dst` and from `src`, `step` apart,
-    as pairs of slices of at most `_SLICE` elements."""
-    for i in range(0, count, _SLICE):
-        stop = min(count, i + _SLICE) * step
-        yield (slice(dst + i * step, dst + stop, step),
-               slice(src + i * step, src + stop, step))
+def _check_size(n: int, max_n: int) -> None:
+    if n > max_n:
+        raise BoundExceeded(
+            f"{n} vertices need a 2^{n} table, above the bound {max_n}")
+
+
+def _block_slice(low: list[int], neighbours: list[tuple[int, int]],
+                 start: int, size: int) -> list[int]:
+    """Worths of the `size` coalitions `start`, `start` + 1, ... of the
+    block of a vertex k, each mask taken with bit k cleared.
+
+    `low` holds the worths of every coalition below k (at least the
+    first 2^k entries), and `size` is a power of two that divides
+    `start`. A coalition's worth starts as `low`'s (k stays unmatched);
+    each lower neighbour j then offers w(j, k) plus the worth of the
+    coalition without j and k. A bit j at or above `size` is constant
+    over the slice, so the offer applies to the whole slice or to none
+    of it. Below `size`, the slice's masks holding j form size/2^(j+1)
+    runs of 2^j consecutive masks, or equally 2^j strides of
+    size/2^(j+1) masks each; take whichever needs fewer list slices.
+    """
+    out = low[start:start + size]
+    for (j, w) in neighbours:
+        run = 1 << j
+        if run >= size:
+            if start & run:
+                src = low[start - run:start - run + size]
+                out = [x if x >= y + w else y + w for x, y in zip(out, src)]
+            continue
+        if 2 * run * run >= size:
+            cuts = [(slice(lo, lo + run), slice(start + lo - run, start + lo))
+                    for lo in range(run, size, 2 * run)]
+        else:
+            cuts = [(slice(run + off, size, 2 * run),
+                     slice(start + off, start + size, 2 * run))
+                    for off in range(run)]
+        for dst, src in cuts:
+            out[dst] = [x if x >= y + w else y + w for x, y in zip(out[dst], low[src])]
+    return out
+
+
+def _worth_slices(g: GameInstance, max_n: int) -> tuple[Iterable[list[int]], int]:
+    """Every coalition's worth, in mask order, as a list per slice, and
+    the grand coalition's worth.
+
+    Only the coalitions without the top vertex n-1 are stored: they are
+    all that the top block reads. That block is streamed in slices of
+    at most `_SLICE` masks, each dropped once it has been read.
+    """
+    n = g.vertex_count
+    if n == 0:
+        return [[0]], 0
+    top = n - 1
+    low = coalition_worth_table(
+        GameInstance(top, tuple(e for e in g.edges if e[1] < top)), max_n=max_n)
+    neighbours = [(u, w) for (u, v, w) in g.edges if v == top]
+    size = min(len(low), _SLICE)
+    tops = (_block_slice(low, neighbours, start, size)
+            for start in range(0, len(low), size))
+    return chain([low], tops), _block_slice(low, neighbours, len(low) - 1, 1)[0]
+
+
+def _allocation_slices(ci: list[int]):
+    """Every coalition's summed numerators, in mask order, as a list per
+    value of the bits above `_SLICE_BITS`: the sums over the low
+    vertices, stored once, plus the high vertices' sum."""
+    low = [0]
+    for x in ci[:_SLICE_BITS]:
+        low += [y + x for y in low]
+    high = [0]
+    for x in ci[_SLICE_BITS:]:
+        high += [y + x for y in high]
+    return ([y + off for y in low] for off in high)
 
 
 def _mask_members(mask: int) -> tuple[int, ...]:
@@ -303,13 +357,12 @@ def check_core(g: GameInstance, c: Sequence[Fraction], alpha: Fraction,
     total = sum(ci)
 
     if mode == "exhaustive":
-        table = coalition_worth_table(g, max_n=max_n)
-        alloc = [0] * (1 << n)
-        for k, x in enumerate(ci):
-            for dst, src in _slices(1 << k, 0, 1 << k, 1):
-                alloc[dst] = [y + x for y in alloc[src]]
-        found = _compare(zip(range(1 << n), alloc, table), _mask_members, alpha, scale)
-        checked, grand = 1 << n, table[-1]
+        _check_size(n, max_n)
+        worths, grand = _worth_slices(g, max_n)
+        found = _compare(zip(range(1 << n), chain.from_iterable(_allocation_slices(ci)),
+                             chain.from_iterable(worths)),
+                         _mask_members, alpha, scale)
+        checked = 1 << n
     elif mode == "edges":
         found = _compare((((i, j), ci[i] + ci[j], w) for (i, j, w) in g.edges),
                          tuple, alpha, scale)

@@ -249,3 +249,21 @@ def test_stdout_is_pure_json(capsys, k3_path):
     code, out, err = run(capsys, "gap", k3_path)
     json.loads(out)  # must parse as a single JSON document
     assert err == ""
+
+
+def test_parser_built_once_keeps_no_state(capsys, k3_path, tmp_path):
+    # The parser is cached for the process; a call after a usage error
+    # and after one with options must print what a freshly built parser
+    # prints.
+    from matchcore import cli
+    imputation = tmp_path / "imp.json"
+    imputation.write_text(json.dumps({"values": ["1/3", "1/3", "1/3"]}))
+    argv = ("verify", k3_path, str(imputation))
+    cli._build_parser.cache_clear()
+    fresh = run(capsys, *argv)
+    assert fresh[0] == 0
+    cli._build_parser.cache_clear()
+    assert run(capsys, "verify", k3_path, "--alpha")[0] == 2
+    assert run(capsys, *argv, "--alpha", "3/4", "--mode", "edges")[0] == 1
+    assert run(capsys, *argv) == fresh
+    assert cli._build_parser.cache_info().misses == 1

@@ -217,6 +217,21 @@ def test_audit_checks_factors_against_cycle_lengths():
     assert "factor guarantee 1 is not the least factor" in problems
 
 
+def test_audit_reports_a_factor_missing():
+    trace = run_pipeline(gen_odd_cycle(1))
+    res = trace.result
+    bad = replace(trace, result=replace(res, factors=res.factors[:-1]))
+    assert audit_pipeline(bad) == ["2 factors for 3 vertices"]
+
+
+def test_audit_reports_a_payout_missing():
+    trace = run_pipeline(gen_odd_cycle(1))
+    res = trace.result
+    bad = replace(trace, result=replace(res, c=res.c[:-1]))
+    assert audit_pipeline(bad) == ["2 payouts for 3 vertices",
+                                   "allocation is not the sum of the payouts"]
+
+
 @pytest.mark.parametrize("field, expected", [
     ("matching_weight", "matching weight 3 != output edges' total 2"),
     ("worth_fractional", "fractional optimum 7/2 is not half the cover total 5"),

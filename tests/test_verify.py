@@ -1,6 +1,7 @@
 """Verification oracles: worths, coalition checks, gap, odd girth."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -88,17 +89,23 @@ def test_worth_table_matches_recursive():
             assert table[mask] == worth_bruteforce(g, members)
 
 
-def random_graph(rng, n, heavy):
+def random_graph(rng, n, heavy, isolated=2):
     """Edges with probability 1/2; weights in 0..9, or 0 and >= 2^63 when
-    `heavy`; the last two vertices are left isolated."""
+    `heavy`; the last `isolated` vertices are left isolated."""
     edges = []
-    for u in range(n - 2):
-        for v in range(u + 1, n - 2):
+    for u in range(n - isolated):
+        for v in range(u + 1, n - isolated):
             if rng.random() < 0.5:
                 w = rng.choice((0, 1 << 63, (1 << 64) + rng.randrange(9))) if heavy \
                     else rng.randrange(10)
                 edges.append((u, v, w))
     return GameInstance(n, tuple(edges))
+
+
+# Sizes around the exhaustive check's 4,096-mask slices: the top block
+# falls below, at and above one slice, and the bits above the low 12
+# vertices take 1 to 32 values. The top vertex has neighbours.
+SLICE_SIZES = (0, 1, 12, 13, 14, 16, 17)
 
 
 def test_worth_table_matches_reference():
@@ -107,6 +114,9 @@ def test_worth_table_matches_reference():
         for heavy in (False, True):
             g = random_graph(rng, n, heavy)
             assert coalition_worth_table(g) == reference_coalition_worth_table(g)
+    for n in SLICE_SIZES:
+        g = random_graph(rng, n, heavy=n % 2 == 1, isolated=0)
+        assert coalition_worth_table(g) == reference_coalition_worth_table(g)
 
 
 def random_imputations(rng, g):
@@ -134,6 +144,31 @@ def test_check_core_matches_reference():
                     compared += 1
                     violating += bool(report.violations)
     assert violating > compared // 4  # the random imputations do violate
+    for n in SLICE_SIZES:
+        g = random_graph(rng, n, heavy=n % 2 == 0, isolated=0)
+        fair, unfair, _ = random_imputations(rng, g)
+        for c in (fair, unfair):
+            report = check_core(g, c, Fraction(2, 3))
+            assert report == reference_check_core(g, c, Fraction(2, 3))
+        assert report.violations or n < 2  # no coalition of 0 or 1 agents has worth
+
+
+def test_exhaustive_check_stores_less_than_one_table():
+    # Weights above 256 keep the worths and sums out of the small-int
+    # cache, so one 2^n table of them takes about 36 bytes per mask:
+    # an 8-byte list slot and a 28-byte int.
+    n = 16
+    g = gen_random(n, Fraction(1, 2), 1000, seed=3)
+    g = GameInstance(n, tuple((u, v, w + 300) for (u, v, w) in g.edges))
+    c = run_mechanism(g).c
+    tracemalloc.start()
+    try:
+        report = check_core(g, c, Fraction(2, 3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.ok() and report.checked_count == 1 << n
+    assert peak < (1 << n) * 36
 
 
 def test_worth_table_bound():

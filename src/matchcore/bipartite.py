@@ -13,11 +13,14 @@ w/2, and the duals returned by the solver are integers on the same
 scale. That convention removes every fraction from the solver.
 
 The doubled graph is never listed edge by edge: left copy i' is
-adjacent to j'' exactly when i and j are neighbors, so the kernel's
-CSR input is the instance's adjacency. A certificate is the kernel's
-own arrays: `match_l[i]` is the j with i' matched to j'' (or -1),
-`u[i]` the dual of i' and `v[j]` the dual of j''. Messages name i' as
-vertex `i` and j'' as vertex `n + j`.
+adjacent to j'' exactly when i and j are neighbors, so row i of the
+kernel's CSR input holds i's neighbours. `double_graph` fills the rows
+straight from the edge list, in one counting-sort pass over the edges
+in `(u, v)` order that leaves every row ascending.
+
+A certificate is the kernel's own arrays: `match_l[i]` is the j with
+i' matched to j'' (or -1), `u[i]` the dual of i' and `v[j]` the dual
+of j''. Messages name i' as vertex `i` and j'' as vertex `n + j`.
 
 Correctness is defined by the certificate, not the algorithm:
 `check_certificate` independently verifies feasibility and the
@@ -29,6 +32,7 @@ competing matching.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 from . import _hungarian_py
 from .errors import InvariantViolation
@@ -67,14 +71,36 @@ class PrimalDualCertificate:
 
 
 def double_graph(g: GameInstance) -> DoubledGraph:
-    """Split every vertex into a left/right pair of half-weight copies."""
-    heads, rights, weights = [0], [], []
-    for neighbors in g.adjacency():
-        for (j, w) in neighbors:
-            if w > 0:
-                rights.append(j)
-                weights.append(w)
-        heads.append(len(rights))
+    """Split every vertex into a left/right pair of half-weight copies.
+
+    One counting sort: the positive-weight degrees give each row's
+    slice of the preallocated flat arrays, then the edges are walked in
+    `(u, v)` order and each fills the next free slot of both its rows.
+    Row i receives its neighbours j < i (from edges (j, i), ascending in
+    j) before its neighbours j > i (from edges (i, j), ascending in j),
+    so every row comes out ascending without a per-row sort.
+    """
+    n = g.vertex_count
+    degree = [0] * n
+    for (u, v, w) in g.edges:
+        if w > 0:
+            degree[u] += 1
+            degree[v] += 1
+    heads = [0, *accumulate(degree)]
+    free = heads[:n]  # next unfilled slot of each row
+    rights = [0] * heads[n]
+    weights = [0] * heads[n]
+    # the pairs are distinct, so sorting never compares the weights
+    for (u, v, w) in sorted(g.edges):
+        if w > 0:
+            s = free[u]
+            rights[s] = v
+            weights[s] = w
+            free[u] = s + 1
+            s = free[v]
+            rights[s] = u
+            weights[s] = w
+            free[v] = s + 1
     return DoubledGraph(g, heads, rights, weights)
 
 

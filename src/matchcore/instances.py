@@ -27,7 +27,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable
+from itertools import chain, islice
+from typing import Iterable, Iterator
 
 from .errors import InstanceFormatError
 
@@ -61,11 +62,13 @@ def _normalized_edges(n: int, edges) -> tuple[Edge, ...]:
     The one place where edges are validated; raises `_BadEdge` at the
     first edge that fails: a non-`int` endpoint or weight, a negative
     weight, an endpoint outside `range(n)`, a self-loop or a repeated
-    vertex pair.
+    vertex pair. An edge that already is a plain `tuple` with `u < v`
+    is stored as given, so a parsed instance holds one tuple per edge.
     """
     normalized = []
     seen = set()
-    for idx, (u, v, w) in enumerate(edges):
+    for idx, edge in enumerate(edges):
+        u, v, w = edge
         # `type(x) is int` also rules out `bool`, an `int` subclass
         if type(u) is not int or type(v) is not int:
             raise _BadEdge(idx, "type", f"an endpoint of edge ({u!r}, {v!r}) is not an int")
@@ -79,11 +82,14 @@ def _normalized_edges(n: int, edges) -> tuple[Edge, ...]:
             raise _BadEdge(idx, "self-loop", f"self-loop at vertex {u}")
         if u > v:
             u, v = v, u
+            edge = (u, v, w)
+        elif type(edge) is not tuple:  # a list or a tuple subclass
+            edge = (u, v, w)
         key = u * n + v  # one int per pair, as 0 <= u < v < n
         if key in seen:
             raise _BadEdge(idx, "duplicate", f"duplicate edge ({u}, {v})")
         seen.add(key)
-        normalized.append((u, v, w))
+        normalized.append(edge)
     return tuple(normalized)
 
 
@@ -113,39 +119,28 @@ class GameInstance:
     def edge_count(self) -> int:
         return len(self.edges)
 
-    def adjacency(self) -> list[list[tuple[int, int]]]:
-        """Per-vertex list of (neighbor, weight), ascending by neighbor."""
-        adj: list[list[tuple[int, int]]] = [[] for _ in range(self.vertex_count)]
-        for (u, v, w) in self.edges:
-            adj[u].append((v, w))
-            adj[v].append((u, w))
-        for entry in adj:
-            entry.sort()
-        return adj
-
 
 def parse_instance(text: str, name: str | None = None) -> GameInstance:
     """Parse the line-oriented instance format into a validated instance.
 
-    Every rejection names the offending 1-based line: malformed header,
-    bad edge line, self-loop, duplicate edge, negative weight, vertex id
-    out of range, or an edge count that disagrees with the header. The
-    loop below reads the syntax; the edges are checked once, by
-    `GameInstance`, and its rejection is restated with the edge's line.
+    Every rejection names the offending 1-based line, numbered as
+    `text.splitlines()` numbers them: malformed header, bad edge line,
+    self-loop, duplicate edge, negative weight, vertex id out of range,
+    or an edge count that disagrees with the header. The loop below
+    reads the syntax; the edges are checked once, by `GameInstance`, and
+    its rejection is restated with the edge's line.
     """
-    lines = text.splitlines()
     n = m = None
     header_line = 0
     edges: list[Edge] = []
-    edge_lines: list[int] = []
 
     def malformed(lineno: int, message: str) -> InstanceFormatError:
         # a bad edge on an earlier line is the first fault in the file
         if edges:
-            _build(n, edges, edge_lines, lines, name)
+            _build(n, edges, text, name)
         return InstanceFormatError(lineno, message)
 
-    for lineno, raw in enumerate(lines, start=1):
+    for lineno, raw in enumerate(_lines(text), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -172,42 +167,75 @@ def parse_instance(text: str, name: str | None = None) -> GameInstance:
             except ValueError:
                 raise malformed(lineno, f"malformed edge line: {line!r}")
             edges.append((u - 1, v - 1, w))
-            edge_lines.append(lineno)
         else:
             raise malformed(lineno, f"unknown directive: {fields[0]!r}")
 
     if n is None:
         raise InstanceFormatError(1, "missing header")
-    g = _build(n, edges, edge_lines, lines, name)
+    g = _build(n, edges, text, name)
     if len(edges) != m:
         if len(edges) > m:
             raise InstanceFormatError(
-                edge_lines[m], f"more edge lines than the {m} declared")
+                _edge_line(text, m)[0], f"more edge lines than the {m} declared")
         raise InstanceFormatError(
             header_line, f"header declares {m} edges but {len(edges)} found")
     return g
 
 
-def _build(n: int, edges: list[Edge], edge_lines: list[int], lines: list[str],
-           name: str | None) -> GameInstance:
+_PIECE = 1 << 16  # characters of text split into lines at a time
+
+
+def _lines(text: str) -> Iterator[str]:
+    """The lines of `text`, as `text.splitlines()` gives them, without a
+    list of them all: the text is split one piece at a time.
+
+    Every piece but the last ends just after a "\\n", so no line break,
+    "\\r\\n" included, straddles two pieces and the lines and their
+    numbering are exactly those of `text.splitlines()`.
+    """
+    def pieces() -> Iterator[str]:
+        start, size = 0, len(text)
+        while start < size:
+            end = text.find("\n", start + _PIECE)
+            end = size if end < 0 else end + 1
+            yield text[start:end]
+            start = end
+
+    return chain.from_iterable(map(str.splitlines, pieces()))
+
+
+def _edge_line(text: str, index: int) -> tuple[int, str]:
+    """Line number and stripped text of edge line `index` (0-based) of a
+    file whose lines up to that one parse.
+
+    The parse keeps no line number per edge; only its error paths need
+    one, and they read the text again up to the edge.
+    """
+    edge_lines = ((lineno, raw) for lineno, raw in enumerate(_lines(text), start=1)
+                  if raw.split(maxsplit=1)[:1] == ["e"])
+    lineno, raw = next(islice(edge_lines, index, None))
+    return lineno, raw.strip()
+
+
+def _build(n: int, edges: list[Edge], text: str, name: str | None) -> GameInstance:
     """`GameInstance(n, edges)`, a rejected edge reported at its line in
     the file's 1-based terms."""
     try:
-        return GameInstance(n, tuple(edges), name=name)
+        return GameInstance(n, edges, name=name)
     except _BadEdge as bad:
         u, v, w = edges[bad.index]
-        lineno = edge_lines[bad.index]
+        lineno, line = _edge_line(text, bad.index)
         if bad.kind == "negative":
             reason = f"negative weight {w}"
         elif bad.kind == "range":
-            reason = f"vertex id out of range in {lines[lineno - 1].strip()!r}"
+            reason = f"vertex id out of range in {line!r}"
         elif bad.kind == "self-loop":
             reason = f"self-loop at vertex {u + 1}"
         else:  # a duplicate: parsed numbers are always ints
             first = next(i for i, (a, b, _) in enumerate(edges)
                          if {a, b} == {u, v})
             reason = (f"duplicate edge ({u + 1}, {v + 1}), "
-                      f"first seen at line {edge_lines[first]}")
+                      f"first seen at line {_edge_line(text, first)[0]}")
         raise InstanceFormatError(lineno, reason) from None
 
 

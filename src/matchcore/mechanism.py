@@ -282,19 +282,24 @@ def audit_pipeline(trace: PipelineTrace) -> list[str]:
                 problems.append(f"payout at vertex {i} is not factor * cover")
     if res.factor_guarantee != min(res.factors, default=1):
         problems.append(f"factor guarantee {res.factor_guarantee} is not the least factor")
+    # the weight of each output edge, read in the one pass over the edges
+    weight_of = {(a, b): None for (a, b) in res.matching}
     for (i, j, w) in g.edges:
         if v2[i] + v2[j] < 2 * w:
             problems.append(f"cover misses edge ({i}, {j})")
         if per_vertex and 3 * (pay[i] + pay[j]) < 2 * w * scale:
             problems.append(f"payout covers edge ({i}, {j}) below 2/3")
+        if (i, j) in weight_of:
+            weight_of[i, j] = w
 
-    weight_of = {(a, b): w for (a, b, w) in g.edges}
     weight = 0
     used = set()
     for (a, b) in res.matching:
-        if (a, b) not in weight_of:
+        w = weight_of[a, b]
+        if w is None:
             problems.append(f"output edge ({a}, {b}) not in the instance")
-        weight += weight_of.get((a, b), 0)
+        else:
+            weight += w
         if a in used or b in used:
             problems.append(f"output edges clash at ({a}, {b})")
         used.update((a, b))

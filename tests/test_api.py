@@ -3,7 +3,7 @@
 import pytest
 
 import matchcore
-from matchcore import halfint, mechanism, rationals
+from matchcore import GameInstance, halfint, mechanism, rationals
 
 
 def test_every_exported_name_resolves():
@@ -25,3 +25,8 @@ def test_removed_names_stay_gone(module, name):
 def test_trace_keeps_no_duplicate_artifacts():
     fields = set(mechanism.PipelineTrace.__dataclass_fields__)
     assert not fields & {"doubled", "profile"}
+
+
+def test_instance_has_no_adjacency_lists():
+    # `double_graph` fills its CSR rows straight from the edge list
+    assert not hasattr(GameInstance, "adjacency")

@@ -95,6 +95,28 @@ def test_double_single_edge():
     assert set(doubled_triples(d)) == {(0, 3, 5), (1, 2, 5)}
 
 
+@pytest.mark.parametrize("n", [2, 5, 12, 40])
+def test_double_rows_ascending_whatever_the_edge_order(n):
+    # row i holds i's positive-weight neighbours in ascending order,
+    # built here one row at a time, from edges given shuffled and with
+    # endpoints in either order
+    rng = random.Random(n)
+    edges = []
+    for u in range(n):
+        for v in range(u + 1, n):
+            if rng.randrange(2):
+                a, b = (v, u) if rng.randrange(2) else (u, v)
+                edges.append((a, b, rng.choice([0, 1, 7])))
+    rng.shuffle(edges)
+    g = GameInstance(n, edges)
+    rows = [sorted((b, w) for (a, b, w) in doubled_edges(g.edges) if a == i and w > 0)
+            for i in range(n)]
+    d = double_graph(g)
+    assert d.heads == [sum(len(r) for r in rows[:i]) for i in range(n + 1)]
+    assert (d.rights, d.weights) == tuple(
+        [x[col] for row in rows for x in row] for col in (0, 1))
+
+
 def test_double_empty():
     d = double_graph(EMPTY)
     assert (d.heads, d.rights, d.weights) == ([0], [], [])

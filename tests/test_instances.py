@@ -100,6 +100,107 @@ def test_parse_rejects_non_ascii_decimal_numbers(text, line):
     assert "malformed" in str(err.value)
 
 
+LINE_BREAKS = ["\r\n", "\r", "\x0c", "\x1c", "\u2028"]
+
+
+def _long_text(sep: str, faults: dict[int, str], declared_extra: int = 0):
+    """A 200-vertex instance text of about 125,000 characters whose edge
+    lines end in `sep`, with `faults` replacing edge lines by index.
+
+    A comment line with non-ASCII text ends in "\\n" every 40 lines, so
+    the text also has plain newlines to break at. Edge line 6000 and
+    later ones start over 80,000 characters in, past the first 65,536
+    characters that the parser splits into lines at once. Returns the
+    text and its list of edge lines.
+    """
+    n = 200
+    pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)][:9000]
+    edges = [f"e {u} {v} {1000 + i}" for i, (u, v) in enumerate(pairs)]
+    for index, line in faults.items():
+        edges[index] = line
+    parts = [f"# instance über ✓ été\np mg {n} {len(edges) + declared_extra}{sep}"]
+    for i, line in enumerate(edges):
+        if i % 40 == 0:
+            parts.append(f"# Kommentar {i} — ünïcödé\n")
+        parts.append(line + sep)
+    return "".join(parts), edges
+
+
+def _line_of(text: str, line: str) -> int:
+    """The 1-based number `text.splitlines()` gives `line`."""
+    return text.splitlines().index(line) + 1
+
+
+def _parse_error(text: str) -> InstanceFormatError:
+    with pytest.raises(InstanceFormatError) as err:
+        parse_instance(text)
+    return err.value
+
+
+@pytest.mark.parametrize("sep", LINE_BREAKS)
+def test_parse_long_text_out_of_range_line(sep):
+    text, edges = _long_text(sep, {8500: "e 5 201 1"})
+    err = _parse_error(text)
+    assert err.line == _line_of(text, "e 5 201 1") > 8500
+    assert "vertex id out of range in 'e 5 201 1'" in str(err)
+
+
+@pytest.mark.parametrize("sep", LINE_BREAKS)
+def test_parse_long_text_duplicate_lines(sep):
+    _, edges = _long_text(sep, {})
+    _, u, v, _ = edges[6000].split()
+    text, edges = _long_text(sep, {8500: f"e {v} {u} 4"})
+    err = _parse_error(text)
+    assert err.line == _line_of(text, f"e {v} {u} 4")
+    assert f"first seen at line {_line_of(text, edges[6000])}" in str(err)
+
+
+@pytest.mark.parametrize("sep", LINE_BREAKS)
+def test_parse_long_text_one_edge_line_too_many(sep):
+    text, edges = _long_text(sep, {}, declared_extra=-1)
+    err = _parse_error(text)
+    assert err.line == _line_of(text, edges[-1])
+    assert f"more edge lines than the {len(edges) - 1} declared" in str(err)
+
+
+@pytest.mark.parametrize("sep", LINE_BREAKS)
+def test_parse_long_text_malformed_line(sep):
+    text, _ = _long_text(sep, {8500: "e 1 2"})
+    err = _parse_error(text)
+    assert err.line == _line_of(text, "e 1 2")
+    assert "malformed edge line" in str(err)
+
+
+@pytest.mark.parametrize("sep", LINE_BREAKS)
+def test_parse_long_text_bad_edge_before_malformed_line(sep):
+    # the syntax fault comes last, so the bad edge's line is found again
+    text, _ = _long_text(sep, {7000: "e 7 0 1", 8500: "e 1 2"})
+    err = _parse_error(text)
+    assert err.line == _line_of(text, "e 7 0 1")
+    assert "out of range" in str(err)
+
+
+def test_instance_stores_plain_tuples_with_u_below_v():
+    class Edge(tuple):
+        pass
+
+    plain = ((0, 1, 5), (1, 2, 7), (0, 2, 0))
+    forms = [
+        plain,
+        [[0, 1, 5], [1, 2, 7], [0, 2, 0]],
+        ((1, 0, 5), (2, 1, 7), (2, 0, 0)),
+        tuple(Edge(e) for e in plain),
+        [Edge((1, 0, 5)), [2, 1, 7], (0, 2, 0)],
+    ]
+    for edges in forms:
+        g = GameInstance(3, edges)
+        assert g.edges == plain
+        assert g == GameInstance(3, plain)
+        assert all(type(e) is tuple and e[0] < e[1] for e in g.edges)
+    # a plain tuple that needs no change is stored as given, not copied
+    assert all(a is b for a, b in zip(GameInstance(3, plain).edges, plain))
+
+
 def test_serialize_empty():
     assert serialize_instance(GameInstance(0, ())) == "p mg 0 0\n"
 

@@ -1,0 +1,84 @@
+"""Peak Python memory of one dense solve, stage by stage.
+
+The instance has the shape of the benchmark's largest `dense` file:
+G(300, 1/2) from a fixed seed, 22,569 edges with weights in
+[2^58, 2^60], so every weight is a 36-byte int outside the small-int
+cache. Each bound is a `tracemalloc` peak in bytes per edge, set
+between two measurements of this instance (Python 3.11): the code as
+it is, and the code with the per-edge copies listed below.
+
+| stage            | measured | bound | with the copies |
+|------------------|---------:|------:|----------------:|
+| `parse_instance` |      266 |   360 |             445 |
+| `double_graph`   |       41 |   100 |             161 |
+| `run_pipeline`   |       60 |   110 |             160 |
+| `audit_pipeline` |        1 |    40 |             134 |
+
+The copies: a list of every line of the text and one of every edge's
+line number, a second tuple per parsed edge, one `(neighbour, weight)`
+tuple per edge end in `double_graph`, and a dict of all m edge weights
+in the audit. What remains of the parse is one tuple per edge, its
+numbers and the set of vertex pairs the duplicate check keeps; of
+`double_graph`, its flat CSR lists.
+"""
+
+import random
+import tracemalloc
+
+import pytest
+
+from matchcore.bipartite import double_graph
+from matchcore.instances import parse_instance
+from matchcore.mechanism import audit_pipeline, run_pipeline
+
+
+def _dense_text(n: int, seed: int) -> str:
+    rng = random.Random(seed)
+    lines = [f"e {u + 1} {v + 1} {rng.randint(1 << 58, 1 << 60)}"
+             for u in range(n) for v in range(u + 1, n) if rng.randrange(2)]
+    return f"p mg {n} {len(lines)}\n" + "\n".join(lines) + "\n"
+
+
+@pytest.fixture(scope="module")
+def dense():
+    text = _dense_text(300, seed=5)
+    g = parse_instance(text)
+    return text, g, run_pipeline(g)
+
+
+def _peak_per_edge(m: int, call, *args):
+    tracemalloc.start()
+    try:
+        result = call(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak / m
+
+
+def test_parse_keeps_one_tuple_per_edge(dense):
+    text, g, _ = dense
+    parsed, per_edge = _peak_per_edge(g.edge_count, parse_instance, text)
+    assert parsed == g
+    assert per_edge < 360
+
+
+def test_double_graph_builds_only_its_csr(dense):
+    _, g, _ = dense
+    d, per_edge = _peak_per_edge(g.edge_count, double_graph, g)
+    assert d.heads[-1] == 2 * g.edge_count
+    assert per_edge < 100
+
+
+def test_run_pipeline_peak(dense):
+    _, g, trace = dense
+    again, per_edge = _peak_per_edge(g.edge_count, run_pipeline, g)
+    assert again.result == trace.result
+    assert per_edge < 110
+
+
+def test_audit_keeps_no_per_edge_table(dense):
+    _, g, trace = dense
+    problems, per_edge = _peak_per_edge(g.edge_count, audit_pipeline, trace)
+    assert problems == []
+    assert per_edge < 40

@@ -24,6 +24,7 @@ v2[i] = 2 v_i, the sum of i's two copies' duals.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from .bipartite import PrimalDualCertificate
 from .errors import InvariantViolation
@@ -141,54 +142,39 @@ def decompose_components(g: GameInstance,
                          s: HalfIntegralSolution) -> FractionalComponents:
     """Resolve half paths and even cycles; collect the odd cycles.
 
-    One walk over the half-edges. Open runs go first, each from its
-    lowest-id endpoint; then every cycle is walked from its lowest-id
-    vertex toward that vertex's lower-id neighbor, so the result is
-    deterministic. A run or an even cycle becomes its first alternating
-    matching in walk order; an odd cycle is reported in that canonical
-    cyclic order and checked against the exact identity w_C = 2 v_C.
-    The cover is not touched and the matching weight is checked to be
-    unchanged, so weight(x) = sum(v) still holds.
+    One walker visits every vertex of the half-edges once, marking it
+    seen, and each step leaves a vertex by its other half-edge. It
+    starts from the degree-1 vertices, so open runs go first, each
+    from its lowest-id endpoint; then every cycle is walked from its
+    lowest-id vertex toward that vertex's lower-id neighbor, so the
+    result is deterministic. A run or an even cycle becomes its first
+    alternating matching in walk order; an odd cycle is reported in that
+    canonical cyclic order and checked against the exact identity
+    w_C = 2 v_C. The cover is not touched and the matching weight is
+    checked to be unchanged, so weight(x) = sum(v) still holds.
     """
     x2 = list(s.x2)
     half = _half_adjacency(g, x2)
-    visited = [False] * len(g.edges)
-
-    # Open runs first: start from every degree-1 endpoint.
-    for a in range(g.vertex_count):
-        if len(half[a]) != 1:
-            continue
-        e0, nxt = half[a][0]
-        if visited[e0]:
-            continue
-        run = [e0]
-        visited[e0] = True
-        cur = nxt
-        while True:
-            step = [(e, o) for (e, o) in half[cur] if not visited[e]]
-            if not step:
-                break
-            e, cur = step[0]
-            visited[e] = True
-            run.append(e)
-        _resolve_alternating(g, x2, run)
-
-    # Remaining half components are cycles.
+    n = g.vertex_count
+    seen = [False] * n
     cycles = []
-    for a in range(g.vertex_count):
-        start = [(e, o) for (e, o) in half[a] if not visited[e]]
-        if not start:
+    # Every run has two degree-1 ends, so once the ends are walked from,
+    # what is left unseen of the half-edges is cycles.
+    for a in chain((i for i in range(n) if len(half[i]) == 1), range(n)):
+        if seen[a] or not half[a]:
             continue
-        e0, cur = start[0]  # lowest-id unvisited vertex, lower-id neighbor first
-        verts = [a]
-        run = [e0]
-        visited[e0] = True
-        while cur != a:
+        seen[a] = True
+        e, cur = half[a][0]  # a run's one half-edge, or a cycle's lower-id neighbor
+        verts, run = [a], [e]
+        while not seen[cur]:
+            seen[cur] = True
             verts.append(cur)
-            e, cur = [(e, o) for (e, o) in half[cur] if not visited[e]][0]
-            visited[e] = True
+            if len(half[cur]) == 1:  # the far end of a run
+                break
+            first, second = half[cur]
+            e, cur = second if first[0] == e else first
             run.append(e)
-        if len(run) % 2 == 0:
+        if cur != a or len(run) % 2 == 0:  # a run or an even cycle
             _resolve_alternating(g, x2, run)
             continue
         weights = tuple(g.edges[e][2] for e in run)

@@ -47,13 +47,16 @@ def _plain_digits(line: str) -> bool:
 
 
 class _BadEdge(ValueError):
-    """`GameInstance` rejects `edges[index]` of its input; `kind` is
-    "type", "negative", "range", "self-loop" or "duplicate"."""
+    """`GameInstance` rejects `edge`, item `index` of its input; `kind`
+    is "type", "negative", "range", "self-loop" or "duplicate", and a
+    duplicate's `first` is the index of the pair's first copy."""
 
-    def __init__(self, index: int, kind: str, message: str):
+    def __init__(self, index: int, kind: str, message: str, edge, first: int | None = None):
         super().__init__(message)
         self.index = index
         self.kind = kind
+        self.edge = edge
+        self.first = first
 
 
 def _normalized_edges(n: int, edges) -> tuple[Edge, ...]:
@@ -62,8 +65,10 @@ def _normalized_edges(n: int, edges) -> tuple[Edge, ...]:
     The one place where edges are validated; raises `_BadEdge` at the
     first edge that fails: a non-`int` endpoint or weight, a negative
     weight, an endpoint outside `range(n)`, a self-loop or a repeated
-    vertex pair. An edge that already is a plain `tuple` with `u < v`
-    is stored as given, so a parsed instance holds one tuple per edge.
+    vertex pair. Each edge is checked as soon as `edges` yields it, so a
+    generator's later items are never read past a bad one. An edge that
+    already is a plain `tuple` with `u < v` is stored as given, so a
+    parsed instance holds one tuple per edge.
     """
     normalized = []
     seen = set()
@@ -71,25 +76,24 @@ def _normalized_edges(n: int, edges) -> tuple[Edge, ...]:
         u, v, w = edge
         # `type(x) is int` also rules out `bool`, an `int` subclass
         if type(u) is not int or type(v) is not int:
-            raise _BadEdge(idx, "type", f"an endpoint of edge ({u!r}, {v!r}) is not an int")
+            raise _BadEdge(idx, "type", f"an endpoint of edge ({u!r}, {v!r}) is not an int", edge)
         if type(w) is not int:
-            raise _BadEdge(idx, "type", f"weight {w!r} on edge ({u}, {v}) is not an int")
+            raise _BadEdge(idx, "type", f"weight {w!r} on edge ({u}, {v}) is not an int", edge)
         if w < 0:
-            raise _BadEdge(idx, "negative", f"negative weight on edge ({u}, {v})")
+            raise _BadEdge(idx, "negative", f"negative weight on edge ({u}, {v})", edge)
         if not (0 <= u < n and 0 <= v < n):
-            raise _BadEdge(idx, "range", f"edge ({u}, {v}) out of range")
+            raise _BadEdge(idx, "range", f"edge ({u}, {v}) out of range", edge)
         if u == v:
-            raise _BadEdge(idx, "self-loop", f"self-loop at vertex {u}")
+            raise _BadEdge(idx, "self-loop", f"self-loop at vertex {u}", edge)
         if u > v:
             u, v = v, u
-            edge = (u, v, w)
-        elif type(edge) is not tuple:  # a list or a tuple subclass
-            edge = (u, v, w)
         key = u * n + v  # one int per pair, as 0 <= u < v < n
         if key in seen:
-            raise _BadEdge(idx, "duplicate", f"duplicate edge ({u}, {v})")
+            first = next(i for i, (a, b, _) in enumerate(normalized) if a == u and b == v)
+            raise _BadEdge(idx, "duplicate", f"duplicate edge ({u}, {v})", edge, first)
         seen.add(key)
-        normalized.append(edge)
+        # a reversed edge, a list or a tuple subclass becomes a plain tuple
+        normalized.append(edge if type(edge) is tuple and edge[0] == u else (u, v, w))
     return tuple(normalized)
 
 
@@ -126,28 +130,66 @@ def parse_instance(text: str, name: str | None = None) -> GameInstance:
     Every rejection names the offending 1-based line, numbered as
     `text.splitlines()` numbers them: malformed header, bad edge line,
     self-loop, duplicate edge, negative weight, vertex id out of range,
-    or an edge count that disagrees with the header. The loop below
-    reads the syntax; the edges are checked once, by `GameInstance`, and
-    its rejection is restated with the edge's line.
+    or an edge count that disagrees with the header. `_records` reads
+    the syntax one line at a time; its first record is the header and
+    the rest, the edges, stream into `GameInstance`, which checks each
+    one as it is read. So the first fault in the file is the one
+    reported, and nothing past it is read. A rejected edge is restated
+    with its line; the edge counts are compared once every line is read.
     """
-    n = m = None
-    header_line = 0
-    edges: list[Edge] = []
+    records = _records(text)
+    n, m, header_line = next(records)
+    try:
+        g = GameInstance(n, records, name=name)
+    except _BadEdge as bad:
+        u, v, w = bad.edge
+        lineno, line = _edge_line(text, bad.index)
+        if bad.kind == "negative":
+            reason = f"negative weight {w}"
+        elif bad.kind == "range":
+            reason = f"vertex id out of range in {line!r}"
+        elif bad.kind == "self-loop":
+            reason = f"self-loop at vertex {u + 1}"
+        else:  # a duplicate: parsed numbers are always ints
+            reason = (f"duplicate edge ({u + 1}, {v + 1}), "
+                      f"first seen at line {_edge_line(text, bad.first)[0]}")
+        raise InstanceFormatError(lineno, reason) from None
+    if g.edge_count > m:
+        raise InstanceFormatError(
+            _edge_line(text, m)[0], f"more edge lines than the {m} declared")
+    if g.edge_count < m:
+        raise InstanceFormatError(
+            header_line, f"header declares {m} edges but {g.edge_count} found")
+    return g
 
-    def malformed(lineno: int, message: str) -> InstanceFormatError:
-        # a bad edge on an earlier line is the first fault in the file
-        if edges:
-            _build(n, edges, text, name)
-        return InstanceFormatError(lineno, message)
 
+def _records(text: str) -> Iterator[tuple[int, int, int]]:
+    """The parsed lines of `text`: first the header `(n, m, line)`, then
+    one `(u, v, w)` per edge line, with 0-based endpoints, in file order.
+
+    Reads the syntax only. A line that breaks it raises
+    `InstanceFormatError` when the reader gets to it, so an edge before
+    it has already been checked.
+    """
+    n = None
     for lineno, raw in enumerate(_lines(text), start=1):
         line = raw.strip()
-        if not line or line.startswith("#"):
+        if not line or line[0] == "#":
             continue
         fields = line.split()
-        if fields[0] == "p":
+        if fields[0] == "e":  # nearly every line, so tested first
+            if n is None:
+                raise InstanceFormatError(lineno, "edge before header")
+            if len(fields) != 4 or not _plain_digits(line):
+                raise InstanceFormatError(lineno, f"malformed edge line: {line!r}")
+            try:
+                u, v, w = int(fields[1]), int(fields[2]), int(fields[3])
+            except ValueError:
+                raise InstanceFormatError(lineno, f"malformed edge line: {line!r}")
+            yield u - 1, v - 1, w
+        elif fields[0] == "p":
             if n is not None:
-                raise malformed(lineno, "duplicate header")
+                raise InstanceFormatError(lineno, "duplicate header")
             if len(fields) != 4 or fields[1] != "mg" or not _plain_digits(line):
                 raise InstanceFormatError(lineno, f"malformed header: {line!r}")
             try:
@@ -156,30 +198,11 @@ def parse_instance(text: str, name: str | None = None) -> GameInstance:
                 raise InstanceFormatError(lineno, f"malformed header: {line!r}")
             if n < 0 or m < 0:
                 raise InstanceFormatError(lineno, "negative count in header")
-            header_line = lineno
-        elif fields[0] == "e":
-            if n is None:
-                raise InstanceFormatError(lineno, "edge before header")
-            if len(fields) != 4 or not _plain_digits(line):
-                raise malformed(lineno, f"malformed edge line: {line!r}")
-            try:
-                u, v, w = int(fields[1]), int(fields[2]), int(fields[3])
-            except ValueError:
-                raise malformed(lineno, f"malformed edge line: {line!r}")
-            edges.append((u - 1, v - 1, w))
+            yield n, m, lineno
         else:
-            raise malformed(lineno, f"unknown directive: {fields[0]!r}")
-
+            raise InstanceFormatError(lineno, f"unknown directive: {fields[0]!r}")
     if n is None:
         raise InstanceFormatError(1, "missing header")
-    g = _build(n, edges, text, name)
-    if len(edges) != m:
-        if len(edges) > m:
-            raise InstanceFormatError(
-                _edge_line(text, m)[0], f"more edge lines than the {m} declared")
-        raise InstanceFormatError(
-            header_line, f"header declares {m} edges but {len(edges)} found")
-    return g
 
 
 _PIECE = 1 << 16  # characters of text split into lines at a time
@@ -217,33 +240,14 @@ def _edge_line(text: str, index: int) -> tuple[int, str]:
     return lineno, raw.strip()
 
 
-def _build(n: int, edges: list[Edge], text: str, name: str | None) -> GameInstance:
-    """`GameInstance(n, edges)`, a rejected edge reported at its line in
-    the file's 1-based terms."""
-    try:
-        return GameInstance(n, edges, name=name)
-    except _BadEdge as bad:
-        u, v, w = edges[bad.index]
-        lineno, line = _edge_line(text, bad.index)
-        if bad.kind == "negative":
-            reason = f"negative weight {w}"
-        elif bad.kind == "range":
-            reason = f"vertex id out of range in {line!r}"
-        elif bad.kind == "self-loop":
-            reason = f"self-loop at vertex {u + 1}"
-        else:  # a duplicate: parsed numbers are always ints
-            first = next(i for i, (a, b, _) in enumerate(edges)
-                         if {a, b} == {u, v})
-            reason = (f"duplicate edge ({u + 1}, {v + 1}), "
-                      f"first seen at line {_edge_line(text, first)[0]}")
-        raise InstanceFormatError(lineno, reason) from None
-
-
 def serialize_instance(g: GameInstance) -> str:
-    """Render an instance in the on-disk format; inverse of parse_instance."""
-    lines = []
-    if g.name:
-        lines.append(f"# {g.name}")
+    """Render an instance in the on-disk format; inverse of parse_instance.
+
+    The name becomes one comment line per line of it, as
+    `str.splitlines` splits it, so a name with a line break still reads
+    back as comments.
+    """
+    lines = [f"# {piece}" for piece in (g.name or "").splitlines()]
     lines.append(f"p mg {g.vertex_count} {g.edge_count}")
     for (u, v, w) in g.edges:
         lines.append(f"e {u + 1} {v + 1} {w}")

@@ -1,5 +1,6 @@
 """Folding and the one-walk odd-cycle decomposition."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -187,7 +188,65 @@ def reference_cases():
               (square, HalfIntegralSolution((1, 1, 1, 1), (1,) * 4)),
               (unequal, HalfIntegralSolution((1, 1), (2, 2, 0))),
               (EDGE5, HalfIntegralSolution((1,), (5, 5)))]
+    cases += [mixed_components(seed) for seed in range(300)]
     return cases
+
+
+def mixed_components(seed):
+    """A raw solution whose half-edges form vertex-disjoint runs, even
+    cycles and odd cycles, next to integral edges and edges at 0.
+
+    Vertex ids and edge order are shuffled, so the components
+    interleave. Most runs and even cycles have alternating matchings of
+    equal weight and most odd cycles a cover with w_C = 2 v_C; the rest
+    break them, and now and then an integral edge touches a half-edge.
+    """
+    rng = random.Random(seed)
+    sizes = {"run": lambda: rng.randint(2, 7), "even": lambda: 2 * rng.randint(2, 5),
+             "odd": lambda: 2 * rng.randint(1, 5) + 1, "integral": lambda: 2}
+    shapes = [(kind, size()) for kind, size in sizes.items() for _ in range(rng.randint(0, 2))]
+    rng.shuffle(shapes)
+    n = sum(size for _, size in shapes) + rng.randint(0, 3)
+    ids = list(range(n))
+    rng.shuffle(ids)
+    edges, x2, v2, pos = [], [], [rng.randint(0, 9) for _ in range(n)], 0
+    for kind, size in shapes:
+        verts = ids[pos:pos + size]
+        pos += size
+        if kind == "integral":
+            if rng.random() < 0.1 and edges:  # meets some earlier edge
+                verts[1] = edges[0][0]
+            edges.append((verts[0], verts[1], rng.randint(0, 9)))
+            x2.append(2)
+            continue
+        count = size - 1 if kind == "run" else size
+        weights = [rng.randint(0, 9) for _ in range(count)]
+        if kind != "odd" and rng.random() < 0.8:
+            keep, drop = sum(weights[0::2]), sum(weights[1::2])
+            if count == 1:
+                weights[0] = 0
+            elif keep > drop:
+                weights[1] += keep - drop
+            else:
+                weights[0] += drop - keep
+        for t in range(count):
+            edges.append((verts[t], verts[(t + 1) % size], weights[t]))
+            x2.append(1)
+        if kind == "odd":
+            v2[verts[-1]] = sum(weights) - sum(v2[i] for i in verts[:-1])
+            if rng.random() < 0.2:
+                v2[verts[-1]] += 1
+    pairs = {frozenset(e[:2]) for e in edges}
+    for _ in range(rng.randint(0, n) if n > 1 else 0):
+        u, v = rng.sample(range(n), 2)
+        if frozenset((u, v)) not in pairs:
+            pairs.add(frozenset((u, v)))
+            edges.append((u, v, rng.randint(0, 9)))
+            x2.append(0)
+    order = list(range(len(edges)))
+    rng.shuffle(order)
+    g = GameInstance(n, tuple(edges[e] for e in order))
+    return g, HalfIntegralSolution(tuple(x2[e] for e in order), tuple(v2))
 
 
 def test_decompose_matches_two_walk_reference():

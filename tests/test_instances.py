@@ -75,6 +75,28 @@ def test_parse_errors(text, line, fragment):
     ("p mg 3 2\ne 1 2 -1\np mg 3 2\n", 2, "negative weight"),
     ("p mg 3 1\ne 1 4 1\nq\n", 2, "out of range"),
     ("p mg 3 1\ne 1 2 1\ne 2 1 1\n", 3, "first seen at line 2"),
+    # each bad edge, then a malformed line, an unknown directive, a
+    # second header, one edge line too many and one too few
+    ("p mg 4 3\ne 3 4 5\ne 1 5 1\ne 1 2\n", 3, "vertex id out of range in 'e 1 5 1'"),
+    ("p mg 4 2\ne 3 4 5\ne 1 5 1\nq 1 2\n", 3, "vertex id out of range in 'e 1 5 1'"),
+    ("p mg 4 2\ne 3 4 5\ne 1 5 1\np mg 4 9\n", 3, "vertex id out of range in 'e 1 5 1'"),
+    ("p mg 4 2\ne 3 4 5\ne 1 5 1\ne 1 4 1\n", 3, "vertex id out of range in 'e 1 5 1'"),
+    ("p mg 4 3\ne 3 4 5\ne 1 5 1\n", 3, "vertex id out of range in 'e 1 5 1'"),
+    ("p mg 4 3\ne 3 4 5\ne 2 2 1\ne 1 2\n", 3, "self-loop at vertex 2"),
+    ("p mg 4 2\ne 3 4 5\ne 2 2 1\nq 1 2\n", 3, "self-loop at vertex 2"),
+    ("p mg 4 2\ne 3 4 5\ne 2 2 1\np mg 4 9\n", 3, "self-loop at vertex 2"),
+    ("p mg 4 2\ne 3 4 5\ne 2 2 1\ne 1 4 1\n", 3, "self-loop at vertex 2"),
+    ("p mg 4 3\ne 3 4 5\ne 2 2 1\n", 3, "self-loop at vertex 2"),
+    ("p mg 4 3\ne 3 4 5\ne 1 2 -1\ne 1 2\n", 3, "negative weight -1"),
+    ("p mg 4 2\ne 3 4 5\ne 1 2 -1\nq 1 2\n", 3, "negative weight -1"),
+    ("p mg 4 2\ne 3 4 5\ne 1 2 -1\np mg 4 9\n", 3, "negative weight -1"),
+    ("p mg 4 2\ne 3 4 5\ne 1 2 -1\ne 1 4 1\n", 3, "negative weight -1"),
+    ("p mg 4 3\ne 3 4 5\ne 1 2 -1\n", 3, "negative weight -1"),
+    ("p mg 4 4\ne 3 4 5\ne 1 2 1\ne 2 1 1\ne 1 2\n", 4, "duplicate edge (2, 1), first seen at line 3"),
+    ("p mg 4 3\ne 3 4 5\ne 1 2 1\ne 2 1 1\nq 1 2\n", 4, "duplicate edge (2, 1), first seen at line 3"),
+    ("p mg 4 3\ne 3 4 5\ne 1 2 1\ne 2 1 1\np mg 4 9\n", 4, "duplicate edge (2, 1), first seen at line 3"),
+    ("p mg 4 3\ne 3 4 5\ne 1 2 1\ne 2 1 1\ne 1 4 1\n", 4, "duplicate edge (2, 1), first seen at line 3"),
+    ("p mg 4 4\ne 3 4 5\ne 1 2 1\ne 2 1 1\n", 4, "duplicate edge (2, 1), first seen at line 3"),
 ])
 def test_parse_reports_the_first_fault_in_the_file(text, line, fragment):
     # a bad edge is reported before a later syntax or count error
@@ -213,6 +235,22 @@ def test_serialize_single_edge():
 def test_round_trip_k3():
     g = parse_instance(K3_TEXT)
     assert parse_instance(serialize_instance(g)) == g
+
+
+@pytest.mark.parametrize("name,comments", [
+    ("gap_2c", "# gap_2c\n"),
+    ("a\nb", "# a\n# b\n"),
+    ("a\r\nb", "# a\n# b\n"),
+    ("a\x1cb", "# a\n# b\n"),
+    ("a\u2028b", "# a\n# b\n"),
+])
+def test_round_trip_name(name, comments):
+    # one comment line per line of the name, so a line break in it
+    # cannot start a directive
+    g = GameInstance(2, ((0, 1, 3),), name=name)
+    text = serialize_instance(g)
+    assert text == comments + "p mg 2 1\ne 1 2 3\n"
+    assert parse_instance(text) == g
 
 
 @settings(max_examples=100, deadline=None)

@@ -9,25 +9,28 @@ it is, and the code with the per-edge copies listed below.
 
 | stage            | measured | bound | with the copies |
 |------------------|---------:|------:|----------------:|
-| `parse_instance` |      266 |   360 |             445 |
+| `parse_instance` |      250 |   360 |             445 |
 | `double_graph`   |       41 |   100 |             161 |
-| `run_pipeline`   |       60 |   110 |             160 |
+| `run_pipeline`   |       52 |   110 |             160 |
 | `audit_pipeline` |        1 |    40 |             134 |
 
 The copies: a list of every line of the text and one of every edge's
 line number, a second tuple per parsed edge, one `(neighbour, weight)`
 tuple per edge end in `double_graph`, and a dict of all m edge weights
 in the audit. What remains of the parse is one tuple per edge, its
-numbers and the set of vertex pairs the duplicate check keeps; of
-`double_graph`, its flat CSR lists.
+numbers and the set of vertex pairs the duplicate check keeps: the
+parser streams each edge into the instance and keeps no list of them
+itself. Of `double_graph` remain its flat CSR lists.
 """
 
 import random
 import tracemalloc
+from itertools import islice
 
 import pytest
 
 from matchcore.bipartite import double_graph
+from matchcore.errors import InstanceFormatError
 from matchcore.instances import parse_instance
 from matchcore.mechanism import audit_pipeline, run_pipeline
 
@@ -61,6 +64,25 @@ def test_parse_keeps_one_tuple_per_edge(dense):
     parsed, per_edge = _peak_per_edge(g.edge_count, parse_instance, text)
     assert parsed == g
     assert per_edge < 360
+
+
+def test_parse_stops_at_a_bad_edge():
+    # the edge on line 3 is out of range; the 100,000 valid lines after
+    # it are never read, so the peak is the first piece of lines, not a
+    # tuple per edge (about 12 MiB)
+    n = 500
+    pairs = ((u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1))
+    valid = [f"e {u} {v} {u + v}" for u, v in islice(pairs, 100_000)]
+    text = f"p mg {n} 100002\ne 1 2 1\ne 1 {n + 1} 1\n" + "\n".join(valid) + "\n"
+    tracemalloc.start()
+    try:
+        with pytest.raises(InstanceFormatError) as err:
+            parse_instance(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(err.value) == f"line 3: vertex id out of range in 'e 1 {n + 1} 1'"
+    assert peak < 2 << 20
 
 
 def test_double_graph_builds_only_its_csr(dense):

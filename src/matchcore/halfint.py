@@ -67,43 +67,50 @@ class FractionalComponents:
     integral_edges: tuple[int, ...]  # edge indices with x = 1
 
 
-def solution_weight2(g: GameInstance, s: HalfIntegralSolution) -> int:
-    """Twice the matching weight of x (exact integer)."""
-    return sum(w * s.x2[e] for e, (_, _, w) in enumerate(g.edges))
-
-
 def fold_solution(g: GameInstance, cert: PrimalDualCertificate) -> HalfIntegralSolution:
     """Average the doubled matching and sum the doubled duals.
 
-    Validates, in exact arithmetic, that the fold produced a
-    half-integral matching and a feasible cover of equal value; any
-    failure means the certificate upstream was wrong and raises
-    InvariantViolation.
+    Validates the result with `check_fold`; any failure means the
+    certificate upstream was wrong and raises InvariantViolation.
     """
-    n = g.vertex_count
     match_l = cert.match_l
     x2 = [(match_l[i] == j) + (match_l[j] == i) for (i, j, _) in g.edges]
     v2 = [a + b for a, b in zip(cert.u, cert.v)]  # 2 * v_i
-
-    degree2 = [0] * n
-    for e, (i, j, _) in enumerate(g.edges):
-        degree2[i] += x2[e]
-        degree2[j] += x2[e]
-    for i in range(n):
-        if degree2[i] > 2:
-            raise InvariantViolation(f"vertex {i} is over-matched after folding")
-
-    for (i, j, w) in g.edges:
-        if v2[i] + v2[j] < 2 * w:
-            raise InvariantViolation(
-                f"folded cover violates edge ({i}, {j}): {v2[i]}+{v2[j]} < 2*{w}")
-
-    weight2 = sum(w * x2[e] for e, (_, _, w) in enumerate(g.edges))
-    if weight2 != sum(v2):
-        raise InvariantViolation(
-            f"strong duality lost in fold: 2*weight {weight2} != 2*cover {sum(v2)}")
-
+    problems = check_fold(g, x2, v2)
+    if problems:
+        raise InvariantViolation(problems[0])
     return HalfIntegralSolution(tuple(x2), tuple(v2))
+
+
+def check_fold(g: GameInstance, x2, v2) -> list[str]:
+    """Verify a folded solution in exact integers; [] means optimal.
+
+    One pass over the edges checks that x is a fractional matching (it
+    sums to at most 1 at every vertex), that the cover meets every
+    edge, and strong duality 2 weight(x) = sum(v2). A list of the wrong
+    length is reported alone.
+    """
+    n, m = g.vertex_count, g.edge_count
+    if len(x2) != m or len(v2) != n:
+        return [f"x2 and v2 have {len(x2)} and {len(v2)} entries, not {m} and {n}"]
+    degree2 = [0] * n
+    weight2 = 0
+    uncovered = []
+    for (i, j, w), x in zip(g.edges, x2):
+        if x:
+            degree2[i] += x
+            degree2[j] += x
+            weight2 += w * x
+        if v2[i] + v2[j] < 2 * w:
+            uncovered.append(
+                f"folded cover violates edge ({i}, {j}): {v2[i]}+{v2[j]} < 2*{w}")
+    problems = [f"vertex {i} is over-matched after folding"
+                for i in range(n) if degree2[i] > 2]
+    problems += uncovered
+    if weight2 != sum(v2):
+        problems.append(
+            f"strong duality lost in fold: 2*weight {weight2} != 2*cover {sum(v2)}")
+    return problems
 
 
 def _half_adjacency(g: GameInstance, x2) -> list[list[tuple[int, int]]]:
@@ -180,7 +187,7 @@ def decompose_components(g: GameInstance,
         weights = tuple(g.edges[e][2] for e in run)
         cycles.append(OddCycle(tuple(verts), len(run) // 2, weights, sum(weights)))
 
-    if sum(w * x2[e] for e, (_, _, w) in enumerate(g.edges)) != solution_weight2(g, s):
+    if sum(w * (x - was) for (_, _, w), x, was in zip(g.edges, x2, s.x2)):
         raise InvariantViolation("normalization changed the matching weight")
     integral = tuple(e for e, val in enumerate(x2) if val == 2)
 

@@ -15,9 +15,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from matchcore.errors import BoundExceeded, InvariantViolation
-from matchcore.halfint import FractionalComponents, OddCycle, solution_weight2
+from matchcore.halfint import FractionalComponents, HalfIntegralSolution, OddCycle
 from matchcore.mechanism import CycleMatching
 from matchcore.verify import CoalitionReport, CoalitionViolation, worth_bruteforce
+
+
+def solution_weight2(g, s: HalfIntegralSolution) -> int:
+    """Twice the matching weight of x (exact integer)."""
+    return sum(w * s.x2[e] for e, (_, _, w) in enumerate(g.edges))
 
 
 def max_matching_by_edge_subsets(edges: list[tuple[int, int, int]]) -> int:

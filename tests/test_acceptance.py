@@ -13,7 +13,6 @@ from fractions import Fraction
 import pytest
 
 from matchcore.cli import main
-from matchcore.halfint import solution_weight2
 from matchcore.instances import (
     gen_gap_family,
     gen_odd_cycle,
@@ -30,7 +29,7 @@ from matchcore.verify import (
     worth_bruteforce,
 )
 
-from oracles import alternating_matching, bipartite_max_weight_dp, doubled_edges
+from oracles import alternating_matching, bipartite_max_weight_dp, doubled_edges, solution_weight2
 
 K3 = parse_instance("p mg 3 3\ne 1 2 1\ne 2 3 1\ne 1 3 1\n")
 

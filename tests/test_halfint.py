@@ -11,7 +11,6 @@ from matchcore.halfint import (
     HalfIntegralSolution,
     decompose_components,
     fold_solution,
-    solution_weight2,
 )
 from matchcore.instances import GameInstance, gen_gap_family, gen_odd_cycle, gen_random, parse_instance
 
@@ -21,6 +20,7 @@ from oracles import (
     doubled_edges,
     reference_decompose_components,
     reference_normalize,
+    solution_weight2,
 )
 
 K3 = parse_instance("p mg 3 3\ne 1 2 1\ne 2 3 1\ne 1 3 1\n")

@@ -12,6 +12,7 @@ from matchcore.instances import GameInstance, gen_gap_family, gen_odd_cycle, gen
 from matchcore.mechanism import (
     analyze_cycle,
     audit_pipeline,
+    check_cycle,
     run_mechanism,
     run_pipeline,
 )
@@ -187,9 +188,12 @@ def test_audit_reports_tampered_payout():
     assert "payout at vertex 2 is not factor * cover" in problems
     assert "payout covers edge (0, 2) below 2/3" in problems
     assert "payout covers edge (1, 2) below 2/3" in problems
+    # 7/12 is also under the factor 2/3 of both ends
+    assert "payout under the factor bound on (0, 2)" in problems
+    assert "payout under the factor bound on (1, 2)" in problems
     # the payouts now sum to 11/12, not the stored allocation 1
     assert "allocation is not the sum of the payouts" in problems
-    assert len(problems) == 4
+    assert len(problems) == 6
 
 
 def test_audit_reports_payout_over_budget():
@@ -244,6 +248,110 @@ def test_audit_recomputes_stored_totals(field, expected):
     bad = replace(trace, result=replace(res, **{field: getattr(res, field) + 1}))
     assert audit_pipeline(trace) == []
     assert audit_pipeline(bad) == [expected]
+
+
+def test_check_cycle_reports_each_identity():
+    # the triangle of K3 under cover 1/2 everywhere, but with matching
+    # weights that follow from no cycle
+    cycle = OddCycle((0, 1, 2), 1, (1, 1, 1), 3)
+    assert check_cycle(cycle, (1, 1, 1), (1, 1, 1)) == []
+    assert check_cycle(cycle, (0, 0, 0), (1, 1, 1)) == [
+        "cycle cover at vertex 0: 2v = 1 != 3 - 2*0",
+        "cycle cover at vertex 1: 2v = 1 != 3 - 2*0",
+        "cycle cover at vertex 2: 2v = 1 != 3 - 2*0",
+        "cycle matching weights sum to 0, expected 3",
+        "heaviest cycle matching too light: 0 < 3",
+    ]
+
+
+COMPLETE12 = gen_random(12, 1, 9, seed=3)
+ONE_CYCLE14 = gen_random(14, Fraction(1, 3), 9, seed=3)  # one odd cycle, 11 vertices
+
+
+def _with_cycle(trace, cycle):
+    """`trace` with its one odd cycle replaced by `cycle` in both the
+    components and the analysis."""
+    (analysis,) = trace.analyses
+    return replace(trace, components=replace(trace.components, odd_cycles=(cycle,)),
+                   analyses=(replace(analysis, cycle=cycle),))
+
+
+def test_audit_reports_a_short_cover():
+    trace = run_pipeline(COMPLETE12)
+    bad = replace(trace, folded=replace(trace.folded, v2=trace.folded.v2[:-1]))
+    assert audit_pipeline(bad) == ["x2 and v2 have 66 and 11 entries, not 66 and 12"]
+
+
+def test_audit_reports_a_short_folded_matching():
+    trace = run_pipeline(COMPLETE12)
+    bad = replace(trace, folded=replace(trace.folded, x2=trace.folded.x2[:-1]))
+    assert audit_pipeline(bad) == ["x2 and v2 have 65 and 12 entries, not 66 and 12"]
+
+
+def test_audit_reports_a_cycle_vertex_outside_the_instance():
+    trace = run_pipeline(ONE_CYCLE14)
+    cycle = trace.components.odd_cycles[0]
+    bad = _with_cycle(trace, replace(cycle, vertices=(14,) + cycle.vertices[1:]))
+    problems = audit_pipeline(bad)
+    assert problems[0] == "cycle vertex 14 is outside range(14)"
+    # its vertices now count as on no cycle, so their factors disagree
+    assert "factor 10/11 at vertex 1 is not 1" in problems
+
+
+def test_audit_reports_an_over_matched_vertex():
+    trace = run_pipeline(K3)
+    bad = replace(trace, folded=replace(trace.folded, x2=(2, 1, 1)))
+    problems = audit_pipeline(bad)
+    assert "vertex 0 is over-matched after folding" in problems
+    assert "strong duality lost in fold: 2*weight 4 != 2*cover 3" in problems
+
+
+def test_audit_reports_a_lowered_dual():
+    trace = run_pipeline(COMPLETE12)
+    u = list(trace.certificate.u)
+    u[0] -= 1
+    bad = replace(trace, certificate=replace(trace.certificate, u=tuple(u)))
+    problems = audit_pipeline(bad)
+    assert problems[0].startswith("dual infeasible on edge (0, ")
+    assert problems[0].endswith("short by 1")
+
+
+def test_audit_reports_a_swapped_matched_pair():
+    trace = run_pipeline(COMPLETE12)
+    match_l = list(trace.certificate.match_l)
+    assert match_l[:2] == [1, 0]
+    match_l[0], match_l[1] = match_l[1], match_l[0]
+    bad = replace(trace, certificate=replace(trace.certificate, match_l=tuple(match_l)))
+    problems = audit_pipeline(bad)
+    assert "left copy 0 matched to right copy 0: not a doubled edge" in problems
+    assert "left copy 1 matched to right copy 1: not a doubled edge" in problems
+
+
+def test_audit_reports_a_changed_cycle_weight():
+    trace = run_pipeline(ONE_CYCLE14)
+    cycle = trace.components.odd_cycles[0]
+    assert cycle.weights[0] == 9 and cycle.w_C == 65
+    bad = _with_cycle(trace, replace(cycle, weights=(10,) + cycle.weights[1:]))
+    problems = audit_pipeline(bad)
+    assert "odd cycle 0: stored matching weights are not its own" in problems
+    # the k = 5 matchings that hold edge 0 gain 1: they miss vertices 9, 5, 8, 13, 2
+    assert "cycle cover at vertex 9: 2v = 11 != 65 - 2*28" in problems
+    assert "cycle matching weights sum to 330, expected 325" in problems
+    assert len(problems) == 7
+
+
+def test_audit_reports_a_raised_matching_weight():
+    trace = run_pipeline(ONE_CYCLE14)
+    (analysis,) = trace.analyses
+    weights = (analysis.matching_weights[0] + 1,) + analysis.matching_weights[1:]
+    bad = replace(trace, analyses=(replace(analysis, matching_weights=weights),))
+    assert audit_pipeline(bad) == ["odd cycle 0: stored matching weights are not its own"]
+
+
+def test_audit_reports_analyses_of_other_cycles():
+    trace = run_pipeline(ONE_CYCLE14)
+    bad = replace(trace, components=replace(trace.components, odd_cycles=()))
+    assert audit_pipeline(bad) == ["the stored analyses are not of the stored odd cycles"]
 
 
 def test_cycle_identities_random():

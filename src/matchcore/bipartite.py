@@ -31,16 +31,15 @@ competing matching.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate
+from typing import NamedTuple
 
 from . import _hungarian_py
 from .errors import InvariantViolation
 from .instances import GameInstance
 
 
-@dataclass(frozen=True)
-class DoubledGraph:
+class DoubledGraph(NamedTuple):
     """Bipartite double of a game instance as the kernel's CSR input.
 
     `rights[heads[i]:heads[i+1]]` are the original ids of the right
@@ -55,8 +54,7 @@ class DoubledGraph:
     weights: list[int]
 
 
-@dataclass(frozen=True)
-class PrimalDualCertificate:
+class PrimalDualCertificate(NamedTuple):
     """A matching on the doubled graph plus integer duals proving it optimal.
 
     The kernel's arrays `match_l`, `u` and `v`; see the module docstring.

@@ -9,8 +9,9 @@ Subcommands mirror the library's capabilities one to one:
 
 Machine-readable output goes to stdout, diagnostics to stderr. Exit
 codes: 0 success/verified, 1 verification violations, 2 usage or parse
-error, 3 an exhaustive check refused to run past its size bound. All
-rational values cross this boundary as reduced-fraction strings.
+error, 3 refused: an instance past the parser's size bounds or an
+exhaustive check past its own. All rational values cross this boundary
+as reduced-fraction strings.
 """
 
 from __future__ import annotations

@@ -28,8 +28,10 @@ class InvariantViolation(MatchcoreError):
 
 
 class BoundExceeded(MatchcoreError):
-    """An exhaustive oracle refused to run past its configured size bound.
+    """An input or an exhaustive oracle's task is past its size bound.
 
-    The brute-force oracles are exponential by design and never silently
-    approximate; callers either raise the bound or accept the refusal.
+    `parse_instance` refuses an instance past `instances.MAX_VERTICES`
+    or `instances.MAX_EDGES` before building it. The brute-force
+    oracles are exponential by design and never silently approximate;
+    callers either raise the bound or accept the refusal.
     """

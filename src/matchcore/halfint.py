@@ -23,16 +23,15 @@ v2[i] = 2 v_i, the sum of i's two copies' duals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
+from typing import NamedTuple
 
 from .bipartite import PrimalDualCertificate
 from .errors import InvariantViolation
 from .instances import GameInstance
 
 
-@dataclass(frozen=True)
-class HalfIntegralSolution:
+class HalfIntegralSolution(NamedTuple):
     """Optimal half-integral matching and cover on the original graph.
 
     `x2[e]` is 2*x_e for edge index e of the instance; `v2[i]` is twice
@@ -43,8 +42,7 @@ class HalfIntegralSolution:
     v2: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class OddCycle:
+class OddCycle(NamedTuple):
     """A half-integral odd cycle: 2k+1 vertices in cyclic order.
 
     `weights[t]` is the weight of the edge from `vertices[t]` to the
@@ -58,8 +56,7 @@ class OddCycle:
     w_C: int
 
 
-@dataclass(frozen=True)
-class FractionalComponents:
+class FractionalComponents(NamedTuple):
     """The support with half paths and even cycles resolved: odd
     cycles and integral edges."""
 

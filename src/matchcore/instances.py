@@ -25,14 +25,18 @@ digits are rejected.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, islice
 from typing import Iterable, Iterator
 
-from .errors import InstanceFormatError
+from .errors import BoundExceeded, InstanceFormatError
 
 Edge = tuple[int, int, int]
+
+# The largest instance `parse_instance` accepts; past either bound it
+# raises BoundExceeded, having read at most MAX_EDGES + 1 edges.
+MAX_VERTICES = 1_000_000
+MAX_EDGES = 4_000_000
 
 
 def _plain_digits(line: str) -> bool:
@@ -97,27 +101,49 @@ def _normalized_edges(n: int, edges) -> tuple[Edge, ...]:
     return tuple(normalized)
 
 
-@dataclass(frozen=True)
 class GameInstance:
     """An undirected simple graph with nonnegative integer edge weights.
 
     The vertex count, endpoints and weights must be `int`s; anything
     else (a float, a `bool`, a `Fraction`) is rejected rather than
     rounded. Vertex ids are 0-based and dense in `range(vertex_count)`.
-    Edges are stored with endpoints normalized to `u < v`. Instances are
-    immutable after construction and safe to share between threads.
+    Edges are stored with endpoints normalized to `u < v`. The
+    attributes are read-only, so an instance is safe to share between
+    threads; `name` takes no part in `==` or the hash.
     """
 
-    vertex_count: int
-    edges: tuple[Edge, ...]
-    name: str | None = field(default=None, compare=False)
+    __slots__ = ("vertex_count", "edges", "name")
 
-    def __post_init__(self):
-        if type(self.vertex_count) is not int:
-            raise ValueError(f"vertex_count is not an int: {self.vertex_count!r}")
-        if self.vertex_count < 0:
+    def __init__(self, vertex_count: int, edges: Iterable[Edge], name: str | None = None):
+        if type(vertex_count) is not int:
+            raise ValueError(f"vertex_count is not an int: {vertex_count!r}")
+        if vertex_count < 0:
             raise ValueError("vertex_count must be nonnegative")
-        object.__setattr__(self, "edges", _normalized_edges(self.vertex_count, self.edges))
+        init = object.__setattr__
+        init(self, "vertex_count", vertex_count)
+        init(self, "edges", _normalized_edges(vertex_count, edges))
+        init(self, "name", name)
+
+    def __setattr__(self, attr, value):
+        raise AttributeError(f"cannot assign to field {attr!r}")
+
+    def __delattr__(self, attr):
+        raise AttributeError(f"cannot delete field {attr!r}")
+
+    def __reduce__(self):  # for copy and pickle, which would set the slots
+        return GameInstance, (self.vertex_count, self.edges, self.name)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.vertex_count == other.vertex_count and self.edges == other.edges
+
+    def __hash__(self):
+        return hash((self.vertex_count, self.edges))
+
+    def __repr__(self):
+        return (f"GameInstance(vertex_count={self.vertex_count!r}, "
+                f"edges={self.edges!r}, name={self.name!r})")
 
     @property
     def edge_count(self) -> int:
@@ -136,11 +162,20 @@ def parse_instance(text: str, name: str | None = None) -> GameInstance:
     one as it is read. So the first fault in the file is the one
     reported, and nothing past it is read. A rejected edge is restated
     with its line; the edge counts are compared once every line is read.
+
+    A header past `MAX_VERTICES` or `MAX_EDGES` raises `BoundExceeded`
+    before any edge is read, and so does an edge line past the
+    `MAX_EDGES`-th, so a parse never holds more than `MAX_EDGES + 1`
+    edges whatever the file's length.
     """
     records = _records(text)
     n, m, header_line = next(records)
+    if n > MAX_VERTICES or m > MAX_EDGES:
+        raise BoundExceeded(
+            f"line {header_line}: header declares {n} vertices and {m} edges, above "
+            f"the bounds of {MAX_VERTICES} vertices and {MAX_EDGES} edges")
     try:
-        g = GameInstance(n, records, name=name)
+        g = GameInstance(n, islice(records, MAX_EDGES + 1), name=name)
     except _BadEdge as bad:
         u, v, w = bad.edge
         lineno, line = _edge_line(text, bad.index)
@@ -154,6 +189,9 @@ def parse_instance(text: str, name: str | None = None) -> GameInstance:
             reason = (f"duplicate edge ({u + 1}, {v + 1}), "
                       f"first seen at line {_edge_line(text, bad.first)[0]}")
         raise InstanceFormatError(lineno, reason) from None
+    if g.edge_count > MAX_EDGES:
+        raise BoundExceeded(f"line {_edge_line(text, MAX_EDGES)[0]}: more than "
+                            f"{MAX_EDGES} edge lines, above the bound")
     if g.edge_count > m:
         raise InstanceFormatError(
             _edge_line(text, m)[0], f"more edge lines than the {m} declared")

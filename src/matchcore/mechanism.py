@@ -42,8 +42,8 @@ distinct cycle length.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .bipartite import PrimalDualCertificate, check_certificate, double_graph, solve_bipartite
 from .errors import InvariantViolation
@@ -58,8 +58,7 @@ from .halfint import (
 from .instances import GameInstance
 
 
-@dataclass(frozen=True)
-class CycleMatching:
+class CycleMatching(NamedTuple):
     """One alternating matching of an odd cycle: the k alternate edges
     left after removing `removed_vertex` and its two incident edges."""
 
@@ -68,8 +67,7 @@ class CycleMatching:
     weight: int
 
 
-@dataclass(frozen=True)
-class CycleAnalysis:
+class CycleAnalysis(NamedTuple):
     """The weights of a cycle's 2k+1 alternating matchings and the heaviest.
 
     `matching_weights[j]` is w(M_j), the matching left by deleting
@@ -83,8 +81,7 @@ class CycleAnalysis:
     heaviest: CycleMatching
 
 
-@dataclass(frozen=True)
-class ImputationResult:
+class ImputationResult(NamedTuple):
     """The mechanism's output: payouts, their per-vertex factors in
     [2/3, 1] and the matching backing them."""
 
@@ -108,8 +105,7 @@ class ImputationResult:
         }
 
 
-@dataclass(frozen=True)
-class PipelineTrace:
+class PipelineTrace(NamedTuple):
     """Every intermediate artifact of one mechanism run; all but the
     instance and the result are made of ints only."""
 

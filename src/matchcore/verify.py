@@ -32,10 +32,10 @@ once by dynamic programming over vertex subsets.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
-from typing import Iterable, Sequence
+from itertools import chain, islice
+from operator import countOf, itemgetter
+from typing import Iterable, NamedTuple, Sequence
 
 from .bipartite import double_graph, solve_bipartite
 from .errors import BoundExceeded, InvariantViolation
@@ -45,8 +45,7 @@ DEFAULT_MAX_EDGES = 24
 DEFAULT_MAX_VERTICES = 20
 
 
-@dataclass(frozen=True)
-class CoalitionViolation:
+class CoalitionViolation(NamedTuple):
     """A coalition whose allocation falls short of alpha * worth."""
 
     members: tuple[int, ...]
@@ -54,8 +53,7 @@ class CoalitionViolation:
     allocated: Fraction
 
 
-@dataclass(frozen=True)
-class CoalitionReport:
+class CoalitionReport(NamedTuple):
     """Outcome of checking an imputation against every coalition.
 
     `violations` covers the per-coalition condition (allocation at
@@ -102,8 +100,7 @@ class CoalitionReport:
         }
 
 
-@dataclass(frozen=True)
-class GapReport:
+class GapReport(NamedTuple):
     """Integral versus fractional optimum of one instance.
 
     `core_nonempty` is True exactly when the two optima agree; None
@@ -137,7 +134,7 @@ def worth_bruteforce(g: GameInstance, coalition: Iterable[int] | None = None,
     floats, which would match vertices by value).
     """
     if coalition is None:
-        sub = [e for e in g.edges if e[2] > 0]
+        positive = (e for e in g.edges if e[2] > 0)
     else:
         given = tuple(coalition)
         for i in given:  # before any set: {1, True} == {1}
@@ -146,11 +143,15 @@ def worth_bruteforce(g: GameInstance, coalition: Iterable[int] | None = None,
             if not (0 <= i < g.vertex_count):
                 raise ValueError(f"vertex {i} outside the instance")
         members = set(given)
-        sub = [(u, v, w) for (u, v, w) in g.edges
-               if w > 0 and u in members and v in members]
+        positive = ((u, v, w) for (u, v, w) in g.edges
+                    if w > 0 and u in members and v in members)
+    sub = list(islice(positive, max(max_edges + 1, 0)))
     if len(sub) > max_edges:
+        # counted without a list; weights are >= 0, so 0 is the only one left out
+        count = (g.edge_count - countOf(map(itemgetter(2), g.edges), 0) if coalition is None
+                 else len(sub) + sum(1 for _ in positive))
         raise BoundExceeded(
-            f"coalition has {len(sub)} weighted edges, above the bound "
+            f"coalition has {count} weighted edges, above the bound "
             f"{max_edges}; raise max_edges to force the enumeration")
     return _max_matching_recursive(sub)
 

@@ -115,6 +115,17 @@ def test_verify_bound_exit_3(capsys, tmp_path):
     assert "refused" in err
 
 
+def test_solve_oversized_header_exit_3(capsys, tmp_path):
+    # an edge count past the bound, so that a parser without the bound
+    # fails fast instead of building a huge graph
+    path = tmp_path / "huge.mg"
+    path.write_text("p mg 10 4000001\n")
+    code, out, err = run(capsys, "solve", str(path))
+    assert code == 3
+    assert out == ""
+    assert err.startswith("refused: line 1: header declares 10 vertices and 4000001 edges")
+
+
 def test_verify_alpha_validation(capsys, k3_path, tmp_path):
     imp = tmp_path / "imp.json"
     imp.write_text(json.dumps({"values": ["1/3", "1/3", "1/3"]}))

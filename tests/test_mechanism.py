@@ -1,7 +1,6 @@
 """Scaled-cover mechanism: cycle analyses, factors, payouts."""
 
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -183,7 +182,7 @@ def test_audit_reports_tampered_payout():
     trace = run_pipeline(K3)
     # payouts over different denominators: 1/3 + 1/4 covers edge 1-3 at 7/12 < 2/3
     c = (Fraction(1, 3), Fraction(1, 3), Fraction(1, 4))
-    bad = replace(trace, result=replace(trace.result, c=c))
+    bad = trace._replace(result=trace.result._replace(c=c))
     problems = audit_pipeline(bad)
     assert "payout at vertex 2 is not factor * cover" in problems
     assert "payout covers edge (0, 2) below 2/3" in problems
@@ -201,8 +200,8 @@ def test_audit_reports_payout_over_budget():
     # vertex 0 paid its full cover 1/2 at factor 1: the payouts sum to
     # 7/6, over the backing matching's weight 1 and the stored allocation
     res = trace.result
-    bad = replace(trace, result=replace(
-        res, c=(Fraction(1, 2),) + res.c[1:], factors=(Fraction(1),) + res.factors[1:]))
+    bad = trace._replace(result=res._replace(
+        c=(Fraction(1, 2),) + res.c[1:], factors=(Fraction(1),) + res.factors[1:]))
     problems = audit_pipeline(bad)
     assert "payouts exceed the backing matching weight" in problems
     assert "allocation is not the sum of the payouts" in problems
@@ -214,8 +213,8 @@ def test_audit_checks_factors_against_cycle_lengths():
     trace = run_pipeline(GameInstance(2, ((0, 1, 4),)))
     res = trace.result
     assert res.c == (2, 2)
-    bad = replace(trace, result=replace(
-        res, c=(Fraction(4, 3), res.c[1]), factors=(Fraction(2, 3), res.factors[1])))
+    bad = trace._replace(result=res._replace(
+        c=(Fraction(4, 3), res.c[1]), factors=(Fraction(2, 3), res.factors[1])))
     problems = audit_pipeline(bad)
     assert "factor 2/3 at vertex 0 is not 1" in problems
     assert "factor guarantee 1 is not the least factor" in problems
@@ -224,14 +223,14 @@ def test_audit_checks_factors_against_cycle_lengths():
 def test_audit_reports_a_factor_missing():
     trace = run_pipeline(gen_odd_cycle(1))
     res = trace.result
-    bad = replace(trace, result=replace(res, factors=res.factors[:-1]))
+    bad = trace._replace(result=res._replace(factors=res.factors[:-1]))
     assert audit_pipeline(bad) == ["2 factors for 3 vertices"]
 
 
 def test_audit_reports_a_payout_missing():
     trace = run_pipeline(gen_odd_cycle(1))
     res = trace.result
-    bad = replace(trace, result=replace(res, c=res.c[:-1]))
+    bad = trace._replace(result=res._replace(c=res.c[:-1]))
     assert audit_pipeline(bad) == ["2 payouts for 3 vertices",
                                    "allocation is not the sum of the payouts"]
 
@@ -245,7 +244,7 @@ def test_audit_reports_a_payout_missing():
 def test_audit_recomputes_stored_totals(field, expected):
     trace = run_pipeline(gen_odd_cycle(2))
     res = trace.result
-    bad = replace(trace, result=replace(res, **{field: getattr(res, field) + 1}))
+    bad = trace._replace(result=res._replace(**{field: getattr(res, field) + 1}))
     assert audit_pipeline(trace) == []
     assert audit_pipeline(bad) == [expected]
 
@@ -272,26 +271,26 @@ def _with_cycle(trace, cycle):
     """`trace` with its one odd cycle replaced by `cycle` in both the
     components and the analysis."""
     (analysis,) = trace.analyses
-    return replace(trace, components=replace(trace.components, odd_cycles=(cycle,)),
-                   analyses=(replace(analysis, cycle=cycle),))
+    return trace._replace(components=trace.components._replace(odd_cycles=(cycle,)),
+                          analyses=(analysis._replace(cycle=cycle),))
 
 
 def test_audit_reports_a_short_cover():
     trace = run_pipeline(COMPLETE12)
-    bad = replace(trace, folded=replace(trace.folded, v2=trace.folded.v2[:-1]))
+    bad = trace._replace(folded=trace.folded._replace(v2=trace.folded.v2[:-1]))
     assert audit_pipeline(bad) == ["x2 and v2 have 66 and 11 entries, not 66 and 12"]
 
 
 def test_audit_reports_a_short_folded_matching():
     trace = run_pipeline(COMPLETE12)
-    bad = replace(trace, folded=replace(trace.folded, x2=trace.folded.x2[:-1]))
+    bad = trace._replace(folded=trace.folded._replace(x2=trace.folded.x2[:-1]))
     assert audit_pipeline(bad) == ["x2 and v2 have 65 and 12 entries, not 66 and 12"]
 
 
 def test_audit_reports_a_cycle_vertex_outside_the_instance():
     trace = run_pipeline(ONE_CYCLE14)
     cycle = trace.components.odd_cycles[0]
-    bad = _with_cycle(trace, replace(cycle, vertices=(14,) + cycle.vertices[1:]))
+    bad = _with_cycle(trace, cycle._replace(vertices=(14,) + cycle.vertices[1:]))
     problems = audit_pipeline(bad)
     assert problems[0] == "cycle vertex 14 is outside range(14)"
     # its vertices now count as on no cycle, so their factors disagree
@@ -300,7 +299,7 @@ def test_audit_reports_a_cycle_vertex_outside_the_instance():
 
 def test_audit_reports_an_over_matched_vertex():
     trace = run_pipeline(K3)
-    bad = replace(trace, folded=replace(trace.folded, x2=(2, 1, 1)))
+    bad = trace._replace(folded=trace.folded._replace(x2=(2, 1, 1)))
     problems = audit_pipeline(bad)
     assert "vertex 0 is over-matched after folding" in problems
     assert "strong duality lost in fold: 2*weight 4 != 2*cover 3" in problems
@@ -310,7 +309,7 @@ def test_audit_reports_a_lowered_dual():
     trace = run_pipeline(COMPLETE12)
     u = list(trace.certificate.u)
     u[0] -= 1
-    bad = replace(trace, certificate=replace(trace.certificate, u=tuple(u)))
+    bad = trace._replace(certificate=trace.certificate._replace(u=tuple(u)))
     problems = audit_pipeline(bad)
     assert problems[0].startswith("dual infeasible on edge (0, ")
     assert problems[0].endswith("short by 1")
@@ -321,7 +320,7 @@ def test_audit_reports_a_swapped_matched_pair():
     match_l = list(trace.certificate.match_l)
     assert match_l[:2] == [1, 0]
     match_l[0], match_l[1] = match_l[1], match_l[0]
-    bad = replace(trace, certificate=replace(trace.certificate, match_l=tuple(match_l)))
+    bad = trace._replace(certificate=trace.certificate._replace(match_l=tuple(match_l)))
     problems = audit_pipeline(bad)
     assert "left copy 0 matched to right copy 0: not a doubled edge" in problems
     assert "left copy 1 matched to right copy 1: not a doubled edge" in problems
@@ -331,7 +330,7 @@ def test_audit_reports_a_changed_cycle_weight():
     trace = run_pipeline(ONE_CYCLE14)
     cycle = trace.components.odd_cycles[0]
     assert cycle.weights[0] == 9 and cycle.w_C == 65
-    bad = _with_cycle(trace, replace(cycle, weights=(10,) + cycle.weights[1:]))
+    bad = _with_cycle(trace, cycle._replace(weights=(10,) + cycle.weights[1:]))
     problems = audit_pipeline(bad)
     assert "odd cycle 0: stored matching weights are not its own" in problems
     # the k = 5 matchings that hold edge 0 gain 1: they miss vertices 9, 5, 8, 13, 2
@@ -344,13 +343,13 @@ def test_audit_reports_a_raised_matching_weight():
     trace = run_pipeline(ONE_CYCLE14)
     (analysis,) = trace.analyses
     weights = (analysis.matching_weights[0] + 1,) + analysis.matching_weights[1:]
-    bad = replace(trace, analyses=(replace(analysis, matching_weights=weights),))
+    bad = trace._replace(analyses=(analysis._replace(matching_weights=weights),))
     assert audit_pipeline(bad) == ["odd cycle 0: stored matching weights are not its own"]
 
 
 def test_audit_reports_analyses_of_other_cycles():
     trace = run_pipeline(ONE_CYCLE14)
-    bad = replace(trace, components=replace(trace.components, odd_cycles=()))
+    bad = trace._replace(components=trace.components._replace(odd_cycles=()))
     assert audit_pipeline(bad) == ["the stored analyses are not of the stored odd cycles"]
 
 

@@ -1,4 +1,5 @@
-"""Peak Python memory of one dense solve, stage by stage.
+"""Peak Python memory of one dense solve, stage by stage, and of the
+parser's refusals.
 
 The instance has the shape of the benchmark's largest `dense` file:
 G(300, 1/2) from a fixed seed, 22,569 edges with weights in
@@ -29,8 +30,9 @@ from itertools import islice
 
 import pytest
 
+from matchcore import instances
 from matchcore.bipartite import double_graph
-from matchcore.errors import InstanceFormatError
+from matchcore.errors import BoundExceeded, InstanceFormatError
 from matchcore.instances import parse_instance
 from matchcore.mechanism import audit_pipeline, run_pipeline
 
@@ -82,6 +84,63 @@ def test_parse_stops_at_a_bad_edge():
     finally:
         tracemalloc.stop()
     assert str(err.value) == f"line 3: vertex id out of range in 'e 1 {n + 1} 1'"
+    assert peak < 2 << 20
+
+
+def _refusal_peak(error, text):
+    """The exception `parse_instance(text)` raises, and its tracemalloc peak."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(error) as err:
+            parse_instance(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return err.value, peak
+
+
+@pytest.mark.parametrize("header, counts", [
+    ("p mg 100000000 0", "100000000 vertices and 0 edges"),
+    ("p mg 10 4000001", "10 vertices and 4000001 edges"),
+])
+def test_parse_refuses_an_oversized_header(header, counts):
+    # refused before any edge is read or any n-length list is built
+    exc, peak = _refusal_peak(BoundExceeded, f"# big\n{header}\ne 1 2 3\n")
+    assert str(exc) == (f"line 2: header declares {counts}, above the bounds of "
+                        f"{instances.MAX_VERTICES} vertices and {instances.MAX_EDGES} edges")
+    assert peak < 1 << 20
+
+
+def _lines_after_header(header: str, count: int, bad_at: int | None = None) -> str:
+    n = 500
+    pairs = ((u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1))
+    lines = [f"e {u} {v} {u + v}" for u, v in islice(pairs, count)]
+    if bad_at is not None:
+        lines[bad_at] = f"e 1 {n + 1} 1"
+    return f"{header}\n" + "\n".join(lines) + "\n"
+
+
+def test_parse_stops_reading_past_the_edge_bound(monkeypatch):
+    # the header declares 0 edges; without the bound every one of the
+    # 100,000 lines is stored before the count is compared (19 MiB)
+    monkeypatch.setattr(instances, "MAX_EDGES", 1_000)
+    exc, peak = _refusal_peak(BoundExceeded, _lines_after_header("p mg 500 0", 100_000))
+    assert str(exc) == "line 1002: more than 1000 edge lines, above the bound"
+    assert peak < 2 << 20
+
+
+def test_parse_edge_bound_is_inclusive(monkeypatch):
+    monkeypatch.setattr(instances, "MAX_EDGES", 1_000)
+    assert parse_instance(_lines_after_header("p mg 500 1000", 1_000)).edge_count == 1_000
+    with pytest.raises(BoundExceeded):
+        parse_instance(_lines_after_header("p mg 500 1000", 1_001))
+
+
+def test_parse_reports_a_bad_edge_before_the_edge_bound(monkeypatch):
+    monkeypatch.setattr(instances, "MAX_EDGES", 1_000)
+    exc, peak = _refusal_peak(
+        InstanceFormatError, _lines_after_header("p mg 500 0", 100_000, bad_at=600))
+    assert str(exc) == "line 602: vertex id out of range in 'e 1 501 1'"
     assert peak < 2 << 20
 
 

@@ -66,6 +66,26 @@ def test_worth_bound_refusal():
     assert worth_bruteforce(g, max_edges=66) == coalition_worth_table(g, max_n=12)[-1]
 
 
+@pytest.mark.parametrize("whole", [True, False])
+def test_worth_refusal_builds_no_edge_list(whole):
+    n = 250
+    g = GameInstance(n, tuple((u, v, (u * v) % 7) for u in range(n)
+                              for v in range(u + 1, n) if (u + v) % 3))  # 20,750 edges
+    positive = sum(1 for e in g.edges if e[2])
+    assert g.edge_count >= 20_000 and positive < g.edge_count
+    coalition = None if whole else range(n)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BoundExceeded) as err:
+            worth_bruteforce(g, coalition)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(err.value) == (f"coalition has {positive} weighted edges, above the "
+                              "bound 24; raise max_edges to force the enumeration")
+    assert peak < 32 << 10  # a list of the 15,194 positive edges alone takes 134 KiB
+
+
 def test_worth_ignores_zero_edges():
     g = gen_gap_family(3, connected=True)  # 18 unit edges + 15 zero edges
     assert worth_bruteforce(g) == 6

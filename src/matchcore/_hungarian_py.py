@@ -83,7 +83,8 @@ def solve_max_weight_bipartite(
         # stage by dropping that vertex out of the matching.
         null_min = u[s]
         null_arg = s
-        tq: list[int] = []  # right vertices whose slack reached 0
+        tq: list[int] = []  # right vertices whose slack reached 0, each queued once;
+        # duals move only on an empty queue, so a popped one is tight, not in the tree
         tqh = 0
         us = u[s]
         for t in range(h0, h1):
@@ -100,8 +101,6 @@ def solve_max_weight_bipartite(
             while tqh < len(tq):
                 j = tq[tqh]
                 tqh += 1
-                if in_tree_r[j] or slack[j] != 0:
-                    continue
                 if match_r[j] == -1:
                     end_right = j  # free right vertex reached: augment
                     break

@@ -134,8 +134,8 @@ def check_certificate(g: GameInstance, cert: PrimalDualCertificate) -> list[str]
     - dual feasibility: duals are nonnegative and cover every edge;
     - tightness of every matched edge (zero reduced cost);
     - zero dual on every unmatched vertex;
-    - strong duality: total matched weight equals the dual total
-      (implied by the above, asserted separately as a cross-check).
+    - strong duality (matched weight = dual total), implied by the above
+      term by term: the distinct, tight matched copies hold every nonzero dual.
 
     Violations are returned as data, one message per offence.
     """
@@ -146,7 +146,6 @@ def check_certificate(g: GameInstance, cert: PrimalDualCertificate) -> list[str]
 
     # Each matched pair is an edge copy at most once, in a simple graph.
     is_edge = [False] * n  # is_edge[i]: (i', match_l[i]'') is a doubled edge
-    matched_weight = 0
     problems = []
     for (i, j, w) in g.edges:
         for (a, b) in ((i, j), (j, i)):
@@ -156,7 +155,6 @@ def check_certificate(g: GameInstance, cert: PrimalDualCertificate) -> list[str]
                     f"dual infeasible on edge ({a}, {n + b}): short by {-reduced}")
             if match_l[a] == b:
                 is_edge[a] = True
-                matched_weight += w
                 if reduced > 0:
                     problems.append(
                         f"matched edge ({a}, {n + b}) is not tight: slack {reduced}")
@@ -179,9 +177,4 @@ def check_certificate(g: GameInstance, cert: PrimalDualCertificate) -> list[str]
             if duals[x] > 0 and not matched[x]:
                 problems.append(
                     f"unmatched vertex {offset + x} has positive dual {duals[x]}")
-
-    if not problems and matched_weight != cert.total_dual():
-        problems.append(
-            f"strong duality broken: weight {matched_weight} != "
-            f"dual total {cert.total_dual()}")
     return problems

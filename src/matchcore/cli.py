@@ -26,7 +26,7 @@ from .errors import BoundExceeded, InstanceFormatError, InvariantViolation
 from .instances import gen_gap_family, gen_odd_cycle, gen_random, load_instance, serialize_instance
 from .mechanism import audit_pipeline, run_pipeline
 from .rationals import parse_fraction
-from .verify import check_core, integrality_gap
+from .verify import DEFAULT_MAX_EDGES, check_core, integrality_gap
 
 
 def _err(msg: str) -> None:
@@ -71,8 +71,7 @@ def _cmd_verify(args) -> int:
     values = [parse_fraction(x if isinstance(x, str) else str(x))
               for x in data["values"]]
     alpha = parse_fraction(args.alpha)
-    report = check_core(g, values, alpha, mode=args.mode,
-                        max_n=args.max_n, max_edges=args.max_edges)
+    report = check_core(g, values, alpha, mode=args.mode)
     print(json.dumps(report.to_json_dict()))
     return 0 if report.ok() else 1
 
@@ -126,10 +125,6 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="required fraction of each coalition's worth")
     p_verify.add_argument("--mode", choices=("edges", "exhaustive"),
                           default="exhaustive")
-    p_verify.add_argument("--max-n", type=int, default=20, dest="max_n",
-                          help="vertex bound for exhaustive enumeration")
-    p_verify.add_argument("--max-edges", type=int, default=24, dest="max_edges",
-                          help="edge bound for the grand-worth brute force")
     p_verify.set_defaults(func=_cmd_verify)
 
     p_gen = sub.add_parser("gen", help="generate an instance file")
@@ -153,7 +148,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_gap = sub.add_parser("gap", help="integrality gap and core emptiness")
     p_gap.add_argument("instance")
-    p_gap.add_argument("--brute-max-edges", type=int, default=24,
+    p_gap.add_argument("--brute-max-edges", type=int, default=DEFAULT_MAX_EDGES,
                        dest="brute_max_edges",
                        help="edge bound for the integral brute force")
     p_gap.set_defaults(func=_cmd_gap)

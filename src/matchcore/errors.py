@@ -30,8 +30,8 @@ class InvariantViolation(MatchcoreError):
 class BoundExceeded(MatchcoreError):
     """An input or an exhaustive oracle's task is past its size bound.
 
-    `parse_instance` refuses an instance past `instances.MAX_VERTICES`
-    or `instances.MAX_EDGES` before building it. The brute-force
-    oracles are exponential by design and never silently approximate;
-    callers either raise the bound or accept the refusal.
+    `parse_instance` and the generators refuse an instance past
+    `instances.MAX_VERTICES` or `instances.MAX_EDGES` before building
+    it. The exhaustive oracles are exponential by design and refuse
+    past their bounds rather than silently approximate.
     """

@@ -154,8 +154,8 @@ def decompose_components(g: GameInstance,
     result is deterministic. A run or an even cycle becomes its first
     alternating matching in walk order; an odd cycle is reported in that
     canonical cyclic order and checked against the exact identity
-    w_C = 2 v_C. The cover is not touched and the matching weight is
-    checked to be unchanged, so weight(x) = sum(v) still holds.
+    w_C = 2 v_C. The cover is not touched and the matching weight stays
+    unchanged, since each run's two matchings weigh the same.
     """
     x2 = list(s.x2)
     half = _half_adjacency(g, x2)
@@ -184,18 +184,13 @@ def decompose_components(g: GameInstance,
         weights = tuple(g.edges[e][2] for e in run)
         cycles.append(OddCycle(tuple(verts), len(run) // 2, weights, sum(weights)))
 
-    if sum(w * (x - was) for (_, _, w), x, was in zip(g.edges, x2, s.x2)):
-        raise InvariantViolation("normalization changed the matching weight")
     integral = tuple(e for e, val in enumerate(x2) if val == 2)
 
     used = set()
     for cyc in cycles:
         if cyc.w_C != sum(s.v2[i] for i in cyc.vertices):
             raise InvariantViolation(f"cycle weight {cyc.w_C} != twice its cover")
-        for i in cyc.vertices:
-            if i in used:
-                raise InvariantViolation(f"vertex {i} on two components")
-            used.add(i)
+        used.update(cyc.vertices)  # the walker puts a vertex on one cycle at most
     for e in integral:
         for i in g.edges[e][:2]:
             if i in used:

@@ -33,10 +33,19 @@ from .errors import BoundExceeded, InstanceFormatError
 
 Edge = tuple[int, int, int]
 
-# The largest instance `parse_instance` accepts; past either bound it
-# raises BoundExceeded, having read at most MAX_EDGES + 1 edges.
+# The largest instance `parse_instance` accepts and the generators
+# build; past either bound they raise BoundExceeded, having read or
+# drawn at most MAX_EDGES + 1 edges.
 MAX_VERTICES = 1_000_000
 MAX_EDGES = 4_000_000
+
+
+def _check_bounds(what: str, n: int, m: int) -> None:
+    """Refuse `n` vertices and `m` edges past MAX_VERTICES or MAX_EDGES."""
+    if n > MAX_VERTICES or m > MAX_EDGES:
+        raise BoundExceeded(
+            f"{what} {n} vertices and {m} edges, above the bounds of "
+            f"{MAX_VERTICES} vertices and {MAX_EDGES} edges")
 
 
 def _plain_digits(line: str) -> bool:
@@ -150,7 +159,7 @@ class GameInstance:
         return len(self.edges)
 
 
-def parse_instance(text: str, name: str | None = None) -> GameInstance:
+def parse_instance(text: str) -> GameInstance:
     """Parse the line-oriented instance format into a validated instance.
 
     Every rejection names the offending 1-based line, numbered as
@@ -170,12 +179,9 @@ def parse_instance(text: str, name: str | None = None) -> GameInstance:
     """
     records = _records(text)
     n, m, header_line = next(records)
-    if n > MAX_VERTICES or m > MAX_EDGES:
-        raise BoundExceeded(
-            f"line {header_line}: header declares {n} vertices and {m} edges, above "
-            f"the bounds of {MAX_VERTICES} vertices and {MAX_EDGES} edges")
+    _check_bounds(f"line {header_line}: header declares", n, m)
     try:
-        g = GameInstance(n, islice(records, MAX_EDGES + 1), name=name)
+        g = GameInstance(n, islice(records, MAX_EDGES + 1))
     except _BadEdge as bad:
         u, v, w = bad.edge
         lineno, line = _edge_line(text, bad.index)
@@ -310,6 +316,9 @@ def gen_gap_family(n: int, connected: bool = False) -> GameInstance:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    name = f"gap_{n}c" if connected else f"gap_{n}"
+    clique = n * (2 * n - 1) if connected else 0  # pairs of the 2n anchors
+    _check_bounds(f"{name} has", 6 * n, 6 * n + clique)
     edges: list[Edge] = []
     for t in range(2 * n):
         a, b, c = 3 * t, 3 * t + 1, 3 * t + 2
@@ -319,8 +328,7 @@ def gen_gap_family(n: int, connected: bool = False) -> GameInstance:
         for i in range(len(anchors)):
             for j in range(i + 1, len(anchors)):
                 edges.append((anchors[i], anchors[j], 0))
-    suffix = "c" if connected else ""
-    return GameInstance(6 * n, tuple(edges), name=f"gap_{n}{suffix}")
+    return GameInstance(6 * n, tuple(edges), name=name)
 
 
 def gen_odd_cycle(k: int, weight: int = 1) -> GameInstance:
@@ -330,8 +338,10 @@ def gen_odd_cycle(k: int, weight: int = 1) -> GameInstance:
     if weight < 0:
         raise ValueError("weight must be nonnegative")
     length = 2 * k + 1
+    name = f"cycle_{length}_w{weight}"
+    _check_bounds(f"{name} has", length, length)
     edges = tuple((i, (i + 1) % length, weight) for i in range(length))
-    return GameInstance(length, edges, name=f"cycle_{length}_w{weight}")
+    return GameInstance(length, edges, name=name)
 
 
 def gen_random(n: int, edge_probability: Fraction, max_weight: int,
@@ -343,7 +353,9 @@ def gen_random(n: int, edge_probability: Fraction, max_weight: int,
     draw; a float or a `bool` is rejected);
     included edges get a uniform weight in 1..max_weight. With
     `bipartite=True` the first ceil(n/2) vertices form one side and only
-    cross pairs are candidates.
+    cross pairs are candidates. Past `MAX_VERTICES` vertices, or once
+    more than `MAX_EDGES` edges are drawn, it raises BoundExceeded; below
+    the bounds it still draws for every one of the O(n^2) pairs.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -354,6 +366,9 @@ def gen_random(n: int, edge_probability: Fraction, max_weight: int,
         raise ValueError("edge_probability must be in [0, 1]")
     if max_weight < 1:
         raise ValueError("max_weight must be >= 1")
+    name = f"{'bip' if bipartite else 'rnd'}_{n}_s{seed}"
+    if n > MAX_VERTICES:
+        raise BoundExceeded(f"{name} has {n} vertices, above the bound of {MAX_VERTICES}")
     rng = random.Random(seed)
     left = (n + 1) // 2
 
@@ -371,5 +386,7 @@ def gen_random(n: int, edge_probability: Fraction, max_weight: int,
     for (u, v) in candidates():
         if rng.randrange(p.denominator) < p.numerator:
             edges.append((u, v, rng.randint(1, max_weight)))
-    kind = "bip" if bipartite else "rnd"
-    return GameInstance(n, tuple(edges), name=f"{kind}_{n}_s{seed}")
+            if len(edges) > MAX_EDGES:
+                raise BoundExceeded(
+                    f"{name} drew more than {MAX_EDGES} edges, above the bound")
+    return GameInstance(n, tuple(edges), name=name)

@@ -6,7 +6,7 @@ matching enumeration, core membership by checking every subset of
 agents, the relaxation gap by comparing the integral and fractional
 optima, and the structural factor guarantee from the shortest odd
 cycle. Exponential enumeration is bounded and refuses to run past its
-configured size rather than silently approximating. Every comparison
+size bound rather than silently approximating. Every comparison
 is an exact integer one: `check_core` reads the imputation as
 numerators over the lcm of its denominators and cross-multiplies, and
 builds `Fraction`s only for the report.
@@ -203,8 +203,7 @@ def _max_matching_recursive(edges: list[tuple[int, int, int]]) -> int:
     return best
 
 
-def coalition_worth_table(g: GameInstance,
-                          max_n: int = DEFAULT_MAX_VERTICES) -> list[int]:
+def coalition_worth_table(g: GameInstance) -> list[int]:
     """Worth of every coalition, indexed by vertex bitmask.
 
     Subset dynamic programming, O(2^n * degree): independent of the
@@ -215,7 +214,7 @@ def coalition_worth_table(g: GameInstance,
     without its top vertex and streams that vertex's block.
     """
     n = g.vertex_count
-    _check_size(n, max_n)
+    _check_size(n)
     lower: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for (u, v, w) in g.edges:  # normalized: u < v
         lower[v].append((u, w))
@@ -237,10 +236,10 @@ _SLICE_BITS = 12
 _SLICE = 1 << _SLICE_BITS
 
 
-def _check_size(n: int, max_n: int) -> None:
-    if n > max_n:
+def _check_size(n: int) -> None:
+    if n > DEFAULT_MAX_VERTICES:
         raise BoundExceeded(
-            f"{n} vertices need a 2^{n} table, above the bound {max_n}")
+            f"{n} vertices need a 2^{n} table, above the bound {DEFAULT_MAX_VERTICES}")
 
 
 def _block_slice(low: list[int], neighbours: list[tuple[int, int]],
@@ -278,7 +277,7 @@ def _block_slice(low: list[int], neighbours: list[tuple[int, int]],
     return out
 
 
-def _worth_slices(g: GameInstance, max_n: int) -> tuple[Iterable[list[int]], int]:
+def _worth_slices(g: GameInstance) -> tuple[Iterable[list[int]], int]:
     """Every coalition's worth, in mask order, as a list per slice, and
     the grand coalition's worth.
 
@@ -290,8 +289,7 @@ def _worth_slices(g: GameInstance, max_n: int) -> tuple[Iterable[list[int]], int
     if n == 0:
         return [[0]], 0
     top = n - 1
-    low = coalition_worth_table(
-        GameInstance(top, tuple(e for e in g.edges if e[1] < top)), max_n=max_n)
+    low = coalition_worth_table(GameInstance(top, tuple(e for e in g.edges if e[1] < top)))
     neighbours = [(u, w) for (u, v, w) in g.edges if v == top]
     size = min(len(low), _SLICE)
     tops = (_block_slice(low, neighbours, start, size)
@@ -324,17 +322,17 @@ def _mask_members(mask: int) -> tuple[int, ...]:
 
 
 def check_core(g: GameInstance, c: Sequence[Fraction], alpha: Fraction,
-               mode: str = "exhaustive", max_n: int = DEFAULT_MAX_VERTICES,
-               max_edges: int = DEFAULT_MAX_EDGES) -> CoalitionReport:
+               mode: str = "exhaustive") -> CoalitionReport:
     """Check an imputation against every coalition at level alpha.
 
     In exhaustive mode all 2^n coalitions are enumerated with exact
-    worths from the subset table. In edges mode only two-agent
-    coalitions along edges are checked, which is sufficient for
-    validity (any coalition's matching decomposes into such pairs) but
-    is reported as the weaker check it is; the grand worth may then be
-    unknown if the instance is past brute-force reach. Entries and
-    `alpha` must be `int`s or `Fraction`s (not floats or `bool`s).
+    worths from the subset table, up to `DEFAULT_MAX_VERTICES` vertices.
+    In edges mode only two-agent coalitions along edges are checked,
+    which is sufficient for validity (any coalition's matching
+    decomposes into such pairs) but is reported as the weaker check it
+    is; the grand worth is unknown past `DEFAULT_MAX_EDGES` positive
+    edges. Entries and `alpha` must be `int`s or `Fraction`s (not
+    floats or `bool`s).
 
     Both modes compare in integers: the imputation becomes numerators
     `ci` over one scale L, the lcm of its denominators, and with
@@ -358,8 +356,8 @@ def check_core(g: GameInstance, c: Sequence[Fraction], alpha: Fraction,
     total = sum(ci)
 
     if mode == "exhaustive":
-        _check_size(n, max_n)
-        worths, grand = _worth_slices(g, max_n)
+        _check_size(n)
+        worths, grand = _worth_slices(g)
         found = _compare(zip(range(1 << n), chain.from_iterable(_allocation_slices(ci)),
                              chain.from_iterable(worths)),
                          _mask_members, alpha, scale)
@@ -368,10 +366,10 @@ def check_core(g: GameInstance, c: Sequence[Fraction], alpha: Fraction,
         found = _compare((((i, j), ci[i] + ci[j], w) for (i, j, w) in g.edges),
                          tuple, alpha, scale)
         checked = g.edge_count
-        try:
-            grand = worth_bruteforce(g, max_edges=max_edges)
-        except BoundExceeded:
-            grand = None
+        # the brute force's refusal, decided without counting every edge
+        fits = sum(1 for _ in islice(filter(itemgetter(2), g.edges),
+                                     DEFAULT_MAX_EDGES + 1)) <= DEFAULT_MAX_EDGES
+        grand = worth_bruteforce(g) if fits else None
     else:
         raise ValueError(f"unknown mode: {mode!r}")
     violations, tight, worst = found

@@ -85,26 +85,6 @@ def doubled_edges(edges: list[tuple[int, int, int]]) -> list[tuple[int, int, int
     return out
 
 
-def all_matchings(edges: list[tuple[int, int, int]]):
-    """Yield every matching (as a tuple of edge indices); m <= ~16."""
-    m = len(edges)
-    for bits in range(1 << m):
-        used = set()
-        ok = True
-        picked = []
-        for e in range(m):
-            if bits >> e & 1:
-                u, v, _ = edges[e]
-                if u in used or v in used:
-                    ok = False
-                    break
-                used.add(u)
-                used.add(v)
-                picked.append(e)
-        if ok:
-            yield tuple(picked)
-
-
 def alternating_matching(vertices, j: int) -> tuple[tuple[int, int], ...]:
     """M_j of an odd cycle walked as `vertices`: every other edge after
     vertices[j], the k edges left when vertices[j] is deleted."""

@@ -233,7 +233,7 @@ def test_c08_oracle_equivalence():
             dp = bipartite_max_weight_dp(n, n, doubled_edges(g.edges))
             assert trace.result.worth_fractional == Fraction(dp, 2)
             recursive = worth_bruteforce(g, max_edges=max(24, g.edge_count))
-            assert recursive == coalition_worth_table(g, max_n=12)[-1]
+            assert recursive == coalition_worth_table(g)[-1]
             checked += 1
     print(f"\n[acceptance 08] PASS oracle equivalence on {checked} instances "
           f"<= 12 vertices: fractional optimum and grand worth both confirmed")

@@ -14,6 +14,7 @@ from matchcore.bipartite import (
     double_graph,
     solve_bipartite,
 )
+from matchcore.errors import InvariantViolation
 from matchcore.instances import (
     GameInstance,
     gen_gap_family,
@@ -177,6 +178,20 @@ def test_certificate_unmatched_positive_dual_detected():
     assert any("positive dual" in m for m in msgs)
 
 
+def test_solve_rejects_a_broken_kernel_certificate(monkeypatch):
+    kernel = _hungarian_py.solve_max_weight_bipartite
+
+    def lowered_dual(*args):
+        match_l, match_r, u, v = kernel(*args)
+        u[0] -= 1
+        return match_l, match_r, u, v
+
+    monkeypatch.setattr(_hungarian_py, "solve_max_weight_bipartite", lowered_dual)
+    with pytest.raises(InvariantViolation,
+                       match=r"^solver produced an invalid certificate: dual infeasible"):
+        solve_bipartite(double_graph(EDGE5))
+
+
 def test_certificate_non_matching_detected():
     # two left copies on one right copy: 0' and 1' both on 2'' (id 5)
     d = double_graph(K3)
@@ -193,6 +208,7 @@ def test_certificate_non_matching_detected():
     ((-1, -1), (0, 1, 0), (0, 0, 0), "have 2, 3, 3 entries, not 3"),
     ((-1, -1, -1), (0, 1), (0, 0, 0), "have 3, 2, 3 entries"),
     ((-1, -1, -1), (0, 1, 0), (0, 0, 0, 0), "have 3, 3, 4 entries"),
+    ((-1, -1, -1), (0, 1, 0), (0, 0, -1), "negative dual at vertex 5"),
 ])
 def test_certificate_rejects_malformed_arrays(match_l, u, v, expected):
     msgs = check_certificate(PATH3, PrimalDualCertificate(match_l, u, v))

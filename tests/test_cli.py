@@ -1,11 +1,17 @@
 """Command-line behavior: outputs, exit codes, pipe discipline."""
 
 import json
+import runpy
+import sys
+import warnings
 from fractions import Fraction
 
 import pytest
 
+from matchcore import _hungarian_py, cli
 from matchcore.cli import main
+from matchcore.instances import parse_instance
+from matchcore.mechanism import audit_pipeline, run_pipeline
 
 K3_TEXT = "p mg 3 3\ne 1 2 1\ne 2 3 1\ne 1 3 1\n"
 
@@ -41,6 +47,48 @@ def test_solve_k3_check_and_table(capsys, k3_path):
     assert code == 0
     assert "payout" in out
     assert "factor guarantee 2/3" in out
+
+
+def test_solve_check_reports_each_audit_problem(capsys, k3_path, monkeypatch):
+    def tampered(g):
+        trace = run_pipeline(g)
+        c = (Fraction(1, 3), Fraction(1, 3), Fraction(1, 4))
+        return trace._replace(result=trace.result._replace(c=c))
+
+    monkeypatch.setattr(cli, "run_pipeline", tampered)
+    code, out, err = run(capsys, "solve", k3_path, "--check", "--json")
+    problems = audit_pipeline(tampered(parse_instance(K3_TEXT)))
+    assert len(problems) == 6
+    assert code == 1 and out == ""
+    assert err.splitlines() == [f"check failed: {p}" for p in problems]
+
+
+def test_solve_broken_kernel_exits_1(capsys, tmp_path, monkeypatch):
+    kernel = _hungarian_py.solve_max_weight_bipartite
+
+    def lowered_dual(*args):
+        match_l, match_r, u, v = kernel(*args)
+        u[0] -= 1
+        return match_l, match_r, u, v
+
+    monkeypatch.setattr(_hungarian_py, "solve_max_weight_bipartite", lowered_dual)
+    inst = tmp_path / "e.mg"
+    inst.write_text("p mg 2 1\ne 1 2 5\n")
+    code, out, err = run(capsys, "solve", str(inst))
+    assert code == 1 and out == ""
+    assert err == ("internal invariant failed: solver produced an invalid certificate: "
+                   "dual infeasible on edge (0, 3): short by 1\n")
+
+
+def test_module_runs_as_a_script(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["matchcore", "gen", "cycle", "--k", "1"])
+    with warnings.catch_warnings():
+        # runpy warns that matchcore.cli is already imported
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(SystemExit) as exc:
+            runpy.run_module("matchcore.cli", run_name="__main__")
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == "# cycle_3_w1\np mg 3 3\ne 1 2 1\ne 2 3 1\ne 1 3 1\n"
 
 
 def test_solve_single_edge(capsys, tmp_path):
@@ -110,7 +158,7 @@ def test_verify_bound_exit_3(capsys, tmp_path):
     imp = tmp_path / "imp.json"
     imp.write_text(json.dumps({"values": ["0"] * 30}))
     code, _, err = run(capsys, "verify", str(inst), str(imp),
-                       "--mode", "exhaustive", "--max-n", "20")
+                       "--mode", "exhaustive")
     assert code == 3
     assert "refused" in err
 
@@ -248,6 +296,15 @@ def test_gap_flag_lifts_bound(capsys, tmp_path):
     assert report["opt_integral"] == "10"
     assert report["opt_fractional"] == "15"
     assert report["ratio"] == "2/3"
+
+
+@pytest.mark.parametrize("flag", ["--max-n", "--max-edges"])
+def test_verify_has_no_bound_flags(capsys, k3_path, tmp_path, flag):
+    imp = tmp_path / "imp.json"
+    imp.write_text(json.dumps({"values": ["1/3"] * 3}))
+    code, out, err = run(capsys, "verify", k3_path, str(imp), flag, "20")
+    assert code == 2 and out == ""
+    assert f"unrecognized arguments: {flag} 20" in err
 
 
 def test_usage_error_exit_2(capsys):

@@ -62,6 +62,11 @@ def test_parse_reversed_duplicate_detected():
     ("", 1, "missing header"),
     ("p mg 2 2\ne 1 2 1\n", 1, "declares 2 edges"),
     ("p mg 2 0\ne 1 2 1\n", 2, "more edge lines"),
+    # each token passes the ASCII, no "+" and no "_" test, but "-" is no number
+    ("p mg 2 1\ne 1 - 3\n", 2, "malformed edge line: 'e 1 - 3'"),
+    ("p mg - 3\n", 1, "malformed header: 'p mg - 3'"),
+    ("p mg 2 0\np mg 2 0\n", 2, "duplicate header"),
+    ("p mg -1 0\n", 1, "negative count in header"),
 ])
 def test_parse_errors(text, line, fragment):
     with pytest.raises(InstanceFormatError) as err:
@@ -273,6 +278,14 @@ def test_instance_validation():
         GameInstance(2, ((0, 1, -1),))
     with pytest.raises(ValueError):
         GameInstance(2, ((0, 2, 1),))
+    with pytest.raises(ValueError, match="vertex_count must be nonnegative"):
+        GameInstance(-1, ())
+
+
+def test_instance_equality_with_other_types():
+    g = GameInstance(1, ())
+    assert g.__eq__((1, ())) is NotImplemented
+    assert g != (1, ()) and g != "g"
 
 
 @pytest.mark.parametrize("n,edges", [
@@ -308,6 +321,17 @@ def test_gap_family_connected_adds_zero_clique():
 def test_gap_family_rejects_zero():
     with pytest.raises(ValueError):
         gen_gap_family(0)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: gen_odd_cycle(0), "k must be >= 1"),
+    (lambda: gen_odd_cycle(1, weight=-1), "weight must be nonnegative"),
+    (lambda: gen_random(-1, Fraction(1, 2), 5, seed=1), "n must be nonnegative"),
+    (lambda: gen_random(3, Fraction(1, 2), 0, seed=1), "max_weight must be >= 1"),
+])
+def test_generators_reject_bad_arguments(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
 
 
 def test_odd_cycle_shapes():

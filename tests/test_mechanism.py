@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from matchcore import mechanism
 from matchcore.errors import InvariantViolation
 from matchcore.halfint import OddCycle
 from matchcore.instances import GameInstance, gen_gap_family, gen_odd_cycle, gen_random, parse_instance
@@ -303,6 +304,39 @@ def test_audit_reports_an_over_matched_vertex():
     problems = audit_pipeline(bad)
     assert "vertex 0 is over-matched after folding" in problems
     assert "strong duality lost in fold: 2*weight 4 != 2*cover 3" in problems
+
+
+def test_audit_reports_a_lowered_cover():
+    trace = run_pipeline(EDGE5)
+    assert trace.folded.v2 == (5, 5)
+    bad = trace._replace(folded=trace.folded._replace(v2=(4, 5)))
+    problems = audit_pipeline(bad)
+    assert "folded cover violates edge (0, 1): 4+5 < 2*5" in problems
+    assert "strong duality lost in fold: 2*weight 10 != 2*cover 9" in problems
+
+
+PATH3 = parse_instance("p mg 3 2\ne 1 2 1\ne 2 3 1\n")
+
+
+@pytest.mark.parametrize("matching, expected", [
+    (((0, 1), (1, 2)), "output edges are not a matching at (1, 2)"),
+    (((0, 2),), "output edge (0, 2) not in the instance"),
+])
+def test_audit_reports_output_edges_that_do_not_fit(matching, expected):
+    trace = run_pipeline(PATH3)
+    bad = trace._replace(result=trace.result._replace(matching=matching))
+    assert expected in audit_pipeline(bad)
+
+
+def test_run_pipeline_raises_on_a_payout_problem(monkeypatch):
+    def heavier(cycle, v2):
+        analysis = analyze_cycle(cycle, v2)
+        return analysis._replace(heaviest=analysis.heaviest._replace(weight=2))
+
+    monkeypatch.setattr(mechanism, "analyze_cycle", heavier)
+    with pytest.raises(InvariantViolation,
+                       match=r"^matching weight 2 != output edges' total 1$"):
+        run_pipeline(K3)
 
 
 def test_audit_reports_a_lowered_dual():

@@ -1,5 +1,5 @@
 """Peak Python memory of one dense solve, stage by stage, and of the
-parser's refusals.
+parser's and the generators' refusals.
 
 The instance has the shape of the benchmark's largest `dense` file:
 G(300, 1/2) from a fixed seed, 22,569 edges with weights in
@@ -32,8 +32,9 @@ import pytest
 
 from matchcore import instances
 from matchcore.bipartite import double_graph
+from matchcore.cli import main
 from matchcore.errors import BoundExceeded, InstanceFormatError
-from matchcore.instances import parse_instance
+from matchcore.instances import gen_gap_family, gen_random, parse_instance
 from matchcore.mechanism import audit_pipeline, run_pipeline
 
 
@@ -142,6 +143,42 @@ def test_parse_reports_a_bad_edge_before_the_edge_bound(monkeypatch):
         InstanceFormatError, _lines_after_header("p mg 500 0", 100_000, bad_at=600))
     assert str(exc) == "line 602: vertex id out of range in 'e 1 501 1'"
     assert peak < 2 << 20
+
+
+@pytest.mark.parametrize("argv, refusal", [
+    (["gen", "random", "--n", "2000000"],
+     "rnd_2000000_s0 has 2000000 vertices, above the bound of 1000000"),
+    (["gen", "gap", "--n", "1000000", "--connected"],
+     "gap_1000000c has 6000000 vertices and 2000005000000 edges, above the bounds "
+     "of 1000000 vertices and 4000000 edges"),
+    (["gen", "cycle", "--k", "600000"],
+     "cycle_1200001_w1 has 1200001 vertices and 1200001 edges, above the bounds "
+     "of 1000000 vertices and 4000000 edges"),
+])
+def test_gen_refuses_past_the_bounds(capsys, argv, refusal):
+    # refused before a vertex pair is drawn or an edge list is built
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    assert capsys.readouterr().err == f"refused: {refusal}\n"
+    assert peak < 1 << 20
+
+
+def test_generator_edge_bounds_are_inclusive(monkeypatch):
+    monkeypatch.setattr(instances, "MAX_EDGES", 15)
+    assert gen_random(6, 1, 5, seed=1).edge_count == 15
+    monkeypatch.setattr(instances, "MAX_EDGES", 14)
+    with pytest.raises(BoundExceeded, match="^rnd_6_s1 drew more than 14 edges, above the bound$"):
+        gen_random(6, 1, 5, seed=1)
+    monkeypatch.setattr(instances, "MAX_EDGES", 18)
+    assert gen_gap_family(2, connected=True).edge_count == 18
+    monkeypatch.setattr(instances, "MAX_EDGES", 17)
+    with pytest.raises(BoundExceeded, match="^gap_2c has 12 vertices and 18 edges"):
+        gen_gap_family(2, connected=True)
 
 
 def test_double_graph_builds_only_its_csr(dense):

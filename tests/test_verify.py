@@ -6,7 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from matchcore.errors import BoundExceeded
+from matchcore import verify
+from matchcore.errors import BoundExceeded, InvariantViolation
 from matchcore.instances import (
     GameInstance,
     gen_gap_family,
@@ -63,7 +64,7 @@ def test_worth_bound_refusal():
     g = gen_random(12, Fraction(1), 3, seed=1)  # 66 edges
     with pytest.raises(BoundExceeded):
         worth_bruteforce(g)
-    assert worth_bruteforce(g, max_edges=66) == coalition_worth_table(g, max_n=12)[-1]
+    assert worth_bruteforce(g, max_edges=66) == coalition_worth_table(g)[-1]
 
 
 @pytest.mark.parametrize("whole", [True, False])
@@ -260,6 +261,20 @@ def test_check_core_edges_mode_unknown_budget():
     assert report.ok()
 
 
+@pytest.mark.parametrize("positive, known", [(24, True), (25, False)])
+def test_check_core_edges_mode_grand_worth_bound(positive, known):
+    # zero-weight edges do not count toward the brute force's bound
+    pairs = [(u, v) for u in range(10) for v in range(u + 1, 10)]
+    g = GameInstance(10, tuple((u, v, 1 + t % 3 if t < positive else 0)
+                               for t, (u, v) in enumerate(pairs)))
+    report = check_core(g, (Fraction(1),) * 10, Fraction(2, 3), mode="edges")
+    if known:
+        assert report.grand_worth == worth_bruteforce(g)
+        assert report.budget_ok is (10 <= report.grand_worth)
+    else:
+        assert report.grand_worth is None and report.budget_ok is None
+
+
 def test_check_core_bound_refusal():
     g = gen_random(21, Fraction(1, 10), 2, seed=0)
     with pytest.raises(BoundExceeded):
@@ -327,6 +342,13 @@ def test_gap_unknown_when_refused():
     assert report.core_nonempty is None
     assert report.opt_fractional > 0
     assert report.to_json_dict()["core_nonempty"] == "unknown"
+
+
+def test_gap_rejects_optima_out_of_order(monkeypatch):
+    monkeypatch.setattr(verify, "worth_bruteforce", lambda g, max_edges: 2)
+    with pytest.raises(InvariantViolation,
+                       match=r"^optima out of order: integral 2, fractional 3/2$"):
+        integrality_gap(K3)
 
 
 def test_gap_empty_instance():

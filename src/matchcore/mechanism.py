@@ -26,17 +26,16 @@ two-step recurrence, and only the heaviest matching is built edge by
 edge, so a cycle of length L costs O(L).
 
 Every identity is asserted exactly on every run, each by one checker
-that returns its problems as a list, as `check_certificate` does for
-the kernel: `check_fold`, `check_cycle` per odd cycle and
-`check_payout`. A live run raises InvariantViolation on a checker's
-first problem: the upstream solution was not optimal.
-`audit_pipeline` runs the same checkers on a finished trace, so it
-re-checks all a live run checks, the fold's degree bound, every cycle
-identity and the factor bound included. The checks compare integers
-only: the doubled cover v2, each factor as the pair (2k, 2k+1) read
-off the cycle lengths, and the payouts as numerators over one scale.
-`Fraction`s are built only for the result, the factors one per
-distinct cycle length.
+that returns its problems as a list: `check_certificate` for the
+kernel (it also certifies the fold, see `fold_solution`), `check_cycle`
+per odd cycle and `check_payout`. A live run raises InvariantViolation
+on a checker's first problem: the upstream solution was not optimal.
+`audit_pipeline` runs the same checkers on a finished trace, on the
+fold of its stored certificate, so it re-checks all a live run checks.
+The checks compare integers only: the doubled cover v2, each factor as
+the pair (2k, 2k+1) read off the cycle lengths, and the payouts as
+numerators over one scale. `Fraction`s are built only for the result,
+the factors one per distinct cycle length.
 """
 
 from __future__ import annotations
@@ -45,13 +44,13 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
+from . import halfint
 from .bipartite import PrimalDualCertificate, check_certificate, double_graph, solve_bipartite
 from .errors import InvariantViolation
 from .halfint import (
     FractionalComponents,
     HalfIntegralSolution,
     OddCycle,
-    check_fold,
     decompose_components,
     fold_solution,
 )
@@ -162,8 +161,8 @@ def check_cycle(cycle: OddCycle, matching_weights, v2) -> list[str]:
     """Check one odd cycle's identities in integers; [] means all hold.
 
     Via v2 = 2v and w_C = 2 v_C: v_{i_j} = v_C - w(M_j) at every
-    vertex; the matching weights sum to 2k * v_C; the heaviest reaches
-    the (2k)/(2k+1) share of v_C.
+    vertex, and the matching weights sum to 2k * v_C. So the heaviest,
+    at least their mean, reaches the (2k)/(2k+1) share of v_C.
     """
     k = cycle.k
     w_C = cycle.w_C
@@ -173,9 +172,6 @@ def check_cycle(cycle: OddCycle, matching_weights, v2) -> list[str]:
     total = sum(matching_weights)
     if total != k * w_C:
         problems.append(f"cycle matching weights sum to {total}, expected {k * w_C}")
-    hw = max(matching_weights)
-    if (2 * k + 1) * hw < k * w_C:
-        problems.append(f"heaviest cycle matching too light: {(2 * k + 1) * hw} < {k * w_C}")
     return problems
 
 
@@ -290,24 +286,36 @@ def audit_pipeline(trace: PipelineTrace) -> list[str]:
 
     `solve --check` runs this on the in-memory trace. It runs the live
     run's own checkers on the stored artifacts, so an audit proves what
-    a live run proves, the fold's degree bound, every cycle identity
-    and the factor bound included: `check_certificate`, `check_fold`,
-    `check_cycle` on each stored odd cycle (its matching weights
-    recomputed from its edge weights and compared with the stored
-    analysis) and `check_payout` on the payouts as numerators over the
-    lcm of their denominators. It also checks that the analyses are of
-    the stored cycles, that every cycle vertex is a vertex of the
-    instance, each factor against its vertex's cycle length, and every
-    total the result stores. A list of the wrong length is reported,
-    not indexed past; a cover of the wrong length ends the audit.
+    a live run proves: `check_certificate`; `check_cycle` on each stored
+    odd cycle (its matching weights recomputed from its edge weights and
+    compared with the stored analysis); `check_payout` on the payouts as
+    numerators over the lcm of their denominators. These read the cover
+    folded from the certificate, not the stored fold, which is reported
+    where it differs. It also checks that the analyses are of the stored
+    cycles, that every cycle vertex is a vertex of the instance, each
+    factor against its vertex's cycle length, and every total the result
+    stores. A list of the wrong length is reported, not indexed past; a
+    certificate of the wrong length ends the audit.
     """
     g = trace.instance
-    n = g.vertex_count
-    v2 = trace.folded.v2
-    problems = check_certificate(g, trace.certificate)
-    problems += check_fold(g, trace.folded.x2, v2)
-    if len(v2) != n:
-        return problems  # every check below reads the cover
+    n, m = g.vertex_count, g.edge_count
+    cert = trace.certificate
+    problems = check_certificate(g, cert)
+    if not len(cert.match_l) == len(cert.u) == len(cert.v) == n:
+        return problems
+    x2, v2 = halfint.fold_solution(g, cert)  # the benchmark traces only the live fold
+    stored = trace.folded
+    if len(stored.x2) != m or len(stored.v2) != n:
+        problems.append(f"stored x2 and v2 have {len(stored.x2)} and {len(stored.v2)} "
+                        f"entries, not {m} and {n}")
+    for (i, j, _), a, b in zip(g.edges, stored.x2, x2):
+        if a != b:
+            problems.append(f"stored x2 on edge ({i}, {j}) is {a}; the certificate folds to {b}")
+            break
+    for i, a, b in zip(range(n), stored.v2, v2):
+        if a != b:
+            problems.append(f"stored v2 at vertex {i} is {a}; the certificate folds to {b}")
+            break
 
     if tuple(a.cycle for a in trace.analyses) != trace.components.odd_cycles:
         problems.append("the stored analyses are not of the stored odd cycles")

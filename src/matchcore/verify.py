@@ -34,7 +34,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import chain, islice
-from operator import countOf, itemgetter
+from operator import itemgetter
 from typing import Iterable, NamedTuple, Sequence
 
 from .bipartite import double_graph, solve_bipartite
@@ -147,9 +147,7 @@ def worth_bruteforce(g: GameInstance, coalition: Iterable[int] | None = None,
                     if w > 0 and u in members and v in members)
     sub = list(islice(positive, max(max_edges + 1, 0)))
     if len(sub) > max_edges:
-        # counted without a list; weights are >= 0, so 0 is the only one left out
-        count = (g.edge_count - countOf(map(itemgetter(2), g.edges), 0) if coalition is None
-                 else len(sub) + sum(1 for _ in positive))
+        count = len(sub) + sum(1 for _ in positive)  # counted without a list
         raise BoundExceeded(
             f"coalition has {count} weighted edges, above the bound "
             f"{max_edges}; raise max_edges to force the enumeration")

@@ -21,6 +21,7 @@ def test_every_exported_name_resolves():
     (mechanism, "ScalingProfile"),
     (rationals, "format_fraction"),
     (halfint, "solution_weight"),
+    (halfint, "check_fold"),
 ])
 def test_removed_names_stay_gone(module, name):
     assert not hasattr(module, name)

@@ -13,6 +13,7 @@ from matchcore.halfint import (
     fold_solution,
 )
 from matchcore.instances import GameInstance, gen_gap_family, gen_odd_cycle, gen_random, parse_instance
+from matchcore.mechanism import audit_pipeline, run_pipeline
 
 from oracles import (
     ReferenceHalfIntegralSolution,
@@ -51,13 +52,15 @@ def test_fold_empty():
     assert s.x2 == () and s.v2 == ()
 
 
-def test_fold_rejects_broken_certificate():
-    d = double_graph(EDGE5)
-    cert = solve_bipartite(d)
-    # drop the matching but keep the duals: strong duality must fail
+def test_audit_rejects_the_fold_of_a_broken_certificate():
+    trace = run_pipeline(EDGE5)
+    cert = trace.certificate
+    # drop the matching but keep the duals: the fold would lose strong
+    # duality, and the certificate check names the duals that break it
     bad = PrimalDualCertificate((-1, -1), cert.u, cert.v)
-    with pytest.raises(InvariantViolation):
-        fold_solution(EDGE5, bad)
+    problems = audit_pipeline(trace._replace(certificate=bad))
+    assert "unmatched vertex 0 has positive dual 5" in problems
+    assert "unmatched vertex 1 has positive dual 5" in problems
 
 
 def test_normalize_path_keeps_low_endpoint_edge():

@@ -260,7 +260,6 @@ def test_check_cycle_reports_each_identity():
         "cycle cover at vertex 1: 2v = 1 != 3 - 2*0",
         "cycle cover at vertex 2: 2v = 1 != 3 - 2*0",
         "cycle matching weights sum to 0, expected 3",
-        "heaviest cycle matching too light: 0 < 3",
     ]
 
 
@@ -279,13 +278,20 @@ def _with_cycle(trace, cycle):
 def test_audit_reports_a_short_cover():
     trace = run_pipeline(COMPLETE12)
     bad = trace._replace(folded=trace.folded._replace(v2=trace.folded.v2[:-1]))
-    assert audit_pipeline(bad) == ["x2 and v2 have 66 and 11 entries, not 66 and 12"]
+    assert audit_pipeline(bad) == ["stored x2 and v2 have 66 and 11 entries, not 66 and 12"]
 
 
 def test_audit_reports_a_short_folded_matching():
     trace = run_pipeline(COMPLETE12)
     bad = trace._replace(folded=trace.folded._replace(x2=trace.folded.x2[:-1]))
-    assert audit_pipeline(bad) == ["x2 and v2 have 65 and 12 entries, not 66 and 12"]
+    assert audit_pipeline(bad) == ["stored x2 and v2 have 65 and 12 entries, not 66 and 12"]
+
+
+def test_audit_stops_at_a_short_certificate():
+    # the fold reads the certificate, so nothing after its check can run
+    trace = run_pipeline(EDGE5)
+    bad = trace._replace(certificate=trace.certificate._replace(u=(5,)))
+    assert audit_pipeline(bad) == ["match_l, u and v have 2, 1, 2 entries, not 2"]
 
 
 def test_audit_reports_a_cycle_vertex_outside_the_instance():
@@ -301,18 +307,30 @@ def test_audit_reports_a_cycle_vertex_outside_the_instance():
 def test_audit_reports_an_over_matched_vertex():
     trace = run_pipeline(K3)
     bad = trace._replace(folded=trace.folded._replace(x2=(2, 1, 1)))
-    problems = audit_pipeline(bad)
-    assert "vertex 0 is over-matched after folding" in problems
-    assert "strong duality lost in fold: 2*weight 4 != 2*cover 3" in problems
+    assert audit_pipeline(bad) == ["stored x2 on edge (0, 1) is 2; the certificate folds to 1"]
 
 
 def test_audit_reports_a_lowered_cover():
     trace = run_pipeline(EDGE5)
     assert trace.folded.v2 == (5, 5)
     bad = trace._replace(folded=trace.folded._replace(v2=(4, 5)))
-    problems = audit_pipeline(bad)
-    assert "folded cover violates edge (0, 1): 4+5 < 2*5" in problems
-    assert "strong duality lost in fold: 2*weight 10 != 2*cover 9" in problems
+    assert audit_pipeline(bad) == ["stored v2 at vertex 0 is 4; the certificate folds to 5"]
+
+
+def test_audit_reports_a_negative_cover():
+    # cover 3/2 + 3/2 meets the edge and sums to its weight 2, so the fold
+    # of this cover alone looks optimal; vertex 2 would pay 1
+    trace = run_pipeline(GameInstance(3, [(0, 1, 2)]))
+    assert trace.folded.v2 == (2, 2, 0)
+    c = (Fraction(3, 2), Fraction(3, 2), Fraction(-1))
+    bad = trace._replace(folded=trace.folded._replace(v2=(3, 3, -2)),
+                         result=trace.result._replace(c=c))
+    assert audit_pipeline(bad) == [
+        "stored v2 at vertex 0 is 3; the certificate folds to 2",
+        "payout at vertex 0 is not factor * cover",
+        "payout at vertex 1 is not factor * cover",
+        "payout at vertex 2 is not factor * cover",
+    ]
 
 
 PATH3 = parse_instance("p mg 3 2\ne 1 2 1\ne 2 3 1\n")

@@ -13,7 +13,7 @@ it is, and the code with the per-edge copies listed below.
 | `parse_instance` |      250 |   360 |             445 |
 | `double_graph`   |       41 |   100 |             161 |
 | `run_pipeline`   |       52 |   110 |             160 |
-| `audit_pipeline` |        1 |    40 |             134 |
+| `audit_pipeline` |       17 |    40 |             134 |
 
 The copies: a list of every line of the text and one of every edge's
 line number, a second tuple per parsed edge, one `(neighbour, weight)`
@@ -21,7 +21,9 @@ tuple per edge end in `double_graph`, and a dict of all m edge weights
 in the audit. What remains of the parse is one tuple per edge, its
 numbers and the set of vertex pairs the duplicate check keeps: the
 parser streams each edge into the instance and keeps no list of them
-itself. Of `double_graph` remain its flat CSR lists.
+itself. Of `double_graph` remain its flat CSR lists. Of the audit
+remains the fold it derives from the certificate, one list and one
+tuple of `x2` entries.
 """
 
 import random

@@ -92,7 +92,8 @@ def _half_adjacency(g: GameInstance, x2) -> list[list[tuple[int, int]]]:
     for i, lst in enumerate(half):
         if len(lst) > 2:
             raise InvariantViolation(f"vertex {i} has {len(lst)} half-edges")
-        lst.sort(key=lambda t: t[1])
+        if len(lst) == 2 and lst[0][1] > lst[1][1]:
+            lst.reverse()
     return half
 
 

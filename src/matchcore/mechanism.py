@@ -28,14 +28,15 @@ edge, so a cycle of length L costs O(L).
 Every identity is asserted exactly on every run, each by one checker
 that returns its problems as a list: `check_certificate` for the
 kernel (it also certifies the fold, see `fold_solution`), `check_cycle`
-per odd cycle and `check_payout`. A live run raises InvariantViolation
-on a checker's first problem: the upstream solution was not optimal.
-`audit_pipeline` runs the same checkers on a finished trace, on the
-fold of its stored certificate, so it re-checks all a live run checks.
-The checks compare integers only: the doubled cover v2, each factor as
-the pair (2k, 2k+1) read off the cycle lengths, and the payouts as
-numerators over one scale. `Fraction`s are built only for the result,
-the factors one per distinct cycle length.
+per odd cycle and `check_payout` for the backing matching. A live run
+raises InvariantViolation on a checker's first problem: the upstream
+solution was not optimal. `audit_pipeline` checks a finished trace's
+certificate, derives the rest of the trace from it again and reports
+where the stored artifacts differ. The checks compare integers only:
+the doubled cover v2, each factor as the pair (2k, 2k+1) read off the
+cycle lengths, and the payouts as numerators over one scale.
+`Fraction`s are built only for the result, the factors one per
+distinct cycle length.
 """
 
 from __future__ import annotations
@@ -175,17 +176,6 @@ def check_cycle(cycle: OddCycle, matching_weights, v2) -> list[str]:
     return problems
 
 
-def _factor_pairs(n: int, odd_cycles) -> tuple[list[int], list[int]]:
-    """Each vertex's factor as fnum[i] / fden[i]: 2k/(2k+1) on a cycle
-    of length 2k+1, else 1/1."""
-    fnum = [1] * n
-    fden = [1] * n
-    for cycle in odd_cycles:
-        for i in cycle.vertices:
-            fnum[i], fden[i] = 2 * cycle.k, 2 * cycle.k + 1
-    return fnum, fden
-
-
 def run_pipeline(g: GameInstance) -> PipelineTrace:
     """Run the full mechanism and retain every intermediate artifact."""
     d = double_graph(g)
@@ -193,9 +183,19 @@ def run_pipeline(g: GameInstance) -> PipelineTrace:
     folded = fold_solution(g, cert)
     comps = decompose_components(g, folded)
     analyses = tuple(analyze_cycle(cyc, folded.v2) for cyc in comps.odd_cycles)
+    return PipelineTrace(g, cert, folded, comps, analyses, _assemble(g, folded, comps, analyses))
 
+
+def _assemble(g: GameInstance, folded, comps, analyses) -> ImputationResult:
+    """Pay each vertex its factor times its cover and back the payouts
+    with the integral edges plus each cycle's heaviest matching; raise on
+    `check_payout`'s first problem."""
+    fnum = [1] * g.vertex_count
+    fden = [1] * g.vertex_count
+    for cycle in comps.odd_cycles:
+        for i in cycle.vertices:
+            fnum[i], fden[i] = 2 * cycle.k, 2 * cycle.k + 1
     # c_i = f_i * v_i = fnum[i] * v2[i] / (2 * fden[i]) = pay[i] / scale
-    fnum, fden = _factor_pairs(g.vertex_count, comps.odd_cycles)
     half = math.lcm(*fden)
     scale = 2 * half
     pay = [f * x * (half // d) for f, x, d in zip(fnum, folded.v2, fden)]
@@ -208,13 +208,13 @@ def run_pipeline(g: GameInstance) -> PipelineTrace:
         matching_weight += analysis.heaviest.weight
     matching.sort()
 
-    problems = check_payout(g, folded.v2, fnum, fden, pay, scale, matching, matching_weight)
+    problems = check_payout(g, pay, scale, matching, matching_weight)
     if problems:
         raise InvariantViolation(problems[0])
 
     # one Fraction per distinct factor; fden[i] is 1 or a cycle length 2k+1
     factor_of = {f: Fraction(f - 1, f) if f > 1 else Fraction(1) for f in set(fden)}
-    result = ImputationResult(
+    return ImputationResult(
         c=tuple(Fraction(x, scale) for x in pay),
         matching=tuple(matching),
         factors=tuple(factor_of[f] for f in fden),
@@ -223,42 +223,27 @@ def run_pipeline(g: GameInstance) -> PipelineTrace:
         allocated=Fraction(sum(pay), scale),
         factor_guarantee=min(factor_of.values(), default=Fraction(1)),
     )
-    return PipelineTrace(g, cert, folded, comps, analyses, result)
 
 
-def check_payout(g: GameInstance, v2, fnum, fden, pay, scale: int,
-                 matching, matching_weight: int) -> list[str]:
-    """Check the payouts pay[i] / scale and their matching; [] means all good.
+def check_payout(g: GameInstance, pay, scale: int, matching, matching_weight: int) -> list[str]:
+    """Check the matching behind the payouts pay[i] / scale; [] means all good.
 
-    Each payout is its vertex's factor fnum[i] / fden[i] times its cover
-    v2[i] / 2. The output edges are a matching of the instance's edges
-    that weighs `matching_weight`, at least the payouts' sum (the
-    budget). Every edge is paid at least 2/3 of its weight and at least
-    the smaller factor of its ends times its weight. A payout list of
-    the wrong length skips the per-vertex and per-edge checks.
+    The output edges are a matching of the instance's edges that weighs
+    `matching_weight`, at least the payouts' sum (the budget). Nothing
+    per vertex or per edge needs a check. `_assemble` builds pay[i] as
+    f_i v_i, its factor times its cover, one entry per vertex. The
+    certified cover is nonnegative and meets every edge (see
+    `fold_solution`) and every factor 2k/(2k+1) is at least 2/3, so an
+    edge (i, j) of weight w is paid f_i v_i + f_j v_j >= min(f_i, f_j)
+    (v_i + v_j) >= min(f_i, f_j) w >= (2/3) w.
     """
-    n = g.vertex_count
-    per_vertex = len(pay) == n
-    if per_vertex:
-        problems = [f"payout at vertex {i} is not factor * cover" for i in range(n)
-                    if 2 * fden[i] * pay[i] != fnum[i] * v2[i] * scale]
-    else:
-        problems = [f"{len(pay)} payouts for {n} vertices"]
-
     # the weight of each output edge, read in the one pass over the edges
     weight_of = dict.fromkeys(matching)
-    under = []
     for (i, j, w) in g.edges:
         if (i, j) in weight_of:
             weight_of[i, j] = w
-        if per_vertex:
-            paid = pay[i] + pay[j]
-            if 3 * paid < 2 * w * scale:
-                under.append(f"payout covers edge ({i}, {j}) below 2/3")
-            # under the smaller factor exactly when under both
-            if paid * fden[i] < fnum[i] * w * scale and paid * fden[j] < fnum[j] * w * scale:
-                under.append(f"payout under the factor bound on ({i}, {j})")
 
+    problems = []
     weight = 0
     used = set()
     for (a, b) in matching:
@@ -273,7 +258,7 @@ def check_payout(g: GameInstance, v2, fnum, fden, pay, scale: int,
         problems.append(f"matching weight {matching_weight} != output edges' total {weight}")
     if sum(pay) > matching_weight * scale:
         problems.append("payouts exceed the backing matching weight")
-    return problems + under
+    return problems
 
 
 def run_mechanism(g: GameInstance) -> ImputationResult:
@@ -282,73 +267,51 @@ def run_mechanism(g: GameInstance) -> ImputationResult:
 
 
 def audit_pipeline(trace: PipelineTrace) -> list[str]:
-    """Re-verify a finished run from its artifacts; [] means all good.
+    """Re-verify a finished run from its certificate; [] means all good.
 
-    `solve --check` runs this on the in-memory trace. It runs the live
-    run's own checkers on the stored artifacts, so an audit proves what
-    a live run proves: `check_certificate`; `check_cycle` on each stored
-    odd cycle (its matching weights recomputed from its edge weights and
-    compared with the stored analysis); `check_payout` on the payouts as
-    numerators over the lcm of their denominators. These read the cover
-    folded from the certificate, not the stored fold, which is reported
-    where it differs. It also checks that the analyses are of the stored
-    cycles, that every cycle vertex is a vertex of the instance, each
-    factor against its vertex's cycle length, and every total the result
-    stores. A list of the wrong length is reported, not indexed past; a
-    certificate of the wrong length ends the audit.
+    `solve --check` runs this on the in-memory trace. All after the
+    kernel is a function of its certificate, so the audit returns the
+    problems of `check_certificate`, if any. Else it derives the fold,
+    components, analyses and result again with the live run's stages,
+    which run their checks again, and reports where the stored trace
+    differs from the derived one (see `_differences`).
     """
     g = trace.instance
-    n, m = g.vertex_count, g.edge_count
-    cert = trace.certificate
-    problems = check_certificate(g, cert)
-    if not len(cert.match_l) == len(cert.u) == len(cert.v) == n:
+    problems = check_certificate(g, trace.certificate)
+    if problems:
         return problems
-    x2, v2 = halfint.fold_solution(g, cert)  # the benchmark traces only the live fold
-    stored = trace.folded
-    if len(stored.x2) != m or len(stored.v2) != n:
-        problems.append(f"stored x2 and v2 have {len(stored.x2)} and {len(stored.v2)} "
-                        f"entries, not {m} and {n}")
-    for (i, j, _), a, b in zip(g.edges, stored.x2, x2):
+    # by `halfint.`: the benchmark times the live fold and decomposition only
+    folded = halfint.fold_solution(g, trace.certificate)
+    comps = halfint.decompose_components(g, folded)
+    analyses = tuple(analyze_cycle(cyc, folded.v2) for cyc in comps.odd_cycles)
+    derived = trace._replace(folded=folded, components=comps, analyses=analyses,
+                             result=_assemble(g, folded, comps, analyses))
+    return _differences("", trace, derived)
+
+
+def _differences(path: str, stored, derived) -> list[str]:
+    """Where `stored` differs from `derived`, one message per place.
+
+    Tuples are compared entry by entry down to values that are not
+    tuples: a record (a NamedTuple) at each of its fields, any other
+    tuple at its first differing entry only. So a message names one
+    place by its path, such as `result.c[2]`, or two lengths, and never
+    prints a whole tuple.
+    """
+    if stored == derived:
+        return []
+    is_tuple = isinstance(derived, tuple)
+    if isinstance(stored, tuple) != is_tuple:
+        return [f"stored {path} is {'not a tuple' if is_tuple else 'a tuple'}"]
+    if not is_tuple:
+        return [f"stored {path} is {stored}; the certificate gives {derived}"]
+    if len(stored) != len(derived):
+        return [f"stored {path} has length {len(stored)}; the certificate gives {len(derived)}"]
+    fields = getattr(derived, "_fields", None)
+    problems = []
+    for t, (a, b) in enumerate(zip(stored, derived)):
         if a != b:
-            problems.append(f"stored x2 on edge ({i}, {j}) is {a}; the certificate folds to {b}")
-            break
-    for i, a, b in zip(range(n), stored.v2, v2):
-        if a != b:
-            problems.append(f"stored v2 at vertex {i} is {a}; the certificate folds to {b}")
-            break
-
-    if tuple(a.cycle for a in trace.analyses) != trace.components.odd_cycles:
-        problems.append("the stored analyses are not of the stored odd cycles")
-    cycles = []
-    for c, analysis in enumerate(trace.analyses):
-        cycle = analysis.cycle
-        outside = [i for i in cycle.vertices if not 0 <= i < n]
-        if outside:
-            problems.append(f"cycle vertex {outside[0]} is outside range({n})")
-            continue
-        weights = _matching_weights(cycle)
-        if weights != analysis.matching_weights:
-            problems.append(f"odd cycle {c}: stored matching weights are not its own")
-        problems += check_cycle(cycle, weights, v2)
-        cycles.append(cycle)
-
-    fnum, fden = _factor_pairs(n, cycles)
-    res = trace.result
-    scale = math.lcm(*(x.denominator for x in res.c))
-    pay = [x.numerator * (scale // x.denominator) for x in res.c]
-    problems += check_payout(g, v2, fnum, fden, pay, scale, res.matching, res.matching_weight)
-
-    if len(res.factors) != n:
-        problems.append(f"{len(res.factors)} factors for {n} vertices")
-    else:
-        for i, f in enumerate(res.factors):
-            if f.numerator * fden[i] != fnum[i] * f.denominator:
-                problems.append(f"factor {f} at vertex {i} is not {Fraction(fnum[i], fden[i])}")
-    if res.factor_guarantee != min(res.factors, default=1):
-        problems.append(f"factor guarantee {res.factor_guarantee} is not the least factor")
-    opt = res.worth_fractional
-    if 2 * opt.numerator != sum(v2) * opt.denominator:
-        problems.append(f"fractional optimum {opt} is not half the cover total {sum(v2)}")
-    if sum(pay) * res.allocated.denominator != res.allocated.numerator * scale:
-        problems.append("allocation is not the sum of the payouts")
+            if fields is None:
+                return _differences(f"{path}[{t}]", a, b)
+            problems += _differences(f"{path}.{fields[t]}" if path else fields[t], a, b)
     return problems

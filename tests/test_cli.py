@@ -58,7 +58,7 @@ def test_solve_check_reports_each_audit_problem(capsys, k3_path, monkeypatch):
     monkeypatch.setattr(cli, "run_pipeline", tampered)
     code, out, err = run(capsys, "solve", k3_path, "--check", "--json")
     problems = audit_pipeline(tampered(parse_instance(K3_TEXT)))
-    assert len(problems) == 6
+    assert problems == ["stored result.c[2] is 1/4; the certificate gives 1/3"]
     assert code == 1 and out == ""
     assert err.splitlines() == [f"check failed: {p}" for p in problems]
 

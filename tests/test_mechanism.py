@@ -13,6 +13,7 @@ from matchcore.mechanism import (
     analyze_cycle,
     audit_pipeline,
     check_cycle,
+    check_payout,
     run_mechanism,
     run_pipeline,
 )
@@ -184,29 +185,21 @@ def test_audit_reports_tampered_payout():
     # payouts over different denominators: 1/3 + 1/4 covers edge 1-3 at 7/12 < 2/3
     c = (Fraction(1, 3), Fraction(1, 3), Fraction(1, 4))
     bad = trace._replace(result=trace.result._replace(c=c))
-    problems = audit_pipeline(bad)
-    assert "payout at vertex 2 is not factor * cover" in problems
-    assert "payout covers edge (0, 2) below 2/3" in problems
-    assert "payout covers edge (1, 2) below 2/3" in problems
-    # 7/12 is also under the factor 2/3 of both ends
-    assert "payout under the factor bound on (0, 2)" in problems
-    assert "payout under the factor bound on (1, 2)" in problems
-    # the payouts now sum to 11/12, not the stored allocation 1
-    assert "allocation is not the sum of the payouts" in problems
-    assert len(problems) == 6
+    # the first differing payout is named, not every edge it underpays
+    assert audit_pipeline(bad) == ["stored result.c[2] is 1/4; the certificate gives 1/3"]
 
 
 def test_audit_reports_payout_over_budget():
     trace = run_pipeline(gen_odd_cycle(1))
-    # vertex 0 paid its full cover 1/2 at factor 1: the payouts sum to
-    # 7/6, over the backing matching's weight 1 and the stored allocation
+    # vertex 0 paid its full cover 1/2 at factor 1: the payouts would sum
+    # to 7/6, over the backing matching's weight 1
     res = trace.result
     bad = trace._replace(result=res._replace(
         c=(Fraction(1, 2),) + res.c[1:], factors=(Fraction(1),) + res.factors[1:]))
-    problems = audit_pipeline(bad)
-    assert "payouts exceed the backing matching weight" in problems
-    assert "allocation is not the sum of the payouts" in problems
-    assert "factor 1 at vertex 0 is not 2/3" in problems
+    assert audit_pipeline(bad) == [
+        "stored result.c[0] is 1/2; the certificate gives 1/3",
+        "stored result.factors[0] is 1; the certificate gives 2/3",
+    ]
 
 
 def test_audit_checks_factors_against_cycle_lengths():
@@ -216,31 +209,38 @@ def test_audit_checks_factors_against_cycle_lengths():
     assert res.c == (2, 2)
     bad = trace._replace(result=res._replace(
         c=(Fraction(4, 3), res.c[1]), factors=(Fraction(2, 3), res.factors[1])))
-    problems = audit_pipeline(bad)
-    assert "factor 2/3 at vertex 0 is not 1" in problems
-    assert "factor guarantee 1 is not the least factor" in problems
+    assert audit_pipeline(bad) == [
+        "stored result.c[0] is 4/3; the certificate gives 2",
+        "stored result.factors[0] is 2/3; the certificate gives 1",
+    ]
 
 
 def test_audit_reports_a_factor_missing():
     trace = run_pipeline(gen_odd_cycle(1))
     res = trace.result
     bad = trace._replace(result=res._replace(factors=res.factors[:-1]))
-    assert audit_pipeline(bad) == ["2 factors for 3 vertices"]
+    assert audit_pipeline(bad) == ["stored result.factors has length 2; the certificate gives 3"]
 
 
 def test_audit_reports_a_payout_missing():
     trace = run_pipeline(gen_odd_cycle(1))
     res = trace.result
     bad = trace._replace(result=res._replace(c=res.c[:-1]))
-    assert audit_pipeline(bad) == ["2 payouts for 3 vertices",
-                                   "allocation is not the sum of the payouts"]
+    assert audit_pipeline(bad) == ["stored result.c has length 2; the certificate gives 3"]
 
 
+# each case id names the fault the case plants
 @pytest.mark.parametrize("field, expected", [
-    ("matching_weight", "matching weight 3 != output edges' total 2"),
-    ("worth_fractional", "fractional optimum 7/2 is not half the cover total 5"),
-    ("allocated", "allocation is not the sum of the payouts"),
-    ("factor_guarantee", "factor guarantee 9/5 is not the least factor"),
+    pytest.param("matching_weight", "stored result.matching_weight is 3; the certificate gives 2",
+                 id="matching_weight-matching weight 3 != output edges' total 2"),
+    pytest.param("worth_fractional",
+                 "stored result.worth_fractional is 7/2; the certificate gives 5/2",
+                 id="worth_fractional-fractional optimum 7/2 is not half the cover total 5"),
+    pytest.param("allocated", "stored result.allocated is 3; the certificate gives 2",
+                 id="allocated-allocation is not the sum of the payouts"),
+    pytest.param("factor_guarantee",
+                 "stored result.factor_guarantee is 9/5; the certificate gives 4/5",
+                 id="factor_guarantee-factor guarantee 9/5 is not the least factor"),
 ])
 def test_audit_recomputes_stored_totals(field, expected):
     trace = run_pipeline(gen_odd_cycle(2))
@@ -278,13 +278,13 @@ def _with_cycle(trace, cycle):
 def test_audit_reports_a_short_cover():
     trace = run_pipeline(COMPLETE12)
     bad = trace._replace(folded=trace.folded._replace(v2=trace.folded.v2[:-1]))
-    assert audit_pipeline(bad) == ["stored x2 and v2 have 66 and 11 entries, not 66 and 12"]
+    assert audit_pipeline(bad) == ["stored folded.v2 has length 11; the certificate gives 12"]
 
 
 def test_audit_reports_a_short_folded_matching():
     trace = run_pipeline(COMPLETE12)
     bad = trace._replace(folded=trace.folded._replace(x2=trace.folded.x2[:-1]))
-    assert audit_pipeline(bad) == ["stored x2 and v2 have 65 and 12 entries, not 66 and 12"]
+    assert audit_pipeline(bad) == ["stored folded.x2 has length 65; the certificate gives 66"]
 
 
 def test_audit_stops_at_a_short_certificate():
@@ -298,23 +298,23 @@ def test_audit_reports_a_cycle_vertex_outside_the_instance():
     trace = run_pipeline(ONE_CYCLE14)
     cycle = trace.components.odd_cycles[0]
     bad = _with_cycle(trace, cycle._replace(vertices=(14,) + cycle.vertices[1:]))
-    problems = audit_pipeline(bad)
-    assert problems[0] == "cycle vertex 14 is outside range(14)"
-    # its vertices now count as on no cycle, so their factors disagree
-    assert "factor 10/11 at vertex 1 is not 1" in problems
+    assert audit_pipeline(bad) == [
+        "stored components.odd_cycles[0].vertices[0] is 14; the certificate gives 0",
+        "stored analyses[0].cycle.vertices[0] is 14; the certificate gives 0",
+    ]
 
 
 def test_audit_reports_an_over_matched_vertex():
     trace = run_pipeline(K3)
     bad = trace._replace(folded=trace.folded._replace(x2=(2, 1, 1)))
-    assert audit_pipeline(bad) == ["stored x2 on edge (0, 1) is 2; the certificate folds to 1"]
+    assert audit_pipeline(bad) == ["stored folded.x2[0] is 2; the certificate gives 1"]
 
 
 def test_audit_reports_a_lowered_cover():
     trace = run_pipeline(EDGE5)
     assert trace.folded.v2 == (5, 5)
     bad = trace._replace(folded=trace.folded._replace(v2=(4, 5)))
-    assert audit_pipeline(bad) == ["stored v2 at vertex 0 is 4; the certificate folds to 5"]
+    assert audit_pipeline(bad) == ["stored folded.v2[0] is 4; the certificate gives 5"]
 
 
 def test_audit_reports_a_negative_cover():
@@ -326,24 +326,70 @@ def test_audit_reports_a_negative_cover():
     bad = trace._replace(folded=trace.folded._replace(v2=(3, 3, -2)),
                          result=trace.result._replace(c=c))
     assert audit_pipeline(bad) == [
-        "stored v2 at vertex 0 is 3; the certificate folds to 2",
-        "payout at vertex 0 is not factor * cover",
-        "payout at vertex 1 is not factor * cover",
-        "payout at vertex 2 is not factor * cover",
+        "stored folded.v2[0] is 3; the certificate gives 2",
+        "stored result.c[0] is 3/2; the certificate gives 1",
     ]
 
 
 PATH3 = parse_instance("p mg 3 2\ne 1 2 1\ne 2 3 1\n")
 
 
+# each case id names the fault the case plants
 @pytest.mark.parametrize("matching, expected", [
-    (((0, 1), (1, 2)), "output edges are not a matching at (1, 2)"),
-    (((0, 2),), "output edge (0, 2) not in the instance"),
+    pytest.param(((0, 1), (1, 2)), "stored result.matching has length 2; the certificate gives 1",
+                 id="matching0-output edges are not a matching at (1, 2)"),
+    pytest.param(((0, 2),), "stored result.matching[0][1] is 2; the certificate gives 1",
+                 id="matching1-output edge (0, 2) not in the instance"),
 ])
 def test_audit_reports_output_edges_that_do_not_fit(matching, expected):
     trace = run_pipeline(PATH3)
     bad = trace._replace(result=trace.result._replace(matching=matching))
-    assert expected in audit_pipeline(bad)
+    assert audit_pipeline(bad) == [expected]
+
+
+def test_audit_reports_a_cycle_the_certificate_does_not_give():
+    # a triangle through the non-edge (2, 0) that passes every identity
+    # of `check_cycle` under the cover (0, 1, 0), with the payouts, the
+    # factors and the matching that such a cycle would give
+    trace = run_pipeline(PATH3)
+    cycle = OddCycle((0, 1, 2), 1, (1, 1, 0), 2)
+    assert check_cycle(cycle, (1, 0, 1), trace.folded.v2) == []
+    analysis = analyze_cycle(cycle, trace.folded.v2)
+    comps = trace.components._replace(odd_cycles=(cycle,), integral_edges=())
+    third = Fraction(2, 3)
+    result = trace.result._replace(c=(0, third, 0), matching=((1, 2),), factors=(third,) * 3,
+                                   allocated=third, factor_guarantee=third)
+    bad = trace._replace(components=comps, analyses=(analysis,), result=result)
+    assert audit_pipeline(bad) == [
+        "stored components.odd_cycles has length 1; the certificate gives 0",
+        "stored components.integral_edges has length 0; the certificate gives 1",
+        "stored analyses has length 1; the certificate gives 0",
+        "stored result.c[1] is 2/3; the certificate gives 1",
+        "stored result.matching[0][0] is 1; the certificate gives 0",
+        "stored result.factors[0] is 2/3; the certificate gives 1",
+        "stored result.allocated is 2/3; the certificate gives 1",
+        "stored result.factor_guarantee is 2/3; the certificate gives 1",
+    ]
+
+
+def test_audit_reports_a_stored_value_of_another_shape():
+    trace = run_pipeline(PATH3)
+    res = trace.result
+    bad = trace._replace(result=res._replace(c=list(res.c), matching_weight=(1,)))
+    assert audit_pipeline(bad) == ["stored result.c is not a tuple",
+                                   "stored result.matching_weight is a tuple"]
+
+
+@pytest.mark.parametrize("matching, weight, expected", [
+    (((0, 1), (1, 2)), 2, ["output edges are not a matching at (1, 2)"]),
+    (((0, 2),), 1, ["output edge (0, 2) not in the instance",
+                    "matching weight 1 != output edges' total 0"]),
+    ((), 0, ["payouts exceed the backing matching weight"]),
+])
+def test_check_payout_reports_each_problem(matching, weight, expected):
+    # the payouts (0, 1, 0) as numerators over the scale 2
+    assert check_payout(PATH3, [0, 2, 0], 2, ((0, 1),), 1) == []
+    assert check_payout(PATH3, [0, 2, 0], 2, matching, weight) == expected
 
 
 def test_run_pipeline_raises_on_a_payout_problem(monkeypatch):
@@ -383,12 +429,10 @@ def test_audit_reports_a_changed_cycle_weight():
     cycle = trace.components.odd_cycles[0]
     assert cycle.weights[0] == 9 and cycle.w_C == 65
     bad = _with_cycle(trace, cycle._replace(weights=(10,) + cycle.weights[1:]))
-    problems = audit_pipeline(bad)
-    assert "odd cycle 0: stored matching weights are not its own" in problems
-    # the k = 5 matchings that hold edge 0 gain 1: they miss vertices 9, 5, 8, 13, 2
-    assert "cycle cover at vertex 9: 2v = 11 != 65 - 2*28" in problems
-    assert "cycle matching weights sum to 330, expected 325" in problems
-    assert len(problems) == 7
+    assert audit_pipeline(bad) == [
+        "stored components.odd_cycles[0].weights[0] is 10; the certificate gives 9",
+        "stored analyses[0].cycle.weights[0] is 10; the certificate gives 9",
+    ]
 
 
 def test_audit_reports_a_raised_matching_weight():
@@ -396,13 +440,24 @@ def test_audit_reports_a_raised_matching_weight():
     (analysis,) = trace.analyses
     weights = (analysis.matching_weights[0] + 1,) + analysis.matching_weights[1:]
     bad = trace._replace(analyses=(analysis._replace(matching_weights=weights),))
-    assert audit_pipeline(bad) == ["odd cycle 0: stored matching weights are not its own"]
+    assert audit_pipeline(bad) == [
+        "stored analyses[0].matching_weights[0] is 28; the certificate gives 27"]
 
 
 def test_audit_reports_analyses_of_other_cycles():
     trace = run_pipeline(ONE_CYCLE14)
     bad = trace._replace(components=trace.components._replace(odd_cycles=()))
-    assert audit_pipeline(bad) == ["the stored analyses are not of the stored odd cycles"]
+    assert audit_pipeline(bad) == [
+        "stored components.odd_cycles has length 0; the certificate gives 1"]
+
+
+@pytest.mark.parametrize("integral_edges", [(), (0, 1, 2)])
+def test_audit_reports_tampered_integral_edges(integral_edges):
+    trace = run_pipeline(ONE_CYCLE14)
+    assert trace.components.integral_edges == (19,)
+    bad = trace._replace(components=trace.components._replace(integral_edges=integral_edges))
+    assert audit_pipeline(bad) == [f"stored components.integral_edges has length "
+                                   f"{len(integral_edges)}; the certificate gives 1"]
 
 
 def test_cycle_identities_random():

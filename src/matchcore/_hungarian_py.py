@@ -18,17 +18,17 @@ free right vertex: when the dual of a tree vertex reaches zero, the
 augmentation ends there and that vertex simply drops out of the
 matching.
 
-Each stage touches only the right vertices its tree has reached: a
-right vertex gets a finite slack when an edge from a tree vertex first
-scans it, and every dual adjustment visits just those touched vertices
-plus the tree's left vertices. One adjustment therefore costs time
-proportional to the vertices the tree has touched, and a stage costs
-that times its adjustments plus the edges of its tree-left vertices,
-however large `nr` is. The per-vertex arrays are allocated once per
-solve and only the touched entries are reset between stages. The scan
-order is the one a full O(nr) scan per adjustment would produce
-(newly tight vertices are queued in ascending id), so the output does
-not depend on this bookkeeping.
+Each stage touches only the right vertices its tree has reached, and
+keeps one running dual offset `D`. A touched vertex stores its slack
+plus `D` (at most 3 max w, below the sentinel 4 max w + 1), so a dual
+step, which lowers every slack alike, raises `D` alone: it is one pass
+over the touched vertices for the smallest key and its ties. Each tree
+dual is settled once, when the stage ends, by the rise of `D` since its
+vertex joined. A stage thus costs its dual steps times its touched
+vertices plus the edges of its tree-left vertices, however large `nr`
+is. Newly tight vertices are queued in ascending id, the order a full
+O(nr) scan per dual step gives, so the output does not depend on this
+bookkeeping.
 """
 
 from __future__ import annotations
@@ -47,117 +47,124 @@ def solve_max_weight_bipartite(
     distinct right neighbors of left vertex i in ascending order and
     `weights` is parallel to `rights`.
     """
-    u = [0] * nl
-    for i in range(nl):
-        mx = 0
-        for t in range(heads[i], heads[i + 1]):
-            if weights[t] > mx:
-                mx = weights[t]
-        u[i] = mx
+    u = [max(weights[a:b]) if b > a else 0 for a, b in zip(heads, heads[1:])]
     v = [0] * nr
     match_l = [-1] * nl
     match_r = [-1] * nr
     if not weights:
         return match_l, match_r, u, v
-    infinity = 4 * max(weights) + 1  # larger than any reachable slack
+    # Above every key: u starts at the row maxima and only falls; a matched
+    # pair's duals sum to its weight and u >= 0, so u, v <= max w, a slack
+    # is <= 2 max w, and D <= null_key <= u[s] <= max w: a key is <= 3 max w.
+    infinity = 4 * max(weights) + 1
 
-    # slack[j] = min reduced cost u[i]+v[j]-w over tree-left i;
-    # way[j] = the left vertex attaining it (tree predecessor). Between
-    # stages every slack is infinity and no vertex is in the tree; `way`
-    # is read only at vertices the current stage touched, so it keeps
-    # stale entries.
-    slack = [infinity] * nr
+    # key[j] = D + min reduced cost u[i]+v[j]-w over tree-left i, or -1
+    # (below any such key) once j is in the tree; way[j] = the left vertex
+    # attaining it (tree predecessor); joined[j] = D when j joined. Between
+    # stages every key is infinity; `way` and `joined` are read only at
+    # vertices the current stage touched, so they keep stale entries.
+    key = [infinity] * nr
     way = [-1] * nr
-    in_tree_r = [False] * nr
+    joined = [0] * nr
 
     for s in range(nl):
-        if u[s] == 0:
+        us = u[s]
+        if us == 0:
             continue
         h0 = heads[s]
         h1 = heads[s + 1]
-        # right vertices with a finite slack; s reaches all its neighbors
+        # right vertices with a finite key; s reaches all its neighbors
         touched = rights[h0:h1]
-        tree_left = [s]
         tree_right: list[int] = []
-        # Minimum dual among tree-left vertices: the cost of ending the
-        # stage by dropping that vertex out of the matching.
-        null_min = u[s]
-        null_arg = s
-        tq: list[int] = []  # right vertices whose slack reached 0, each queued once;
-        # duals move only on an empty queue, so a popped one is tight, not in the tree
+        null_key = us  # the smallest D at which a tree-left dual reaches zero;
+        null_arg = s  # that vertex, which then leaves the matching
+        tq: list[int] = []  # right vertices whose key reached D, each queued once;
+        # D moves only on an empty queue, so a popped one is tight, not in the tree
         tqh = 0
-        us = u[s]
+        D = 0
         for t in range(h0, h1):
             j = rights[t]
-            r = us + v[j] - weights[t]
-            slack[j] = r
+            k = us + v[j] - weights[t]
+            key[j] = k
             way[j] = s
-            if r == 0:
+            if k == 0:
                 tq.append(j)
 
         end_right = -1
-        drop_left = -1
         while True:
             while tqh < len(tq):
                 j = tq[tqh]
                 tqh += 1
-                if match_r[j] == -1:
+                i2 = match_r[j]
+                if i2 == -1:
                     end_right = j  # free right vertex reached: augment
                     break
-                in_tree_r[j] = True
+                key[j] = -1
+                joined[j] = D
                 tree_right.append(j)
-                i2 = match_r[j]
-                tree_left.append(i2)
-                ui2 = u[i2]
-                if ui2 < null_min:
-                    null_min = ui2
+                base = u[i2] + D
+                if base < null_key:
+                    null_key = base
                     null_arg = i2
-                for t in range(heads[i2], heads[i2 + 1]):
-                    j2 = rights[t]
-                    if not in_tree_r[j2]:
-                        r = ui2 + v[j2] - weights[t]
-                        sj = slack[j2]
-                        if r < sj:
-                            if sj == infinity:
+                h0 = heads[i2]
+                h1 = heads[i2 + 1]
+                if h1 - h0 > 32:  # zip copies the row: it pays on long rows only
+                    for j2, w in zip(rights[h0:h1], weights[h0:h1]):
+                        k = base + v[j2] - w
+                        kj = key[j2]
+                        if k < kj:
+                            if kj == infinity:
                                 touched.append(j2)
-                            slack[j2] = r
+                            key[j2] = k
                             way[j2] = i2
-                            if r == 0:
+                            if k == D:
+                                tq.append(j2)
+                else:
+                    for t in range(h0, h1):
+                        j2 = rights[t]
+                        k = base + v[j2] - weights[t]
+                        kj = key[j2]
+                        if k < kj:
+                            if kj == infinity:
+                                touched.append(j2)
+                            key[j2] = k
+                            way[j2] = i2
+                            if k == D:
                                 tq.append(j2)
             if end_right >= 0:
                 break
-            # No tight edge leaves the tree: lower the tree duals by the
-            # smallest amount that creates one (or zeroes a tree dual).
-            # An untouched vertex (slack infinity) is never the minimum.
-            delta = null_min
+            # No tight edge leaves the tree: raise D to the smallest key, or
+            # to null_key, and queue the vertices that this makes tight.
+            m = null_key
+            tight = []
             for j in touched:
-                if slack[j] < delta and not in_tree_r[j]:
-                    delta = slack[j]
-            if delta > 0:
-                for i in tree_left:
-                    u[i] -= delta
-                null_min -= delta
-                for j in tree_right:
-                    v[j] += delta
-                tight = []
-                for j in touched:
-                    if not in_tree_r[j]:
-                        sj = slack[j] - delta
-                        slack[j] = sj
-                        if sj == 0:
-                            tight.append(j)
-                if tight:
-                    tight.sort()
-                    tq.extend(tight)
-            if null_min == 0 and tqh == len(tq):
-                drop_left = null_arg  # this vertex leaves the matching
-                break
+                kj = key[j]
+                if kj < m:
+                    if kj >= 0:
+                        m = kj
+                        tight = [j]
+                elif kj == m:
+                    tight.append(j)
+            D = m
+            if not tight:
+                break  # D == null_key: null_arg's dual is zero, it leaves the matching
+            tight.sort()
+            tq.extend(tight)
+
+        # Settle the tree duals while match_r still pairs each tree-right
+        # vertex with the tree-left vertex that joined with it.
+        if D:
+            u[s] -= D
+            for j in tree_right:
+                d = D - joined[j]
+                v[j] += d
+                u[match_r[j]] -= d
 
         if end_right >= 0:
             j = end_right
-        elif drop_left != s:
-            j = match_l[drop_left]
-            match_l[drop_left] = -1
+        elif null_arg != s:
+            j = match_l[null_arg]
+            match_l[null_arg] = -1
         else:
             j = -1  # s stays unmatched at dual 0
         while j >= 0:
@@ -170,8 +177,6 @@ def solve_max_weight_bipartite(
             j = pj
 
         for j in touched:
-            slack[j] = infinity
-        for j in tree_right:
-            in_tree_r[j] = False
+            key[j] = infinity
 
     return match_l, match_r, u, v

@@ -147,17 +147,21 @@ def check_certificate(g: GameInstance, cert: PrimalDualCertificate) -> list[str]
     # Each matched pair is an edge copy at most once, in a simple graph.
     is_edge = [False] * n  # is_edge[i]: (i', match_l[i]'') is a doubled edge
     problems = []
-    for (i, j, w) in g.edges:
-        for (a, b) in ((i, j), (j, i)):
-            reduced = u[a] + v[b] - w
-            if reduced < 0:
-                problems.append(
-                    f"dual infeasible on edge ({a}, {n + b}): short by {-reduced}")
-            if match_l[a] == b:
-                is_edge[a] = True
-                if reduced > 0:
-                    problems.append(
-                        f"matched edge ({a}, {n + b}) is not tight: slack {reduced}")
+    for (i, j, w) in g.edges:  # the copies (i', j'') and (j', i''), in that order
+        reduced = u[i] + v[j] - w
+        if reduced < 0:
+            problems.append(f"dual infeasible on edge ({i}, {n + j}): short by {-reduced}")
+        if match_l[i] == j:
+            is_edge[i] = True
+            if reduced > 0:
+                problems.append(f"matched edge ({i}, {n + j}) is not tight: slack {reduced}")
+        reduced = u[j] + v[i] - w
+        if reduced < 0:
+            problems.append(f"dual infeasible on edge ({j}, {n + i}): short by {-reduced}")
+        if match_l[j] == i:
+            is_edge[j] = True
+            if reduced > 0:
+                problems.append(f"matched edge ({j}, {n + i}) is not tight: slack {reduced}")
 
     degree_r = [0] * n
     for i in range(n):

@@ -215,6 +215,22 @@ def test_certificate_rejects_malformed_arrays(match_l, u, v, expected):
     assert any(expected in m for m in msgs), msgs
 
 
+@pytest.mark.parametrize("match_l, u, v, expected", [
+    # both copies of the one edge of EDGE5 (weight 5) are infeasible
+    ((-1, -1), (0, 0), (0, 0), [
+        "dual infeasible on edge (0, 3): short by 5",
+        "dual infeasible on edge (1, 2): short by 5"]),
+    # (0', 1'') is infeasible and the matched (1', 0'') is not tight
+    ((-1, 0), (1, 4), (2, 2), [
+        "dual infeasible on edge (0, 3): short by 2",
+        "matched edge (1, 2) is not tight: slack 1",
+        "unmatched vertex 0 has positive dual 1",
+        "unmatched vertex 3 has positive dual 2"]),
+])
+def test_certificate_reports_the_copy_i_j_before_j_i(match_l, u, v, expected):
+    assert check_certificate(EDGE5, PrimalDualCertificate(match_l, u, v)) == expected
+
+
 def rand_instances():
     cases = []
     for seed in range(40):
@@ -284,6 +300,33 @@ def test_kernel_matches_reference_exactly():
         got = _hungarian_py.solve_max_weight_bipartite(n, n, d.heads, d.rights, d.weights)
         assert got == reference_max_weight_bipartite(
             n, n, d.heads, d.rights, d.weights), g.name
+
+
+def test_kernel_settles_a_vertex_that_joined_after_a_dual_step():
+    # The star 1-2, 1-3, 1-4 of weights 2, 2, 3. In the stage of left copy
+    # 3', D rises to 2 before right copy 0'' and its match 1' (dual 0)
+    # join the tree; the next dual step stays at 2, where 1' reaches zero,
+    # so the stage ends by dropping 1'. Settling moves 3' by 2 and the two
+    # late vertices by nothing.
+    g = parse_instance("p mg 4 3\ne 1 2 2\ne 1 3 2\ne 1 4 3\n")
+    d = double_graph(g)
+    got = _hungarian_py.solve_max_weight_bipartite(4, 4, d.heads, d.rights, d.weights)
+    assert got == ([3, -1, -1, 0], [3, -1, -1, 0], [3, 0, 0, 1], [2, 0, 0, 0])
+    assert got == reference_max_weight_bipartite(4, 4, d.heads, d.rights, d.weights)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_kernel_matches_reference_on_small_graphs(data):
+    n = data.draw(st.integers(0, 9))
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    chosen = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    # ties, then ties past 64-bit arithmetic
+    weight = data.draw(st.sampled_from([
+        st.integers(1, 3), st.integers(1 << 63, (1 << 63) + 4)]))
+    d = double_graph(GameInstance(n, tuple((a, b, data.draw(weight)) for (a, b) in chosen)))
+    got = _hungarian_py.solve_max_weight_bipartite(n, n, d.heads, d.rights, d.weights)
+    assert got == reference_max_weight_bipartite(n, n, d.heads, d.rights, d.weights)
 
 
 def test_huge_weights_solved_exactly():

@@ -43,7 +43,6 @@ from .instances import (
     serialize_instance,
 )
 from .mechanism import (
-    CycleAnalysis,
     CycleMatching,
     ImputationResult,
     PipelineTrace,
@@ -71,7 +70,6 @@ __all__ = [
     "BoundExceeded",
     "CoalitionReport",
     "CoalitionViolation",
-    "CycleAnalysis",
     "CycleMatching",
     "DoubledGraph",
     "FractionalComponents",

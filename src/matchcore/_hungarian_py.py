@@ -18,6 +18,15 @@ free right vertex: when the dual of a tree vertex reaches zero, the
 augmentation ends there and that vertex simply drops out of the
 matching.
 
+Its duals are the u-greatest optimal ones: no optimal (u, v) of the
+double has a larger sum(u). This is tested against an LP
+(`test_kernel_duals_are_u_greatest`), not proved. The kernel starts
+from u = row maximum, v = 0 and only lowers tree duals, each time by
+the least amount that makes a new edge tight; and the optimal duals of
+an assignment game form a lattice with a unique u-greatest point
+(Shapley and Shubik 1971). So u, v and the cover u + v do not depend on
+how the vertices are numbered.
+
 Each stage touches only the right vertices its tree has reached, and
 keeps one running dual offset `D`. A touched vertex stores its slack
 plus `D` (at most 3 max w, below the sentinel 4 max w + 1), so a dual

@@ -46,10 +46,11 @@ def _cmd_solve(args) -> int:
     if args.json:
         print(json.dumps(res.to_json_dict()))
         return 0
+    cert = trace.certificate
     rows = [("vertex", "cover", "factor", "payout")]
     for i in range(g.vertex_count):
         rows.append((str(i + 1),
-                     str(Fraction(trace.folded.v2[i], 2)),
+                     str(Fraction(cert.u[i] + cert.v[i], 2)),  # the fold's cover v2[i] / 2
                      str(res.factors[i]),
                      str(res.c[i])))
     widths = [max(len(r[col]) for r in rows) for col in range(4)]

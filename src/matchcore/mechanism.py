@@ -30,11 +30,12 @@ that returns its problems as a list: `check_certificate` for the
 kernel (it also certifies the fold, see `fold_solution`), `check_cycle`
 per odd cycle and `check_payout` for the backing matching. A live run
 raises InvariantViolation on a checker's first problem: the upstream
-solution was not optimal. `audit_pipeline` checks a finished trace's
-certificate, derives the rest of the trace from it again and reports
-where the stored artifacts differ. The checks compare integers only:
-the doubled cover v2, each factor as the pair (2k, 2k+1) read off the
-cycle lengths, and the payouts as numerators over one scale.
+solution was not optimal. A run keeps only what it cannot derive: the
+instance, the certificate and the result. `audit_pipeline` checks a
+finished trace's certificate, derives the result from it again and
+reports where the stored result differs. The checks compare integers
+only: the doubled cover v2, each factor as the pair (2k, 2k+1) read off
+the cycle lengths, and the payouts as numerators over one scale.
 `Fraction`s are built only for the result, the factors one per
 distinct cycle length.
 """
@@ -48,13 +49,7 @@ from typing import NamedTuple
 from . import halfint
 from .bipartite import PrimalDualCertificate, check_certificate, double_graph, solve_bipartite
 from .errors import InvariantViolation
-from .halfint import (
-    FractionalComponents,
-    HalfIntegralSolution,
-    OddCycle,
-    decompose_components,
-    fold_solution,
-)
+from .halfint import OddCycle, decompose_components, fold_solution
 from .instances import GameInstance
 
 
@@ -65,20 +60,6 @@ class CycleMatching(NamedTuple):
     removed_vertex: int
     edges: tuple[tuple[int, int], ...]
     weight: int
-
-
-class CycleAnalysis(NamedTuple):
-    """The weights of a cycle's 2k+1 alternating matchings and the heaviest.
-
-    `matching_weights[j]` is w(M_j), the matching left by deleting
-    `cycle.vertices[j]`. The weights come from a two-step recurrence on
-    the cycle's edge weights and only `heaviest` is built edge by edge,
-    so an analysis costs O(L) for a cycle of length L.
-    """
-
-    cycle: OddCycle
-    matching_weights: tuple[int, ...]
-    heaviest: CycleMatching
 
 
 class ImputationResult(NamedTuple):
@@ -106,18 +87,16 @@ class ImputationResult(NamedTuple):
 
 
 class PipelineTrace(NamedTuple):
-    """Every intermediate artifact of one mechanism run; all but the
-    instance and the result are made of ints only."""
+    """What one mechanism run cannot derive: the instance, the kernel's
+    certificate and the result. The fold, the odd cycles and their
+    matchings are functions of the certificate (see `audit_pipeline`)."""
 
     instance: GameInstance
     certificate: PrimalDualCertificate
-    folded: HalfIntegralSolution
-    components: FractionalComponents
-    analyses: tuple[CycleAnalysis, ...]
     result: ImputationResult
 
 
-def analyze_cycle(cycle: OddCycle, v2) -> CycleAnalysis:
+def analyze_cycle(cycle: OddCycle, v2) -> CycleMatching:
     """Weigh the 2k+1 alternating matchings of a cycle, check them with
     `check_cycle` and build the heaviest; ties for the heaviest go to
     the smallest removed vertex id."""
@@ -134,7 +113,7 @@ def analyze_cycle(cycle: OddCycle, v2) -> CycleAnalysis:
     for t in range(cycle.k):
         p = (best + 1 + 2 * t) % length
         edges.append((verts[p], verts[(p + 1) % length]))
-    return CycleAnalysis(cycle, matching_weights, CycleMatching(verts[best], tuple(edges), hw))
+    return CycleMatching(verts[best], tuple(edges), hw)
 
 
 def _matching_weights(cycle: OddCycle) -> tuple[int, ...]:
@@ -177,19 +156,17 @@ def check_cycle(cycle: OddCycle, matching_weights, v2) -> list[str]:
 
 
 def run_pipeline(g: GameInstance) -> PipelineTrace:
-    """Run the full mechanism and retain every intermediate artifact."""
-    d = double_graph(g)
-    cert = solve_bipartite(d)
+    """Run every stage of the mechanism and its checks; keep the instance,
+    the certificate and the result."""
+    cert = solve_bipartite(double_graph(g))
     folded = fold_solution(g, cert)
-    comps = decompose_components(g, folded)
-    analyses = tuple(analyze_cycle(cyc, folded.v2) for cyc in comps.odd_cycles)
-    return PipelineTrace(g, cert, folded, comps, analyses, _assemble(g, folded, comps, analyses))
+    return PipelineTrace(g, cert, _assemble(g, folded, decompose_components(g, folded)))
 
 
-def _assemble(g: GameInstance, folded, comps, analyses) -> ImputationResult:
+def _assemble(g: GameInstance, folded, comps) -> ImputationResult:
     """Pay each vertex its factor times its cover and back the payouts
-    with the integral edges plus each cycle's heaviest matching; raise on
-    `check_payout`'s first problem."""
+    with the integral edges plus each cycle's heaviest matching (see
+    `analyze_cycle`); raise on `check_payout`'s first problem."""
     fnum = [1] * g.vertex_count
     fden = [1] * g.vertex_count
     for cycle in comps.odd_cycles:
@@ -202,10 +179,11 @@ def _assemble(g: GameInstance, folded, comps, analyses) -> ImputationResult:
 
     matching = [g.edges[e][:2] for e in comps.integral_edges]
     matching_weight = sum(g.edges[e][2] for e in comps.integral_edges)
-    for analysis in analyses:
-        for (a, b) in analysis.heaviest.edges:
+    for cycle in comps.odd_cycles:
+        heaviest = analyze_cycle(cycle, folded.v2)
+        for (a, b) in heaviest.edges:
             matching.append((min(a, b), max(a, b)))
-        matching_weight += analysis.heaviest.weight
+        matching_weight += heaviest.weight
     matching.sort()
 
     problems = check_payout(g, pay, scale, matching, matching_weight)
@@ -272,8 +250,8 @@ def audit_pipeline(trace: PipelineTrace) -> list[str]:
     `solve --check` runs this on the in-memory trace. All after the
     kernel is a function of its certificate, so the audit returns the
     problems of `check_certificate`, if any. Else it derives the fold,
-    components, analyses and result again with the live run's stages,
-    which run their checks again, and reports where the stored trace
+    the odd cycles and the result again with the live run's stages,
+    which run their checks again, and reports where the stored result
     differs from the derived one (see `_differences`).
     """
     g = trace.instance
@@ -282,11 +260,8 @@ def audit_pipeline(trace: PipelineTrace) -> list[str]:
         return problems
     # by `halfint.`: the benchmark times the live fold and decomposition only
     folded = halfint.fold_solution(g, trace.certificate)
-    comps = halfint.decompose_components(g, folded)
-    analyses = tuple(analyze_cycle(cyc, folded.v2) for cyc in comps.odd_cycles)
-    derived = trace._replace(folded=folded, components=comps, analyses=analyses,
-                             result=_assemble(g, folded, comps, analyses))
-    return _differences("", trace, derived)
+    derived = _assemble(g, folded, halfint.decompose_components(g, folded))
+    return _differences("result", trace.result, derived)
 
 
 def _differences(path: str, stored, derived) -> list[str]:
@@ -313,5 +288,5 @@ def _differences(path: str, stored, derived) -> list[str]:
         if a != b:
             if fields is None:
                 return _differences(f"{path}[{t}]", a, b)
-            problems += _differences(f"{path}.{fields[t]}" if path else fields[t], a, b)
+            problems += _differences(f"{path}.{fields[t]}", a, b)
     return problems

@@ -391,8 +391,8 @@ def reference_check_core(g, c, alpha, mode: str = "exhaustive",
 
 @dataclass(frozen=True)
 class ReferenceCycleAnalysis:
-    """`matchcore.mechanism.CycleAnalysis` as it was when it held all
-    2k+1 alternating matchings of the cycle."""
+    """The analysis `matchcore.mechanism.analyze_cycle` returned when it
+    held all 2k+1 alternating matchings of the cycle."""
 
     cycle: OddCycle
     matchings: tuple[CycleMatching, ...]

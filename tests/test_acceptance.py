@@ -12,6 +12,7 @@ from fractions import Fraction
 import pytest
 
 from matchcore.cli import main
+from matchcore.halfint import decompose_components, fold_solution
 from matchcore.instances import (
     gen_gap_family,
     gen_odd_cycle,
@@ -19,7 +20,7 @@ from matchcore.instances import (
     parse_instance,
     serialize_instance,
 )
-from matchcore.mechanism import run_mechanism, run_pipeline
+from matchcore.mechanism import analyze_cycle, run_mechanism, run_pipeline
 from matchcore.verify import (
     check_core,
     coalition_worth_table,
@@ -162,7 +163,7 @@ def test_c05_bipartite_exactness():
     for g, trace in traces_for(corpus("bipartite")):
         res = trace.result
         assert set(trace.result.factors) <= {Fraction(1)}
-        assert res.c == tuple(Fraction(x, 2) for x in trace.folded.v2)
+        assert res.c == tuple(Fraction(x, 2) for x in fold_solution(g, trace.certificate).v2)
         report = check_core(g, res.c, Fraction(1))
         assert report.violations == ()
         assert report.budget_ok is True
@@ -189,34 +190,38 @@ def test_c07_cycle_identity_ledger():
     for name in ("unit_triangle", "gap_family", "odd_cycles", "random",
                  "bipartite", "high_girth"):
         for g, trace in traces_for(corpus(name)):
-            folded = trace.folded
+            # a trace keeps no fold and no components: derive them from its certificate
+            folded = fold_solution(g, trace.certificate)
+            comps = decompose_components(g, folded)
             v = [Fraction(x, 2) for x in folded.v2]
             assert Fraction(solution_weight2(g, folded), 2) == sum(v, Fraction(0))
             # resolving the half paths and even cycles kept the weight
-            comps = trace.components
             integral = sum(g.edges[e][2] for e in comps.integral_edges)
             assert 2 * integral + sum(c.w_C for c in comps.odd_cycles) == sum(folded.v2)
             solves += 1
             weight = {}
             for (a, b, w) in g.edges:
                 weight[a, b] = weight[b, a] = w
-            for analysis in trace.analyses:
-                cyc = analysis.cycle
+            for cyc in comps.odd_cycles:
                 k = cyc.k
                 L = 2 * k + 1
                 assert cyc.weights == tuple(
                     weight[cyc.vertices[t], cyc.vertices[(t + 1) % L]] for t in range(L))
                 v_C = sum(v[i] for i in cyc.vertices)
                 assert cyc.w_C == 2 * v_C
-                assert sum(analysis.matching_weights) == 2 * k * v_C
-                assert (2 * k + 1) * analysis.heaviest.weight >= 2 * k * v_C
-                for j, mw in enumerate(analysis.matching_weights):
+                # w(M_j): every other weight after position j, k of them
+                matching_weights = [sum(cyc.weights[(j + 1 + 2 * t) % L] for t in range(k))
+                                    for j in range(L)]
+                assert sum(matching_weights) == 2 * k * v_C
+                heaviest = analyze_cycle(cyc, folded.v2)
+                assert (2 * k + 1) * heaviest.weight >= 2 * k * v_C
+                for j, mw in enumerate(matching_weights):
                     assert v[cyc.vertices[j]] == v_C - mw
                     edges = alternating_matching(cyc.vertices, j)
                     assert mw == sum(weight[e] for e in edges)
-                    if cyc.vertices[j] == analysis.heaviest.removed_vertex:
-                        assert analysis.heaviest.edges == edges
-                        assert analysis.heaviest.weight == mw
+                    if cyc.vertices[j] == heaviest.removed_vertex:
+                        assert heaviest.edges == edges
+                        assert heaviest.weight == mw == max(matching_weights)
                 cycles += 1
     print(f"\n[acceptance 07] PASS identity ledger: {solves} solves at exact "
           f"strong duality, {cycles} odd cycles, zero tolerance")

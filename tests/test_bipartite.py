@@ -417,3 +417,45 @@ def test_kernel_contract_on_raw_csr(data):
         triples = [(i, rights[t], weights[t])
                    for i in range(nl) for t in range(heads[i], heads[i + 1])]
         assert sum(out[2]) + sum(out[3]) == bipartite_max_weight_dp(nl, nr, triples)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_kernel_duals_do_not_depend_on_the_numbering(data):
+    # the duals are the u-greatest optimal point (see the kernel's
+    # docstring), which names no vertex; so is the cover u + v
+    n = data.draw(st.integers(1, 30))
+    p = data.draw(st.sampled_from([Fraction(1, 10), Fraction(1, 4), Fraction(1, 2), 1]))
+    cap = data.draw(st.sampled_from([1, 2, 3, 10, 1000]))
+    g = gen_random(n, p, cap, seed=data.draw(st.integers(0, 1 << 16)))
+    perm = data.draw(st.permutations(range(n)))
+    cert = solve_bipartite(double_graph(g))
+    renumbered = solve_bipartite(double_graph(
+        GameInstance(n, [(perm[a], perm[b], w) for (a, b, w) in g.edges])))
+    for duals, moved in ((cert.u, renumbered.u), (cert.v, renumbered.v)):
+        assert [moved[perm[i]] for i in range(n)] == list(duals)
+
+
+def test_kernel_duals_are_u_greatest():
+    # HiGHS maximises sum(u) over the optimal duals of the double, in
+    # floats; that face of a bipartite dual polytope has integral
+    # vertices, so its maximum is an integer and rounds exactly
+    optimize = pytest.importorskip("scipy.optimize")
+    for s in range(150):
+        # n, p and the weight cap drawn from the seed; caps 1-3 give many ties
+        rng = random.Random(s)
+        n = rng.randint(3, 14)
+        g = gen_random(n, Fraction(rng.randint(1, 9), 10), rng.choice([1, 2, 3, 10, 1000]), seed=s)
+        cert = solve_bipartite(double_graph(g))
+        rows, rhs = [], []
+        for (i, j, w) in g.edges:
+            for a, b in ((i, j), (j, i)):  # u_a + v_b >= w, as -u_a - v_b <= -w
+                row = [0] * (2 * n)
+                row[a] = row[n + b] = -1
+                rows.append(row)
+                rhs.append(-w)
+        lp = optimize.linprog([-1] * n + [0] * n, A_ub=rows or None, b_ub=rhs or None,
+                              A_eq=[[1] * (2 * n)], b_eq=[cert.total_dual()],
+                              bounds=(0, None), method="highs")
+        assert lp.status == 0, (g.name, lp.message)
+        assert round(-lp.fun) == sum(cert.u), g.name

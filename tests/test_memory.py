@@ -12,7 +12,7 @@ it is, and the code with the per-edge copies listed below.
 |------------------|---------:|------:|----------------:|
 | `parse_instance` |      250 |   360 |             445 |
 | `double_graph`   |       41 |   100 |             161 |
-| `run_pipeline`   |       52 |   110 |             160 |
+| `run_pipeline`   |       41 |   110 |             160 |
 | `audit_pipeline` |       18 |    40 |             134 |
 
 The copies: a list of every line of the text and one of every edge's
@@ -21,7 +21,8 @@ tuple per edge end in `double_graph`, and a dict of all m edge weights
 in the audit. What remains of the parse is one tuple per edge, its
 numbers and the set of vertex pairs the duplicate check keeps: the
 parser streams each edge into the instance and keeps no list of them
-itself. Of `double_graph` remain its flat CSR lists. Of the audit
+itself. Of `double_graph` remain its flat CSR lists, and they are also
+the peak of `run_pipeline`, whose trace keeps no fold. Of the audit
 remain the fold and the decomposition it derives from the certificate,
 lists and tuples of `x2` entries.
 """

@@ -33,9 +33,13 @@ plus `D` (at most 3 max w, below the sentinel 4 max w + 1), so a dual
 step, which lowers every slack alike, raises `D` alone: it is one pass
 over the touched vertices for the smallest key and its ties. Each tree
 dual is settled once, when the stage ends, by the rise of `D` since its
-vertex joined. A stage thus costs its dual steps times its touched
-vertices plus the edges of its tree-left vertices, however large `nr`
-is. Newly tight vertices are queued in ascending id, the order a full
+vertex joined. A stage ends as soon as a free right vertex becomes
+tight, while its row is scanned or its tie is queued, rather than
+when the queue would pop it: the vertices queued ahead of it would
+join the tree at the final `D`, so their duals would not move. A stage
+thus costs its dual steps times its touched vertices plus the edges
+of the tree-left vertices popped before that, however large `nr` is.
+Newly tight vertices are queued in ascending id, the order a full
 O(nr) scan per dual step gives, so the output does not depend on this
 bookkeeping.
 """
@@ -91,23 +95,27 @@ def solve_max_weight_bipartite(
         # D moves only on an empty queue, so a popped one is tight, not in the tree
         tqh = 0
         D = 0
+        # A free right vertex that becomes tight ends the stage at once:
+        # it is the first free one the queue would pop, its key is D and
+        # cannot fall, so its path is fixed, and each vertex queued ahead
+        # of it would join the tree at this D and have its dual moved by 0.
+        end_right = -1
         for t in range(h0, h1):
             j = rights[t]
             k = us + v[j] - weights[t]
             key[j] = k
             way[j] = s
             if k == 0:
+                if match_r[j] == -1:
+                    end_right = j
+                    break
                 tq.append(j)
 
-        end_right = -1
-        while True:
+        while end_right < 0:
             while tqh < len(tq):
                 j = tq[tqh]
                 tqh += 1
                 i2 = match_r[j]
-                if i2 == -1:
-                    end_right = j  # free right vertex reached: augment
-                    break
                 key[j] = -1
                 joined[j] = D
                 tree_right.append(j)
@@ -127,6 +135,9 @@ def solve_max_weight_bipartite(
                             key[j2] = k
                             way[j2] = i2
                             if k == D:
+                                if match_r[j2] == -1:
+                                    end_right = j2
+                                    break
                                 tq.append(j2)
                 else:
                     for t in range(h0, h1):
@@ -139,7 +150,12 @@ def solve_max_weight_bipartite(
                             key[j2] = k
                             way[j2] = i2
                             if k == D:
+                                if match_r[j2] == -1:
+                                    end_right = j2
+                                    break
                                 tq.append(j2)
+                if end_right >= 0:
+                    break
             if end_right >= 0:
                 break
             # No tight edge leaves the tree: raise D to the smallest key, or
@@ -158,7 +174,11 @@ def solve_max_weight_bipartite(
             if not tight:
                 break  # D == null_key: null_arg's dual is zero, it leaves the matching
             tight.sort()
-            tq.extend(tight)
+            for j in tight:
+                if match_r[j] == -1:
+                    end_right = j
+                    break
+                tq.append(j)
 
         # Settle the tree duals while match_r still pairs each tree-right
         # vertex with the tree-left vertex that joined with it.

@@ -25,7 +25,7 @@ from fractions import Fraction
 from .errors import BoundExceeded, InstanceFormatError, InvariantViolation
 from .instances import gen_gap_family, gen_odd_cycle, gen_random, load_instance, serialize_instance
 from .mechanism import audit_pipeline, run_pipeline
-from .rationals import parse_fraction
+from .rationals import parse_fraction, parse_fractions
 from .verify import DEFAULT_MAX_EDGES, check_core, integrality_gap
 
 
@@ -69,8 +69,7 @@ def _cmd_verify(args) -> int:
         data = json.load(fh)
     if not isinstance(data, dict) or not isinstance(data.get("values"), list):
         raise ValueError("imputation file must be a JSON object with a 'values' array")
-    values = [parse_fraction(x if isinstance(x, str) else str(x))
-              for x in data["values"]]
+    values = parse_fractions([x if isinstance(x, str) else str(x) for x in data["values"]])
     alpha = parse_fraction(args.alpha)
     report = check_core(g, values, alpha, mode=args.mode)
     print(json.dumps(report.to_json_dict()))

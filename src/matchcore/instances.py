@@ -20,13 +20,22 @@ The on-disk format is line oriented (UTF-8, `#` starts a comment line):
 Every number is written in ASCII decimal digits with an optional minus
 sign (`-?[0-9]+`); a leading `+`, digit-group underscores or non-ASCII
 digits are rejected.
+
+`parse_instance` reads the edge lines after the header in pieces of
+about 64 Ki characters. A piece made only of canonical edge lines
+(`e U V W` in ASCII, each ending in "\n", as `serialize_instance`
+writes them) is read and checked as whole columns; any other piece,
+and any piece whose columns fail a check, is read and checked one
+line at a time. Which texts are accepted, and the line and text of
+each rejection, do not depend on the path a piece takes.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import chain, islice
+from itertools import chain, islice, repeat
+from operator import add, eq, gt, mul, sub
 from typing import Iterable, Iterator
 
 from .errors import BoundExceeded, InstanceFormatError
@@ -72,20 +81,20 @@ class _BadEdge(ValueError):
         self.first = first
 
 
-def _normalized_edges(n: int, edges) -> tuple[Edge, ...]:
-    """Check every edge in input order and return them with `u < v`.
+def _normalized_edges(n: int, edges, normalized: list[Edge], seen: set[int]) -> None:
+    """Check every edge in input order and append it to `normalized`
+    with `u < v`; `seen` holds `u * n + v` of every pair in `normalized`.
 
-    The one place where edges are validated; raises `_BadEdge` at the
-    first edge that fails: a non-`int` endpoint or weight, a negative
+    The one place where edges are checked one at a time; raises
+    `_BadEdge` at the first edge that fails, its index counted from the
+    start of `normalized`: a non-`int` endpoint or weight, a negative
     weight, an endpoint outside `range(n)`, a self-loop or a repeated
     vertex pair. Each edge is checked as soon as `edges` yields it, so a
     generator's later items are never read past a bad one. An edge that
     already is a plain `tuple` with `u < v` is stored as given, so a
     parsed instance holds one tuple per edge.
     """
-    normalized = []
-    seen = set()
-    for idx, edge in enumerate(edges):
+    for idx, edge in enumerate(edges, start=len(normalized)):
         u, v, w = edge
         # `type(x) is int` also rules out `bool`, an `int` subclass
         if type(u) is not int or type(v) is not int:
@@ -107,7 +116,6 @@ def _normalized_edges(n: int, edges) -> tuple[Edge, ...]:
         seen.add(key)
         # a reversed edge, a list or a tuple subclass becomes a plain tuple
         normalized.append(edge if type(edge) is tuple and edge[0] == u else (u, v, w))
-    return tuple(normalized)
 
 
 class GameInstance:
@@ -128,10 +136,9 @@ class GameInstance:
             raise ValueError(f"vertex_count is not an int: {vertex_count!r}")
         if vertex_count < 0:
             raise ValueError("vertex_count must be nonnegative")
-        init = object.__setattr__
-        init(self, "vertex_count", vertex_count)
-        init(self, "edges", _normalized_edges(vertex_count, edges))
-        init(self, "name", name)
+        normalized: list[Edge] = []
+        _normalized_edges(vertex_count, edges, normalized, set())
+        _fill(self, vertex_count, tuple(normalized), name)
 
     def __setattr__(self, attr, value):
         raise AttributeError(f"cannot assign to field {attr!r}")
@@ -159,6 +166,15 @@ class GameInstance:
         return len(self.edges)
 
 
+def _fill(g: GameInstance, vertex_count: int, edges: tuple[Edge, ...], name) -> GameInstance:
+    """Set the read-only fields of `g`, whose edges are already checked."""
+    init = object.__setattr__
+    init(g, "vertex_count", vertex_count)
+    init(g, "edges", edges)
+    init(g, "name", name)
+    return g
+
+
 def parse_instance(text: str) -> GameInstance:
     """Parse the line-oriented instance format into a validated instance.
 
@@ -166,11 +182,18 @@ def parse_instance(text: str) -> GameInstance:
     `text.splitlines()` numbers them: malformed header, bad edge line,
     self-loop, duplicate edge, negative weight, vertex id out of range,
     or an edge count that disagrees with the header. `_records` reads
-    the syntax one line at a time; its first record is the header and
-    the rest, the edges, stream into `GameInstance`, which checks each
-    one as it is read. So the first fault in the file is the one
-    reported, and nothing past it is read. A rejected edge is restated
-    with its line; the edge counts are compared once every line is read.
+    the header, then the edge lines in pieces of about `_PIECE`
+    characters. A piece made only of canonical edge lines (`e U V W`
+    in ASCII with "\\n" line ends, as `serialize_instance` writes
+    them) arrives as three columns that are checked whole
+    (`_take_columns`). Any other piece, and any piece whose columns
+    fail a check, is read one line at a time and its edges checked one
+    at a time, in file order, by `_normalized_edges`, the only code
+    that names a fault. So the first fault in the file is the one
+    reported, exactly as a line-by-line read reports it, and nothing
+    is read past the piece that holds it. A rejected edge is restated
+    with its line; the edge counts are compared once every line is
+    read.
 
     A header past `MAX_VERTICES` or `MAX_EDGES` raises `BoundExceeded`
     before any edge is read, and so does an edge line past the
@@ -180,8 +203,18 @@ def parse_instance(text: str) -> GameInstance:
     records = _records(text)
     n, m, header_line = next(records)
     _check_bounds(f"line {header_line}: header declares", n, m)
+    edges: list[Edge] = []
+    seen: set[int] = set()
     try:
-        g = GameInstance(n, islice(records, MAX_EDGES + 1))
+        for batch in records:
+            room = MAX_EDGES + 1 - len(edges)
+            if type(batch) is tuple:  # the columns of a piece of canonical lines
+                if len(batch[0]) < room and _take_columns(n, *batch, edges, seen):
+                    continue
+                batch = zip(*batch)
+            _normalized_edges(n, islice(batch, room), edges, seen)
+            if len(edges) > MAX_EDGES:
+                break
     except _BadEdge as bad:
         u, v, w = bad.edge
         lineno, line = _edge_line(text, bad.index)
@@ -195,35 +228,171 @@ def parse_instance(text: str) -> GameInstance:
             reason = (f"duplicate edge ({u + 1}, {v + 1}), "
                       f"first seen at line {_edge_line(text, bad.first)[0]}")
         raise InstanceFormatError(lineno, reason) from None
-    if g.edge_count > MAX_EDGES:
+    count = len(edges)
+    if count > MAX_EDGES:
         raise BoundExceeded(f"line {_edge_line(text, MAX_EDGES)[0]}: more than "
                             f"{MAX_EDGES} edge lines, above the bound")
-    if g.edge_count > m:
+    if count > m:
         raise InstanceFormatError(
             _edge_line(text, m)[0], f"more edge lines than the {m} declared")
-    if g.edge_count < m:
+    if count < m:
         raise InstanceFormatError(
-            header_line, f"header declares {m} edges but {g.edge_count} found")
-    return g
+            header_line, f"header declares {m} edges but {count} found")
+    return _fill(GameInstance.__new__(GameInstance), n, tuple(edges), None)
 
 
-def _records(text: str) -> Iterator[tuple[int, int, int]]:
-    """The parsed lines of `text`: first the header `(n, m, line)`, then
-    one `(u, v, w)` per edge line, with 0-based endpoints, in file order.
+def _take_columns(n: int, us: list[int], vs: list[int], ws: list[int],
+                  edges: list[Edge], seen: set[int]) -> bool:
+    """Append the edges of columns from `_columns` to `edges`, with
+    `u < v`, if they pass every check of `_normalized_edges`; tell
+    whether they did.
 
-    Reads the syntax only. A line that breaks it raises
-    `InstanceFormatError` when the reader gets to it, so an edge before
-    it has already been checked.
+    Each check runs on whole columns. Ids are already in range; a
+    negative weight, a self-loop or a pair already in `seen` (the pairs
+    of `edges`) or repeated in the columns leaves `edges` and `seen` as
+    they were, for the line-by-line check to name the first fault.
     """
-    n = None
-    for lineno, raw in enumerate(_lines(text), start=1):
+    if min(ws) < 0 or any(map(eq, us, vs)):
+        return False
+    if any(map(gt, us, vs)):  # reversed pairs, swapped in bulk
+        us, vs = list(map(min, us, vs)), list(map(max, us, vs))
+    before = len(seen)
+    seen.update(map(add, map(mul, us, repeat(n)), vs))  # the keys `_normalized_edges` keeps
+    if len(seen) != before + len(us):  # a repeated pair: `seen` as it was
+        seen.clear()
+        seen.update(u * n + v for (u, v, _) in edges)
+        return False
+    edges.extend(zip(us, vs, ws))
+    return True
+
+
+def _records(text: str) -> Iterator:
+    """The parsed lines of `text`: first the header `(n, m, line)`, then
+    the edge lines after it in file order, in batches of 0-based
+    `(u, v, w)`.
+
+    The text after the header is read in pieces of about `_PIECE`
+    characters, each ending just after a "\\n". A piece that `_columns`
+    takes becomes one batch: the tuple of its three columns. Any other
+    piece becomes an iterator that reads the syntax one line at a time
+    (`_edge_records`), so a line that breaks it raises
+    `InstanceFormatError` only when the reader gets to it, and every
+    edge before it has already been checked. Vertex ids are read
+    through a table from their strings once the lines read number at
+    least twice the vertices, so the table never outweighs them.
+    """
+    n, m, lineno, rest, start = _header(text)
+    yield n, m, lineno
+    yield _edge_records(rest, lineno)
+    lineno += len(rest)
+    ids = None
+    while start < len(text):
+        end = _piece_end(text, start, _PIECE)
+        piece = text[start:end]
+        start = end
+        lines = piece.count("\n")
+        if ids is None and 2 * n <= lineno + lines:
+            ids = {str(i + 1): i for i in range(n)}
+        columns = _columns(piece, lines, n, ids)
+        if columns is None:
+            piece_lines = piece.splitlines()
+            yield _edge_records(piece_lines, lineno)
+            lineno += len(piece_lines)
+        else:
+            yield columns
+            lineno += lines
+
+
+# Characters that, besides "\n", end a line for `str.splitlines` in
+# ASCII text, and the two that `int()` reads in a number but the
+# format does not allow
+_NOT_CANONICAL = "\r\x0b\x0c\x1c\x1d\x1e+_"
+
+
+def _columns(piece: str, lines: int, n: int, ids: dict[str, int] | None):
+    """The columns `(us, vs, ws)` of a piece of `lines` canonical edge
+    lines whose ids are all in 1..n, as lists of 0-based endpoints and
+    of weights; else None.
+
+    A canonical line is `e U V W` in ASCII, ending in "\\n", that the
+    line reader reads as the same edge. The test proves it of all the
+    lines at once: every line starts with "e ", the piece holds no
+    other line break and no "+" or "_" (so `int()` reads a token only
+    as `-?[0-9]+`), `split()` gives 4 tokens a line, and every token at
+    a place 1, 2 or 3 mod 4 reads as a number. So no "e" is at such a
+    place, each line's leading "e" is at a multiple of 4, and each line
+    holds exactly its own 4 tokens. `ids` maps "1"..."n" to 0..n-1;
+    without it ids are read with `int()` and their range checked.
+    """
+    if not (piece.startswith("e ") and piece.endswith("\n") and piece.isascii()
+            and piece.count("\ne ") == lines - 1
+            and not any(c in piece for c in _NOT_CANONICAL)):
+        return None
+    tokens = piece.split()
+    if len(tokens) != 4 * lines:
+        return None
+    try:
+        ws = list(map(int, tokens[3::4]))
+        if ids is not None:
+            id_of = ids.__getitem__
+            return list(map(id_of, tokens[1::4])), list(map(id_of, tokens[2::4])), ws
+        us = list(map(int, tokens[1::4]))
+        vs = list(map(int, tokens[2::4]))
+    except (KeyError, ValueError):  # an id not in `ids`, a token not a number
+        return None
+    if min(us) < 1 or min(vs) < 1 or max(us) > n or max(vs) > n:
+        return None
+    return list(map(sub, us, repeat(1))), list(map(sub, vs, repeat(1))), ws
+
+
+def _header(text: str) -> tuple[int, int, int, list[str], int]:
+    """Read `text` up to its header, one "\\n"-ended chunk at a time.
+
+    Returns n, m, the header's line number, the lines after it in its
+    chunk (there are some only if a line break other than "\\n" ends
+    it) and the offset where that chunk ends.
+    """
+    lineno, start = 0, 0
+    while start < len(text):
+        end = _piece_end(text, start, 0)
+        lines = text[start:end].splitlines()
+        for i, raw in enumerate(lines):
+            line = raw.strip()
+            if not line or line[0] == "#":
+                continue
+            fields = line.split()
+            at = lineno + i + 1
+            if fields[0] == "p":
+                if len(fields) != 4 or fields[1] != "mg" or not _plain_digits(line):
+                    raise InstanceFormatError(at, f"malformed header: {line!r}")
+                try:
+                    n, m = int(fields[2]), int(fields[3])
+                except ValueError:
+                    raise InstanceFormatError(at, f"malformed header: {line!r}")
+                if n < 0 or m < 0:
+                    raise InstanceFormatError(at, "negative count in header")
+                return n, m, at, lines[i + 1:], end
+            if fields[0] == "e":
+                raise InstanceFormatError(at, "edge before header")
+            raise InstanceFormatError(at, f"unknown directive: {fields[0]!r}")
+        lineno += len(lines)
+        start = end
+    raise InstanceFormatError(1, "missing header")
+
+
+def _edge_records(lines: list[str], lineno: int) -> Iterator[Edge]:
+    """The edges of `lines`, the lines after line `lineno` of a file
+    whose header is read, as `(u, v, w)` with 0-based endpoints.
+
+    Reads the syntax only, one line at a time: a line that breaks it
+    raises `InstanceFormatError` when the reader gets to it.
+    """
+    for lineno, raw in enumerate(lines, start=lineno + 1):
         line = raw.strip()
         if not line or line[0] == "#":
             continue
         fields = line.split()
         if fields[0] == "e":  # nearly every line, so tested first
-            if n is None:
-                raise InstanceFormatError(lineno, "edge before header")
             if len(fields) != 4 or not _plain_digits(line):
                 raise InstanceFormatError(lineno, f"malformed edge line: {line!r}")
             try:
@@ -232,39 +401,32 @@ def _records(text: str) -> Iterator[tuple[int, int, int]]:
                 raise InstanceFormatError(lineno, f"malformed edge line: {line!r}")
             yield u - 1, v - 1, w
         elif fields[0] == "p":
-            if n is not None:
-                raise InstanceFormatError(lineno, "duplicate header")
-            if len(fields) != 4 or fields[1] != "mg" or not _plain_digits(line):
-                raise InstanceFormatError(lineno, f"malformed header: {line!r}")
-            try:
-                n, m = int(fields[2]), int(fields[3])
-            except ValueError:
-                raise InstanceFormatError(lineno, f"malformed header: {line!r}")
-            if n < 0 or m < 0:
-                raise InstanceFormatError(lineno, "negative count in header")
-            yield n, m, lineno
+            raise InstanceFormatError(lineno, "duplicate header")
         else:
             raise InstanceFormatError(lineno, f"unknown directive: {fields[0]!r}")
-    if n is None:
-        raise InstanceFormatError(1, "missing header")
 
 
-_PIECE = 1 << 16  # characters of text split into lines at a time
+_PIECE = 1 << 16  # characters of text read at a time past the header
+
+
+def _piece_end(text: str, start: int, least: int) -> int:
+    """Where the piece of `text` from `start` ends: just past the first
+    "\\n" at least `least` characters on, or at the end of the text.
+
+    No line break, "\\r\\n" included, straddles two such pieces, so
+    their lines and numbering are exactly those of `text.splitlines()`.
+    """
+    end = text.find("\n", start + least)
+    return len(text) if end < 0 else end + 1
 
 
 def _lines(text: str) -> Iterator[str]:
     """The lines of `text`, as `text.splitlines()` gives them, without a
-    list of them all: the text is split one piece at a time.
-
-    Every piece but the last ends just after a "\\n", so no line break,
-    "\\r\\n" included, straddles two pieces and the lines and their
-    numbering are exactly those of `text.splitlines()`.
-    """
+    list of them all: the text is split one piece at a time."""
     def pieces() -> Iterator[str]:
-        start, size = 0, len(text)
-        while start < size:
-            end = text.find("\n", start + _PIECE)
-            end = size if end < 0 else end + 1
+        start = 0
+        while start < len(text):
+            end = _piece_end(text, start, _PIECE)
             yield text[start:end]
             start = end
 

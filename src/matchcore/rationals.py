@@ -7,7 +7,8 @@ which stores values in lowest terms with a positive denominator.
 Externally values cross the CLI/JSON boundary as reduced-fraction
 strings: output is `str` of the exact value, which for an `int` or a
 `Fraction` is `"a/b"`, or plain `"a"` when the value is an integer.
-`parse_fraction` reads that form back.
+`parse_fraction` reads that form back, and `parse_fractions` reads a
+list of them to a `FractionArray` of int numerators and denominators.
 """
 
 from __future__ import annotations
@@ -25,10 +26,39 @@ def parse_fraction(text: str) -> Fraction:
     other than ASCII 0-9: the interchange format is integer fractions
     only.
     """
-    m = _FRACTION_RE.match(text.strip())
-    if m is None:
-        raise ValueError(f"not a fraction string: {text!r}")
-    num = int(m.group(1))
-    den = int(m.group(2)) if m.group(2) else 1
-    return Fraction(num, den)
+    return parse_fractions([text])[0]
 
+
+class FractionArray:
+    """Exact rationals held as two lists of ints, `nums` and positive
+    `dens`, not necessarily reduced; item i is `nums[i] / dens[i]`.
+
+    `parse_fractions` builds one without a `Fraction` per value, and
+    `verify.check_core` reads its lists as they are.
+    """
+
+    __slots__ = ("nums", "dens")
+
+    def __init__(self, nums: list[int], dens: list[int]):
+        self.nums = nums
+        self.dens = dens
+
+    def __len__(self) -> int:
+        return len(self.nums)
+
+    def __getitem__(self, i: int) -> Fraction:
+        return Fraction(self.nums[i], self.dens[i])
+
+
+def parse_fractions(texts: list[str]) -> FractionArray:
+    """Read every string of `texts` as `parse_fraction` reads one, to
+    ints and with no `Fraction` built.
+
+    Raises `ValueError` at the first string that is not `"a"` or
+    `"a/b"`, naming it.
+    """
+    found = list(map(_FRACTION_RE.match, map(str.strip, texts)))
+    if None in found:
+        raise ValueError(f"not a fraction string: {texts[found.index(None)]!r}")
+    parts = [match.groups("1") for match in found]  # "a" has denominator 1
+    return FractionArray([int(num) for num, _ in parts], [int(den) for _, den in parts])

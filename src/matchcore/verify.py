@@ -40,6 +40,7 @@ from typing import Iterable, NamedTuple, Sequence
 from .bipartite import double_graph, solve_bipartite
 from .errors import BoundExceeded, InvariantViolation
 from .instances import GameInstance
+from .rationals import FractionArray
 
 DEFAULT_MAX_EDGES = 24
 DEFAULT_MAX_VERTICES = 20
@@ -330,27 +331,32 @@ def check_core(g: GameInstance, c: Sequence[Fraction], alpha: Fraction,
     decomposes into such pairs) but is reported as the weaker check it
     is; the grand worth is unknown past `DEFAULT_MAX_EDGES` positive
     edges. Entries and `alpha` must be `int`s or `Fraction`s (not
-    floats or `bool`s).
+    floats or `bool`s); `c` may also be a `FractionArray`, whose ints
+    are read as they are, with no `Fraction` built.
 
     Both modes compare in integers: the imputation becomes numerators
     `ci` over one scale L, the lcm of its denominators, and with
     alpha = a/b a coalition S falls short exactly when
-    b * sum(ci over S) < a * L * worth(S).
+    b * sum(ci over S) < a * L * worth(S). Every value reported is a
+    reduced `Fraction`, so the report does not depend on L.
     """
     n = g.vertex_count
     if len(c) != n:
         raise ValueError(f"imputation has {len(c)} entries for {n} vertices")
+    plain = type(c) is not FractionArray
     # `type(x)` rather than isinstance: `bool` is an `int` subclass
-    for x in (*c, alpha):
+    for x in (*c, alpha) if plain else (alpha,):
         if type(x) not in (int, Fraction):
             raise ValueError(f"{x!r} is not an int or a Fraction")
-    if any(x < 0 for x in c):
+    nums = [x.numerator for x in c] if plain else c.nums
+    dens = [x.denominator for x in c] if plain else c.dens
+    if any(x < 0 for x in nums):
         raise ValueError("imputation entries must be nonnegative")
     alpha = Fraction(alpha)
     if not (0 < alpha <= 1):
         raise ValueError("alpha must be in (0, 1]")
-    scale = math.lcm(*(x.denominator for x in c))
-    ci = [x.numerator * (scale // x.denominator) for x in c]
+    scale = math.lcm(*dens)
+    ci = [x * (scale // d) for x, d in zip(nums, dens)]
     total = sum(ci)
 
     if mode == "exhaustive":

@@ -13,8 +13,12 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, islice
+from typing import Iterator
 
-from matchcore.errors import BoundExceeded, InvariantViolation
+from matchcore import instances
+from matchcore.errors import BoundExceeded, InstanceFormatError, InvariantViolation
+from matchcore.instances import GameInstance
 from matchcore.halfint import FractionalComponents, HalfIntegralSolution, OddCycle
 from matchcore.mechanism import CycleMatching
 from matchcore.verify import CoalitionReport, CoalitionViolation, worth_bruteforce
@@ -598,3 +602,184 @@ def reference_decompose_components(
             used.add(i)
 
     return FractionalComponents(tuple(cycles), integral)
+
+
+def _reference_plain_digits(line: str) -> bool:
+    """True when `int()` can read a token of `line` only as `-?[0-9]+`.
+
+    On a whitespace-free ASCII token `int()` accepts exactly
+    `[+-]?[0-9]+(_[0-9]+)*`, so a line that is ASCII and has no `+` and
+    no `_` leaves it the form the file format allows. Without this
+    check "+1_000" would read as 1000 and non-ASCII digits as numbers.
+    """
+    return line.isascii() and "+" not in line and "_" not in line
+
+
+class _ReferenceBadEdge(ValueError):
+    """`_reference_normalized_edges` rejects `edge`, item `index` of its
+    input; `kind` is "type", "negative", "range", "self-loop" or
+    "duplicate", and a duplicate's `first` is the index of the pair's
+    first copy."""
+
+    def __init__(self, index: int, kind: str, message: str, edge, first: int | None = None):
+        super().__init__(message)
+        self.index = index
+        self.kind = kind
+        self.edge = edge
+        self.first = first
+
+
+def _reference_normalized_edges(n: int, edges) -> tuple[tuple[int, int, int], ...]:
+    """Check every edge in input order and return them with `u < v`.
+
+    Raises `_ReferenceBadEdge` at the first edge that fails: a non-`int` endpoint or weight, a negative
+    weight, an endpoint outside `range(n)`, a self-loop or a repeated
+    vertex pair. Each edge is checked as soon as `edges` yields it, so a
+    generator's later items are never read past a bad one. An edge that
+    already is a plain `tuple` with `u < v` is stored as given, so a
+    parsed instance holds one tuple per edge.
+    """
+    normalized = []
+    seen = set()
+    for idx, edge in enumerate(edges):
+        u, v, w = edge
+        # `type(x) is int` also rules out `bool`, an `int` subclass
+        if type(u) is not int or type(v) is not int:
+            raise _ReferenceBadEdge(idx, "type", f"an endpoint of edge ({u!r}, {v!r}) is not an int", edge)
+        if type(w) is not int:
+            raise _ReferenceBadEdge(idx, "type", f"weight {w!r} on edge ({u}, {v}) is not an int", edge)
+        if w < 0:
+            raise _ReferenceBadEdge(idx, "negative", f"negative weight on edge ({u}, {v})", edge)
+        if not (0 <= u < n and 0 <= v < n):
+            raise _ReferenceBadEdge(idx, "range", f"edge ({u}, {v}) out of range", edge)
+        if u == v:
+            raise _ReferenceBadEdge(idx, "self-loop", f"self-loop at vertex {u}", edge)
+        if u > v:
+            u, v = v, u
+        key = u * n + v  # one int per pair, as 0 <= u < v < n
+        if key in seen:
+            first = next(i for i, (a, b, _) in enumerate(normalized) if a == u and b == v)
+            raise _ReferenceBadEdge(idx, "duplicate", f"duplicate edge ({u}, {v})", edge, first)
+        seen.add(key)
+        # a reversed edge, a list or a tuple subclass becomes a plain tuple
+        normalized.append(edge if type(edge) is tuple and edge[0] == u else (u, v, w))
+    return tuple(normalized)
+
+
+def reference_parse_instance(text: str) -> GameInstance:
+    """`matchcore.instances.parse_instance` as it was when it read every
+    edge line one at a time and checked each edge as it was read.
+
+    Every rejection names the offending 1-based line, numbered as
+    `text.splitlines()` numbers them. `_reference_records` reads the
+    syntax one line at a time; its first record is the header and the
+    rest, the edges, stream into `_reference_normalized_edges`, which
+    checks each one as it is read. So the first fault in the file is
+    the one reported, and nothing past it is read. The bounds are read
+    from `matchcore.instances` at each call.
+    """
+    records = _reference_records(text)
+    n, m, header_line = next(records)
+    instances._check_bounds(f"line {header_line}: header declares", n, m)
+    try:
+        g = GameInstance(n, _reference_normalized_edges(n, islice(records, instances.MAX_EDGES + 1)))
+    except _ReferenceBadEdge as bad:
+        u, v, w = bad.edge
+        lineno, line = _reference_edge_line(text, bad.index)
+        if bad.kind == "negative":
+            reason = f"negative weight {w}"
+        elif bad.kind == "range":
+            reason = f"vertex id out of range in {line!r}"
+        elif bad.kind == "self-loop":
+            reason = f"self-loop at vertex {u + 1}"
+        else:  # a duplicate: parsed numbers are always ints
+            reason = (f"duplicate edge ({u + 1}, {v + 1}), "
+                      f"first seen at line {_reference_edge_line(text, bad.first)[0]}")
+        raise InstanceFormatError(lineno, reason) from None
+    if g.edge_count > instances.MAX_EDGES:
+        raise BoundExceeded(f"line {_reference_edge_line(text, instances.MAX_EDGES)[0]}: more than "
+                            f"{instances.MAX_EDGES} edge lines, above the bound")
+    if g.edge_count > m:
+        raise InstanceFormatError(
+            _reference_edge_line(text, m)[0], f"more edge lines than the {m} declared")
+    if g.edge_count < m:
+        raise InstanceFormatError(
+            header_line, f"header declares {m} edges but {g.edge_count} found")
+    return g
+
+
+def _reference_records(text: str) -> Iterator[tuple[int, int, int]]:
+    """The parsed lines of `text`: first the header `(n, m, line)`, then
+    one `(u, v, w)` per edge line, with 0-based endpoints, in file order.
+
+    Reads the syntax only. A line that breaks it raises
+    `InstanceFormatError` when the reader gets to it, so an edge before
+    it has already been checked.
+    """
+    n = None
+    for lineno, raw in enumerate(_reference_lines(text), start=1):
+        line = raw.strip()
+        if not line or line[0] == "#":
+            continue
+        fields = line.split()
+        if fields[0] == "e":  # nearly every line, so tested first
+            if n is None:
+                raise InstanceFormatError(lineno, "edge before header")
+            if len(fields) != 4 or not _reference_plain_digits(line):
+                raise InstanceFormatError(lineno, f"malformed edge line: {line!r}")
+            try:
+                u, v, w = int(fields[1]), int(fields[2]), int(fields[3])
+            except ValueError:
+                raise InstanceFormatError(lineno, f"malformed edge line: {line!r}")
+            yield u - 1, v - 1, w
+        elif fields[0] == "p":
+            if n is not None:
+                raise InstanceFormatError(lineno, "duplicate header")
+            if len(fields) != 4 or fields[1] != "mg" or not _reference_plain_digits(line):
+                raise InstanceFormatError(lineno, f"malformed header: {line!r}")
+            try:
+                n, m = int(fields[2]), int(fields[3])
+            except ValueError:
+                raise InstanceFormatError(lineno, f"malformed header: {line!r}")
+            if n < 0 or m < 0:
+                raise InstanceFormatError(lineno, "negative count in header")
+            yield n, m, lineno
+        else:
+            raise InstanceFormatError(lineno, f"unknown directive: {fields[0]!r}")
+    if n is None:
+        raise InstanceFormatError(1, "missing header")
+
+
+_REFERENCE_PIECE = 1 << 16  # characters of text split into lines at a time
+
+
+def _reference_lines(text: str) -> Iterator[str]:
+    """The lines of `text`, as `text.splitlines()` gives them, without a
+    list of them all: the text is split one piece at a time.
+
+    Every piece but the last ends just after a "\\n", so no line break,
+    "\\r\\n" included, straddles two pieces and the lines and their
+    numbering are exactly those of `text.splitlines()`.
+    """
+    def pieces() -> Iterator[str]:
+        start, size = 0, len(text)
+        while start < size:
+            end = text.find("\n", start + _REFERENCE_PIECE)
+            end = size if end < 0 else end + 1
+            yield text[start:end]
+            start = end
+
+    return chain.from_iterable(map(str.splitlines, pieces()))
+
+
+def _reference_edge_line(text: str, index: int) -> tuple[int, str]:
+    """Line number and stripped text of edge line `index` (0-based) of a
+    file whose lines up to that one parse.
+
+    The parse keeps no line number per edge; only its error paths need
+    one, and they read the text again up to the edge.
+    """
+    edge_lines = ((lineno, raw) for lineno, raw in enumerate(_reference_lines(text), start=1)
+                  if raw.split(maxsplit=1)[:1] == ["e"])
+    lineno, raw = next(islice(edge_lines, index, None))
+    return lineno, raw.strip()

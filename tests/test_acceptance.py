@@ -100,6 +100,7 @@ def corpus(name):
     return _corpora[name]
 
 
+@pytest.mark.timing
 def test_c01_unit_triangle_payout():
     res = run_mechanism(K3)  # warm caches before timing
     best = min(_timed(run_mechanism, K3) for _ in range(10))
@@ -117,6 +118,7 @@ def _timed(fn, *args):
     return time.perf_counter() - t0
 
 
+@pytest.mark.timing
 def test_c02_gap_family_ratio():
     worst = 0.0
     for n in range(1, 6):
@@ -144,6 +146,7 @@ def test_c03_unit_odd_cycles():
           "per vertex, full allocation k = w(T)")
 
 
+@pytest.mark.timing
 def test_c04_random_coalition_guarantee():
     t0 = time.perf_counter()
     checked = 0
@@ -279,6 +282,7 @@ def test_c09_emptiness_fixture(tmp_path, capsys):
           "alpha 1, core empty on triangle family, nonempty on bipartite")
 
 
+@pytest.mark.timing
 def test_c10_large_instance_runtime(tmp_path, capsys):
     g = gen_random(200, Fraction(1, 2), 10, seed=10)
     from matchcore.instances import serialize_instance

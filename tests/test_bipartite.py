@@ -302,6 +302,17 @@ def test_kernel_matches_reference_exactly():
             n, n, d.heads, d.rights, d.weights), g.name
 
 
+def test_kernel_matches_reference_on_long_rows():
+    # rows of over 32 entries are scanned through `zip`; with weights
+    # 1..3 a free vertex often turns tight in the middle of one
+    for seed in range(6):
+        g = gen_random(60 + 5 * seed, Fraction(2 + seed % 2, 4), 1 + seed % 3, seed=seed)
+        n = g.vertex_count
+        d = double_graph(g)
+        got = _hungarian_py.solve_max_weight_bipartite(n, n, d.heads, d.rights, d.weights)
+        assert got == reference_max_weight_bipartite(n, n, d.heads, d.rights, d.weights)
+
+
 def test_kernel_settles_a_vertex_that_joined_after_a_dual_step():
     # The star 1-2, 1-3, 1-4 of weights 2, 2, 3. In the stage of left copy
     # 3', D rises to 2 before right copy 0'' and its match 1' (dual 0)

@@ -10,7 +10,7 @@ it is, and the code with the per-edge copies listed below.
 
 | stage            | measured | bound | with the copies |
 |------------------|---------:|------:|----------------:|
-| `parse_instance` |      250 |   360 |             445 |
+| `parse_instance` |      246 |   360 |             445 |
 | `double_graph`   |       41 |   100 |             161 |
 | `run_pipeline`   |       41 |   110 |             160 |
 | `audit_pipeline` |       18 |    40 |             134 |
@@ -20,8 +20,9 @@ line number, a second tuple per parsed edge, one `(neighbour, weight)`
 tuple per edge end in `double_graph`, and a dict of all m edge weights
 in the audit. What remains of the parse is one tuple per edge, its
 numbers and the set of vertex pairs the duplicate check keeps: the
-parser streams each edge into the instance and keeps no list of them
-itself. Of `double_graph` remain its flat CSR lists, and they are also
+parser checks each piece of lines into the one list of edges that
+becomes the instance's tuple, and holds at most one piece's tokens
+and columns besides. Of `double_graph` remain its flat CSR lists, and they are also
 the peak of `run_pipeline`, whose trace keeps no fold. Of the audit
 remain the fold and the decomposition it derives from the certificate,
 lists and tuples of `x2` entries.

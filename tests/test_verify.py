@@ -16,6 +16,7 @@ from matchcore.instances import (
     parse_instance,
 )
 from matchcore.mechanism import run_mechanism
+from matchcore.rationals import FractionArray
 from matchcore.verify import (
     check_core,
     coalition_worth_table,
@@ -279,6 +280,33 @@ def test_check_core_bound_refusal():
     g = gen_random(21, Fraction(1, 10), 2, seed=0)
     with pytest.raises(BoundExceeded):
         check_core(g, (Fraction(0),) * 21, Fraction(2, 3))
+
+
+def test_check_core_reads_a_fraction_array_as_its_fractions():
+    # unreduced ints give the report of the reduced values, at any scale
+    rng = random.Random(5)
+    for seed in range(12):
+        g = random_graph(rng, 2 + seed % 9, heavy=seed % 3 == 0)
+        for c in random_imputations(rng, g):
+            fractions = [Fraction(x) for x in c]
+            scale = [rng.choice([1, 2, 6]) for _ in c]
+            array = FractionArray([x.numerator * k for x, k in zip(fractions, scale)],
+                                  [x.denominator * k for x, k in zip(fractions, scale)])
+            for alpha in (Fraction(2, 3), 1):
+                for mode in ("exhaustive", "edges"):
+                    assert check_core(g, array, alpha, mode=mode) == check_core(g, c, alpha, mode=mode)
+
+
+@pytest.mark.parametrize("nums, dens, alpha, message", [
+    ([1, 1], [3, 3], Fraction(2, 3), "imputation has 2 entries for 3 vertices"),
+    ([1, 1, -1], [3, 3, 3], Fraction(2, 3), "imputation entries must be nonnegative"),
+    ([1, 1, 1], [3, 3, 3], 0.5, "0.5 is not an int or a Fraction"),
+    ([1, 1, 1], [3, 3, 3], Fraction(3, 2), "alpha must be in (0, 1]"),
+])
+def test_check_core_checks_a_fraction_array(nums, dens, alpha, message):
+    with pytest.raises(ValueError) as err:
+        check_core(K3, FractionArray(nums, dens), alpha)
+    assert str(err.value) == message
 
 
 def test_check_core_argument_validation():

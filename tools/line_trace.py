@@ -6,9 +6,10 @@ Runs `pytest` on `tests/` in this process under a `sys.settrace` line
 tracer (threads started by the tests are traced too) and prints every
 line that the compiled code of `src/matchcore` holds (`co_lines()` of
 each module, function and comprehension) but no test executed, as
-`path:line: source`. Exits 1 if any line is listed, else 0, whatever
-the tests' own outcomes: tracing slows the suite about threefold, so
-timing tests can fail under it. Uses the standard library only.
+`path:line: source`. Tracing slows the suite about threefold, so the
+tests marked `timing`, which assert wall time, are deselected. Exits 1
+if any line is listed or any test fails, else 0. Uses the standard
+library only.
 """
 
 from __future__ import annotations
@@ -39,8 +40,9 @@ def shipped_lines() -> dict[str, set[int]]:
     return lines
 
 
-def run_traced(files) -> dict[str, set[int]]:
-    """Run the suite and return the lines executed in each of `files`."""
+def run_traced(files) -> tuple[int, dict[str, set[int]]]:
+    """Run the suite but its timing tests; return pytest's exit code
+    and the lines executed in each of `files`."""
     import pytest
 
     ran: dict[str, set[int]] = {f: set() for f in files}
@@ -62,16 +64,17 @@ def run_traced(files) -> dict[str, set[int]]:
     threading.settrace(start)
     sys.settrace(start)
     try:  # the project's pytest settings put src/ on the path
-        pytest.main(["-q", "-p", "no:cacheprovider", str(ROOT / "tests")])
+        code = pytest.main(["-q", "-p", "no:cacheprovider", "-m", "not timing",
+                            str(ROOT / "tests")])
     finally:
         sys.settrace(None)
         threading.settrace(None)
-    return ran
+    return code, ran
 
 
 def main() -> int:
     lines = shipped_lines()
-    ran = run_traced(lines)
+    code, ran = run_traced(lines)
     missed = 0
     for path, wanted in lines.items():
         source = Path(path).read_text(encoding="utf-8").splitlines()
@@ -79,7 +82,9 @@ def main() -> int:
             print(f"{Path(path).relative_to(ROOT)}:{line}: {source[line - 1].strip()}")
             missed += 1
     print(f"{missed} line(s) of {PACKAGE.relative_to(ROOT)} never ran")
-    return 1 if missed else 0
+    if code != 0:
+        print(f"the traced test run failed (pytest exit code {int(code)})")
+    return 1 if missed or code != 0 else 0
 
 
 if __name__ == "__main__":

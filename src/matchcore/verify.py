@@ -16,11 +16,15 @@ O(2^n * degree) for the subset table plus one pass over all 2^n
 coalitions, in O(2^(n-1)) memory: it stores the worths of the
 coalitions without the top vertex, all that the others' worths read,
 and streams the rest of the worths and every coalition's allocation in
-slices of at most 4,096 masks. `odd_girth` runs one breadth-first
-search per vertex, over the vertices numbered from it on, each cut off
-once it cannot beat the shortest odd cycle found so far; O(n * m)
-stays the worst case, but a triangle ends the scan and a short odd
-cycle cuts every later search.
+slices of at most 4,096 masks. The subset table takes most of the
+time; each slice is then marked in one C-level pass (a list of floors
+and a `bytes(map(...))` comparison), and Python runs per coalition
+only at the marks: the violations, the tight coalitions and a few near
+misses. The worst ratio comes from the edges, in O(m). `odd_girth`
+runs one breadth-first search per vertex, over the vertices numbered
+from it on, each cut off once it cannot beat the shortest odd cycle
+found so far; O(n * m) stays the worst case, but a triangle ends the
+scan and a short odd cycle cuts every later search.
 
 Two deliberately different exact matchers are provided so they can be
 played against each other: `worth_bruteforce` enumerates matchings
@@ -34,7 +38,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import chain, islice
-from operator import itemgetter
+from operator import ge, itemgetter
 from typing import Iterable, NamedTuple, Sequence
 
 from .bipartite import double_graph, solve_bipartite
@@ -231,8 +235,7 @@ def coalition_worth_table(g: GameInstance) -> list[int]:
 # the exhaustive check's worth and allocation streams. A slice is the
 # largest list built besides the stored 2^(n-1) worths, about 160 KiB
 # of distinct ints, where one full 2^n table of them is 9 MiB at n=18.
-_SLICE_BITS = 12
-_SLICE = 1 << _SLICE_BITS
+_SLICE = 1 << 12
 
 
 def _check_size(n: int) -> None:
@@ -262,7 +265,7 @@ def _block_slice(low: list[int], neighbours: list[tuple[int, int]],
         if run >= size:
             if start & run:
                 src = low[start - run:start - run + size]
-                out = [x if x >= y + w else y + w for x, y in zip(out, src)]
+                out = [x if x >= (z := y + w) else z for x, y in zip(out, src)]
             continue
         if 2 * run * run >= size:
             cuts = [(slice(lo, lo + run), slice(start + lo - run, start + lo))
@@ -272,41 +275,45 @@ def _block_slice(low: list[int], neighbours: list[tuple[int, int]],
                      slice(start + off, start + size, 2 * run))
                     for off in range(run)]
         for dst, src in cuts:
-            out[dst] = [x if x >= y + w else y + w for x, y in zip(out[dst], low[src])]
+            out[dst] = [x if x >= (z := y + w) else z
+                        for x, y in zip(out[dst], low[src])]
     return out
 
 
-def _worth_slices(g: GameInstance) -> tuple[Iterable[list[int]], int]:
-    """Every coalition's worth, in mask order, as a list per slice, and
-    the grand coalition's worth.
+def _worth_slices(g: GameInstance) -> tuple[Iterable[list[int]], int, int]:
+    """Every coalition's worth, in mask order, as a list per slice of
+    `size` = min(2^(n-1), `_SLICE`) masks (one mask at n = 0), that
+    size, and the grand coalition's worth.
 
     Only the coalitions without the top vertex n-1 are stored: they are
-    all that the top block reads. That block is streamed in slices of
-    at most `_SLICE` masks, each dropped once it has been read.
+    all that the top block reads. Their slices are copied from that
+    table; the top block's are built as they are read, and each slice
+    is dropped once it has been read.
     """
     n = g.vertex_count
     if n == 0:
-        return [[0]], 0
+        return [[0]], 1, 0
     top = n - 1
     low = coalition_worth_table(GameInstance(top, tuple(e for e in g.edges if e[1] < top)))
     neighbours = [(u, w) for (u, v, w) in g.edges if v == top]
     size = min(len(low), _SLICE)
-    tops = (_block_slice(low, neighbours, start, size)
-            for start in range(0, len(low), size))
-    return chain([low], tops), _block_slice(low, neighbours, len(low) - 1, 1)[0]
+    starts = range(0, len(low), size)
+    lows = (low[start:start + size] for start in starts)
+    tops = (_block_slice(low, neighbours, start, size) for start in starts)
+    return chain(lows, tops), size, _block_slice(low, neighbours, len(low) - 1, 1)[0]
 
 
-def _allocation_slices(ci: list[int]):
-    """Every coalition's summed numerators, in mask order, as a list per
-    value of the bits above `_SLICE_BITS`: the sums over the low
-    vertices, stored once, plus the high vertices' sum."""
+def _allocation_sums(ci: list[int], bits: int) -> tuple[list[int], list[int]]:
+    """Every coalition's summed `ci`, split at vertex `bits`: the sums
+    over the vertices below it, one per mask of a slice of 2^`bits`
+    masks, and the sums over the vertices from it on, one per slice."""
     low = [0]
-    for x in ci[:_SLICE_BITS]:
+    for x in ci[:bits]:
         low += [y + x for y in low]
     high = [0]
-    for x in ci[_SLICE_BITS:]:
+    for x in ci[bits:]:
         high += [y + x for y in high]
-    return ([y + off for y in low] for off in high)
+    return low, high
 
 
 def _mask_members(mask: int) -> tuple[int, ...]:
@@ -339,6 +346,25 @@ def check_core(g: GameInstance, c: Sequence[Fraction], alpha: Fraction,
     alpha = a/b a coalition S falls short exactly when
     b * sum(ci over S) < a * L * worth(S). Every value reported is a
     reduced `Fraction`, so the report does not depend on L.
+
+    The exhaustive mode sums y = b * x(S) from the b * `ci` and, with
+    k = a * L, compares by floor: a worth w is an int, so k * w <= y
+    exactly when w <= y // k. One pass per slice marks each coalition
+    with w >= y // k, which takes in every violation, and `_marked`
+    classifies only the marked ones.
+
+    The worst ratio, the least x(S) / worth(S) over the coalitions of
+    positive worth, is r, the least (c_i + c_j) / w_ij over the
+    positive edges, in both modes. Proof: each such edge's pair is a
+    coalition of worth w_ij, so the least ratio is at most r; and a
+    coalition S of worth W > 0 has a matching M of weight W, over which,
+    the c being nonnegative, x(S) >= sum over M of (c_i + c_j)
+    >= r * w(M) = r * W. Hence violations (x(S) < alpha * W with W > 0;
+    a worthless coalition cannot fall short) exist exactly when
+    r < alpha, and with none, tight coalitions (x(S) = alpha * W, W > 0)
+    exist exactly when r == alpha. The exhaustive mode takes r from the
+    edge pass and raises `InvariantViolation` unless its enumeration
+    agrees.
     """
     n = g.vertex_count
     if len(c) != n:
@@ -361,14 +387,20 @@ def check_core(g: GameInstance, c: Sequence[Fraction], alpha: Fraction,
 
     if mode == "exhaustive":
         _check_size(n)
-        worths, grand = _worth_slices(g)
-        found = _compare(zip(range(1 << n), chain.from_iterable(_allocation_slices(ci)),
-                             chain.from_iterable(worths)),
-                         _mask_members, alpha, scale)
+        slices, size, grand = _worth_slices(g)
+        a, b = alpha.numerator, alpha.denominator
+        sums, offs = _allocation_sums([b * x for x in ci], size.bit_length() - 1)
+        violations, tight = _marked(slices, sums, offs, a * scale, b * scale)
+        worst = _edge_pass(g, ci, alpha, scale)[2]
+        below = worst is not None and worst < alpha
+        if below != bool(violations) or (
+                not violations and (worst == alpha) != bool(tight)):
+            raise InvariantViolation(
+                f"{len(violations)} violations and {len(tight)} tight coalitions "
+                f"at alpha {alpha} disagree with the worst edge ratio {worst}")
         checked = 1 << n
     elif mode == "edges":
-        found = _compare((((i, j), ci[i] + ci[j], w) for (i, j, w) in g.edges),
-                         tuple, alpha, scale)
+        violations, tight, worst = _edge_pass(g, ci, alpha, scale)
         checked = g.edge_count
         # the brute force's refusal, decided without counting every edge
         fits = sum(1 for _ in islice(filter(itemgetter(2), g.edges),
@@ -376,7 +408,6 @@ def check_core(g: GameInstance, c: Sequence[Fraction], alpha: Fraction,
         grand = worth_bruteforce(g) if fits else None
     else:
         raise ValueError(f"unknown mode: {mode!r}")
-    violations, tight, worst = found
     return CoalitionReport(
         alpha=alpha, mode=mode, checked_count=checked,
         violations=violations, tight_coalitions=tight, worst_ratio=worst,
@@ -384,24 +415,55 @@ def check_core(g: GameInstance, c: Sequence[Fraction], alpha: Fraction,
         budget_ok=None if grand is None else total <= scale * grand)
 
 
-def _compare(coalitions, members, alpha: Fraction, scale: int) -> tuple[
-        tuple[CoalitionViolation, ...], tuple[tuple[int, ...], ...], Fraction | None]:
-    """Violations, tight coalitions and the worst ratio, in one pass.
+def _marked(slices: Iterable[list[int]], sums: list[int], offs: list[int],
+            k: int, den: int) -> tuple[
+        tuple[CoalitionViolation, ...], tuple[tuple[int, ...], ...]]:
+    """Violations and tight coalitions among all 2^n masks, in mask order.
 
-    `coalitions` yields (key, allocation as a numerator over `scale`,
-    worth); `members(key)` is called only for coalitions reported.
+    Slice t of `slices` holds the worths w of masks t * len(`sums`) + i,
+    whose y = b * x(S) is `sums[i]` + `offs[t]`; with k = a * L and
+    `den` = b * L. A worth is an int, so y < k * w, a violation,
+    exactly when w > y // k. One pass per slice marks every w >= y // k,
+    and only the marked masks are classified: a violation if y < k * w,
+    tight if y == k * w and w > 0, otherwise a near miss (y // k == w
+    with y > k * w, or y < k with w == 0).
     """
+    violations = []
+    tight = []
+    base = 0
+    for worths, off in zip(slices, offs):
+        hits = bytes(map(ge, worths, [(y + off) // k for y in sums]))
+        i = hits.find(1)
+        while i >= 0:
+            w = worths[i]
+            y = sums[i] + off
+            if y < k * w:
+                violations.append(CoalitionViolation(_mask_members(base + i), w,
+                                                     Fraction(y, den)))
+            elif y == k * w and w:
+                tight.append(_mask_members(base + i))
+            i = hits.find(1, i + 1)
+        base += len(sums)
+    return tuple(violations), tuple(tight)
+
+
+def _edge_pass(g: GameInstance, ci: list[int], alpha: Fraction, scale: int) -> tuple[
+        tuple[CoalitionViolation, ...], tuple[tuple[int, ...], ...], Fraction | None]:
+    """Violations, tight pairs and the worst ratio over the edges'
+    two-agent coalitions, in one pass, with `ci` numerators over
+    `scale`."""
     a_scale, b = alpha.numerator * scale, alpha.denominator
     violations = []
     tight = []
     worst_num, worst_den = 1, 0  # 1/0 stands above every ratio
-    for key, x, worth in coalitions:
+    for (i, j, worth) in g.edges:
+        x = ci[i] + ci[j]
         lhs, rhs = b * x, a_scale * worth
         if lhs < rhs:
-            violations.append(CoalitionViolation(members(key), worth, Fraction(x, scale)))
+            violations.append(CoalitionViolation((i, j), worth, Fraction(x, scale)))
         if worth:
             if lhs == rhs:
-                tight.append(members(key))
+                tight.append((i, j))
             if x * worst_den < worst_num * worth:
                 worst_num, worst_den = x, worth
     worst = Fraction(worst_num, scale * worst_den) if worst_den else None

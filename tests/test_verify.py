@@ -1,7 +1,9 @@
 """Verification oracles: worths, coalition checks, gap, odd girth."""
 
+import math
 import random
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -152,27 +154,102 @@ def random_imputations(rng, g):
     yield tuple(rng.randrange(top) if rng.random() < 0.8 else 0 for _ in range(n))
 
 
+def near_misses(g, c, alpha):
+    """Coalitions of positive worth w whose y = b * x(S) passes k * w,
+    with k = a * L, by less than k: y // k == w, so the exhaustive
+    check's marking pass marks them, yet they are neither violated nor
+    tight."""
+    table = reference_coalition_worth_table(g)
+    scale = math.lcm(*(Fraction(x).denominator for x in c)) if c else 1
+    ci = [int(Fraction(x) * scale) for x in c]
+    k = alpha.numerator * scale
+    count = 0
+    for mask, w in enumerate(table):
+        y = alpha.denominator * sum(x for i, x in enumerate(ci) if mask >> i & 1)
+        count += w > 0 and 0 < y - k * w < k
+    return count
+
+
 def test_check_core_matches_reference():
     rng = random.Random(11)
-    compared = violating = 0
+    seen = Counter()
+
+    def compare(g, c, alpha, mode="exhaustive", case=None):
+        report = check_core(g, c, alpha, mode=mode)
+        assert report == reference_check_core(g, c, alpha, mode=mode)
+        seen["compared"] += 1
+        seen["violating"] += bool(report.violations)
+        if case is not None:
+            seen[case] += 1
+        return report
+
     for seed in range(30):
         n = seed % 15
         g = random_graph(rng, n, heavy=seed % 5 == 4)
         for c in random_imputations(rng, g):
             for alpha in (Fraction(2, 3), Fraction(3, 4), 1):
                 for mode in ("exhaustive", "edges"):
-                    report = check_core(g, c, alpha, mode=mode)
-                    assert report == reference_check_core(g, c, alpha, mode=mode)
-                    compared += 1
-                    violating += bool(report.violations)
-    assert violating > compared // 4  # the random imputations do violate
+                    compare(g, c, alpha, mode)
+    assert seen["violating"] > seen["compared"] // 4  # the random imputations do violate
+
+    for seed in range(12):
+        n = 3 + seed
+        g = random_graph(rng, n, heavy=seed % 3 == 2, isolated=seed % 3)
+        res = run_mechanism(g)
+        # the mechanism's payouts, at their own guarantee and at alpha = 1
+        for case, alpha in (("tight at the guarantee", res.factor_guarantee),
+                            ("tight at one", Fraction(1))):
+            report = compare(g, res.c, alpha)
+            seen[case] += bool(report.tight_coalitions)
+        # below every coalition's ratio: nothing is marked but near misses,
+        # and only the edge pass gives the worst ratio
+        below = min(report.worst_ratio or 1, Fraction(1)) * Fraction(9, 10)
+        report = compare(g, res.c, below)
+        if not report.violations and not report.tight_coalitions and report.worst_ratio:
+            seen["ratio from the edges only"] += 1
+        # half-unit payouts at 6/7: k = 12 and y = 7 * x(S) leave y // k == w
+        # with y > k * w on some coalitions
+        top = 2 * max((w for (_, _, w) in g.edges), default=1)
+        halves = tuple(Fraction(rng.randrange(top + 1), 2) for _ in range(n))
+        if near_misses(g, halves, Fraction(6, 7)):
+            compare(g, halves, Fraction(6, 7), case="near misses")
+
+    for seed in range(4):
+        n = 6 + 2 * seed
+        g = GameInstance(n, tuple((u, v, rng.randrange(1 << 58, 1 << 60))
+                                  for u in range(n) for v in range(u + 1, n)
+                                  if rng.random() < 0.5))
+        for c in random_imputations(rng, g):
+            for alpha in (Fraction(2, 3), 1):
+                compare(g, c, alpha, case="weights of at least 2^58")
+
     for n in SLICE_SIZES:
         g = random_graph(rng, n, heavy=n % 2 == 0, isolated=0)
         fair, unfair, _ = random_imputations(rng, g)
         for c in (fair, unfair):
-            report = check_core(g, c, Fraction(2, 3))
-            assert report == reference_check_core(g, c, Fraction(2, 3))
+            report = compare(g, c, Fraction(2, 3), case="sizes around a slice")
         assert report.violations or n < 2  # no coalition of 0 or 1 agents has worth
+
+    for case in ("tight at the guarantee", "tight at one", "ratio from the edges only",
+                 "near misses", "weights of at least 2^58", "sizes around a slice"):
+        assert seen[case], case
+
+
+@pytest.mark.parametrize("c, alpha, worst", [
+    ((THIRD,) * 3, Fraction(3, 4), Fraction(1)),     # violations, ratio not below alpha
+    ((THIRD,) * 3, Fraction(2, 3), Fraction(1, 2)),  # no violation, ratio below alpha
+    ((THIRD,) * 3, Fraction(2, 3), Fraction(1)),     # tight pairs, ratio above alpha
+    ((Fraction(1, 2),) * 3, Fraction(2, 3), Fraction(2, 3)),  # none tight, ratio at alpha
+])
+def test_exhaustive_check_cross_checks_the_edge_pass(monkeypatch, c, alpha, worst):
+    # the worst ratio comes from the edges alone, and the enumeration
+    # must find violations exactly below it and, with none, tight
+    # coalitions exactly at it
+    check_core(K3, c, alpha)
+    edge_pass = verify._edge_pass
+    monkeypatch.setattr(verify, "_edge_pass", lambda *args: edge_pass(*args)[:2] + (worst,))
+    with pytest.raises(InvariantViolation, match="disagree with the worst edge ratio"):
+        check_core(K3, c, alpha)
 
 
 def test_exhaustive_check_stores_less_than_one_table():

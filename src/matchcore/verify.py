@@ -15,16 +15,18 @@ Costs: `check_core` in edges mode is O(m); in exhaustive mode it is
 O(2^n * degree) for the subset table plus one pass over all 2^n
 coalitions, in O(2^(n-1)) memory: it stores the worths of the
 coalitions without the top vertex, all that the others' worths read,
+as one `bytearray` of fixed-width fields, a few bytes per coalition,
 and streams the rest of the worths and every coalition's allocation in
-slices of at most 4,096 masks. The subset table takes most of the
-time; each slice is then marked in one C-level pass (a list of floors
-and a `bytes(map(...))` comparison), and Python runs per coalition
-only at the marks: the violations, the tight coalitions and a few near
-misses. The worst ratio comes from the edges, in O(m). `odd_girth`
-runs one breadth-first search per vertex, over the vertices numbered
-from it on, each cut off once it cannot beat the shortest odd cycle
-found so far; O(n * m) stays the worst case, but a triangle ends the
-scan and a short odd cycle cuts every later search.
+slices of at most 4,096 masks. A slice is one int of such fields, so
+each step of the subset table and each slice's marks are a handful of
+C-level big-int operations, not a Python step per mask; Python runs
+per coalition only at the marks, the violations and the tight
+coalitions that the report lists. The worst ratio comes from the
+edges, in O(m). `odd_girth` runs one breadth-first search per vertex,
+over the vertices numbered from it on, each cut off once it cannot
+beat the shortest odd cycle found so far; O(n * m) stays the worst
+case, but a triangle ends the scan and a short odd cycle cuts every
+later search.
 
 Two deliberately different exact matchers are provided so they can be
 played against each other: `worth_bruteforce` enumerates matchings
@@ -38,7 +40,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import chain, islice
-from operator import ge, itemgetter
+from operator import itemgetter
 from typing import Iterable, NamedTuple, Sequence
 
 from .bipartite import double_graph, solve_bipartite
@@ -210,31 +212,21 @@ def coalition_worth_table(g: GameInstance) -> list[int]:
     """Worth of every coalition, indexed by vertex bitmask.
 
     Subset dynamic programming, O(2^n * degree): independent of the
-    recursive matcher above and of the solver pipeline. The table is
-    built one block per vertex k, the coalitions whose highest member
-    is k, in slices of at most `_SLICE` masks (`_block_slice`). The
-    exhaustive `check_core` stores this table only for the instance
-    without its top vertex and streams that vertex's block.
+    recursive matcher above and of the solver pipeline. This is the
+    exhaustive `check_core`'s own DP (`_worth_store`) at scale 1, read
+    out of its packed fields into a list.
     """
     n = g.vertex_count
     _check_size(n)
-    lower: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for (u, v, w) in g.edges:  # normalized: u < v
-        lower[v].append((u, w))
-    table = [0] * (1 << n)
-    for k in range(n):
-        half = 1 << k
-        size = min(half, _SLICE)
-        for start in range(0, half, size):
-            table[half + start:half + start + size] = _block_slice(
-                table, lower[k], start, size)
-    return table
+    nb = _field_bytes(sum(w for (_, _, w) in g.edges))
+    store = _worth_store(_lower_neighbours(g, 1), nb)
+    return [int.from_bytes(store[i:i + nb], "little") for i in range(0, len(store), nb)]
 
 
 # Masks per slice of the worth table's blocks as they are built and of
-# the exhaustive check's worth and allocation streams. A slice is the
-# largest list built besides the stored 2^(n-1) worths, about 160 KiB
-# of distinct ints, where one full 2^n table of them is 9 MiB at n=18.
+# the exhaustive check's worth and allocation streams. A slice is one
+# int of 4,096 fields at most, and each big-int step makes a new one:
+# over a whole table, every step would copy the table.
 _SLICE = 1 << 12
 
 
@@ -244,76 +236,101 @@ def _check_size(n: int) -> None:
             f"{n} vertices need a 2^{n} table, above the bound {DEFAULT_MAX_VERTICES}")
 
 
-def _block_slice(low: list[int], neighbours: list[tuple[int, int]],
-                 start: int, size: int) -> list[int]:
-    """Worths of the `size` coalitions `start`, `start` + 1, ... of the
-    block of a vertex k, each mask taken with bit k cleared.
+def _field_bytes(*bounds: int) -> int:
+    """Bytes per field for values up to the largest of `bounds`, with
+    the field's top bit, the guard bit, left above them."""
+    return (max(bounds).bit_length() + 8) // 8
 
-    `low` holds the worths of every coalition below k (at least the
-    first 2^k entries), and `size` is a power of two that divides
-    `start`. A coalition's worth starts as `low`'s (k stays unmatched);
-    each lower neighbour j then offers w(j, k) plus the worth of the
-    coalition without j and k. A bit j at or above `size` is constant
-    over the slice, so the offer applies to the whole slice or to none
-    of it. Below `size`, the slice's masks holding j form size/2^(j+1)
-    runs of 2^j consecutive masks, or equally 2^j strides of
-    size/2^(j+1) masks each; take whichever needs fewer list slices.
-    """
-    out = low[start:start + size]
-    for (j, w) in neighbours:
+
+def _packed(value: int, nb: int, count: int) -> int:
+    """`count` fields of `nb` bytes, each holding `value`."""
+    return int.from_bytes(value.to_bytes(nb, "little") * count, "little")
+
+
+def _read(store: bytearray, nb: int, start: int, size: int) -> int:
+    """Fields `start` to `start` + `size` - 1 of `store`, as one int."""
+    return int.from_bytes(store[start * nb:(start + size) * nb], "little")
+
+
+def _lower_neighbours(g: GameInstance, k: int) -> list[list[tuple[int, int]]]:
+    """Per vertex v, its neighbours u < v with k times the edge's weight."""
+    lower: list[list[tuple[int, int]]] = [[] for _ in range(g.vertex_count)]
+    for (u, v, w) in g.edges:  # normalized: u < v
+        lower[v].append((u, k * w))
+    return lower
+
+
+def _worth_store(lower: list[list[tuple[int, int]]], nb: int) -> bytearray:
+    """k * the worth of every coalition of the vertices below
+    len(`lower`), with `lower` as `_lower_neighbours` gives it, by mask,
+    in fields of `nb` bytes: mask i's is bytes i * nb to (i + 1) * nb,
+    least significant first. Built one block per vertex t, the
+    coalitions whose highest member is t, in slices of at most `_SLICE`
+    masks (`_block`)."""
+    store = bytearray(nb << len(lower))
+    for t, neighbours in enumerate(lower):
+        half = 1 << t
+        size = min(half, _SLICE)
+        guard = _packed(1 << (8 * nb - 1), nb, size)
+        offers = _offers(neighbours, nb, size)
+        for start in range(0, half, size):
+            store[(half + start) * nb:(half + start + size) * nb] = _block(
+                store, nb, guard, offers, start, size).to_bytes(size * nb, "little")
+    return store
+
+
+def _offers(neighbours: list[tuple[int, int]], nb: int,
+            size: int) -> list[tuple[int, int | None, int]]:
+    """Per lower neighbour j of a vertex t, with k * w(j, t):
+    (2^j, the fields of a `size`-mask slice whose mask holds j, k * w
+    in those fields), or (2^j, None, k * w in every field) when 2^j is
+    at least `size`, so that j is in all of a slice's masks or in none."""
+    out = []
+    for (j, kw) in neighbours:
         run = 1 << j
-        if run >= size:
-            if start & run:
-                src = low[start - run:start - run + size]
-                out = [x if x >= (z := y + w) else z for x, y in zip(out, src)]
-            continue
-        if 2 * run * run >= size:
-            cuts = [(slice(lo, lo + run), slice(start + lo - run, start + lo))
-                    for lo in range(run, size, 2 * run)]
+        field = kw.to_bytes(nb, "little")
+        if run < size:
+            skip = bytes(run * nb)
+            reps = size // (2 * run)
+            out.append((run, int.from_bytes((skip + b"\xff" * (run * nb)) * reps, "little"),
+                        int.from_bytes((skip + field * run) * reps, "little")))
         else:
-            cuts = [(slice(run + off, size, 2 * run),
-                     slice(start + off, start + size, 2 * run))
-                    for off in range(run)]
-        for dst, src in cuts:
-            out[dst] = [x if x >= (z := y + w) else z
-                        for x, y in zip(out[dst], low[src])]
+            out.append((run, None, int.from_bytes(field * size, "little")))
     return out
 
 
-def _worth_slices(g: GameInstance) -> tuple[Iterable[list[int]], int, int]:
-    """Every coalition's worth, in mask order, as a list per slice of
-    `size` = min(2^(n-1), `_SLICE`) masks (one mask at n = 0), that
-    size, and the grand coalition's worth.
+def _block(low: bytearray, nb: int, guard: int, offers: list[tuple[int, int | None, int]],
+           start: int, size: int) -> int:
+    """k * the worths of the `size` coalitions `start`, `start` + 1, ...
+    of the block of a vertex t, each mask taken with bit t cleared, as
+    one int of `nb`-byte fields.
 
-    Only the coalitions without the top vertex n-1 are stored: they are
-    all that the top block reads. Their slices are copied from that
-    table; the top block's are built as they are read, and each slice
-    is dropped once it has been read.
+    `low` holds k * the worths of every coalition below t (at least the
+    first 2^t fields), `size` is a power of two that divides `start`,
+    `guard` is the top bit of each of `size` fields and `offers` is
+    `_offers(t's lower neighbours, nb, size)`. A coalition's worth
+    starts as `low`'s (t stays unmatched); each lower neighbour j then
+    offers k * w(j, t) plus the worth of the coalition without j and t.
+    Below `size` that worth is the slice's own field 2^j lower, so one
+    shift of the slice moves every offer into place; a bit j at or
+    above `size` is constant over the slice, so the offer applies to
+    the whole slice, from `low`'s slice 2^j lower, or to none of it.
+    Each offer is then kept field by field where it beats the worth so
+    far, by one guarded subtraction (see `check_core`).
     """
-    n = g.vertex_count
-    if n == 0:
-        return [[0]], 1, 0
-    top = n - 1
-    low = coalition_worth_table(GameInstance(top, tuple(e for e in g.edges if e[1] < top)))
-    neighbours = [(u, w) for (u, v, w) in g.edges if v == top]
-    size = min(len(low), _SLICE)
-    starts = range(0, len(low), size)
-    lows = (low[start:start + size] for start in starts)
-    tops = (_block_slice(low, neighbours, start, size) for start in starts)
-    return chain(lows, tops), size, _block_slice(low, neighbours, len(low) - 1, 1)[0]
-
-
-def _allocation_sums(ci: list[int], bits: int) -> tuple[list[int], list[int]]:
-    """Every coalition's summed `ci`, split at vertex `bits`: the sums
-    over the vertices below it, one per mask of a slice of 2^`bits`
-    masks, and the sums over the vertices from it on, one per slice."""
-    low = [0]
-    for x in ci[:bits]:
-        low += [y + x for y in low]
-    high = [0]
-    for x in ci[bits:]:
-        high += [y + x for y in high]
-    return low, high
+    bits = 8 * nb
+    own = out = _read(low, nb, start, size)
+    for (run, select, add) in offers:
+        if select is not None:
+            cand = ((own << (run * bits)) & select) + add
+        elif start & run:
+            cand = _read(low, nb, start - run, size) + add
+        else:
+            continue
+        keep = ((out | guard) - cand) & guard
+        keep = (keep << 1) - (keep >> (bits - 1))  # all ones where out >= cand
+        out = cand ^ ((out ^ cand) & keep)
+    return out
 
 
 def _mask_members(mask: int) -> tuple[int, ...]:
@@ -347,11 +364,22 @@ def check_core(g: GameInstance, c: Sequence[Fraction], alpha: Fraction,
     b * sum(ci over S) < a * L * worth(S). Every value reported is a
     reduced `Fraction`, so the report does not depend on L.
 
-    The exhaustive mode sums y = b * x(S) from the b * `ci` and, with
-    k = a * L, compares by floor: a worth w is an int, so k * w <= y
-    exactly when w <= y // k. One pass per slice marks each coalition
-    with w >= y // k, which takes in every violation, and `_marked`
-    classifies only the marked ones.
+    The exhaustive mode compares k * worth(S), with k = a * L, against
+    y = b * sum(ci over S) in packed fields: one int holds a slice of
+    masks, mask i's value in bits i * B to i * B + B - 1, both exact.
+    B is the least multiple of 8 above the bit length of the larger of
+    k * (sum of the weights) and b * sum(ci), so every value is below
+    2^(B-1): k * worth(S) and every offer of the subset DP,
+    k * w(j, t) + k * worth(S without j and t), are at most
+    k * (sum of the weights), and y at most b * sum(ci). Let G hold the
+    top bit, the guard bit, of every field, and A and C be packed
+    values. Field i of (A | G) - C is then A_i + 2^(B-1) - C_i, which
+    lies in [1, 2^B): no field borrows from the next, and
+    ((A | G) - C) & G has the guard bit of field i set exactly where
+    A_i >= C_i. The DP keeps, field by field, the larger of the worth
+    so far and each offer by that mark; the check marks every mask with
+    k * worth(S) >= y and k * worth(S) >= 1, the violations and the
+    tight coalitions, and reads only those (`_exhaustive`).
 
     The worst ratio, the least x(S) / worth(S) over the coalitions of
     positive worth, is r, the least (c_i + c_j) / w_ij over the
@@ -387,10 +415,9 @@ def check_core(g: GameInstance, c: Sequence[Fraction], alpha: Fraction,
 
     if mode == "exhaustive":
         _check_size(n)
-        slices, size, grand = _worth_slices(g)
-        a, b = alpha.numerator, alpha.denominator
-        sums, offs = _allocation_sums([b * x for x in ci], size.bit_length() - 1)
-        violations, tight = _marked(slices, sums, offs, a * scale, b * scale)
+        b = alpha.denominator
+        violations, tight, grand = _exhaustive(g, [b * x for x in ci],
+                                               alpha.numerator * scale, b * scale)
         worst = _edge_pass(g, ci, alpha, scale)[2]
         below = worst is not None and worst < alpha
         if below != bool(violations) or (
@@ -415,36 +442,64 @@ def check_core(g: GameInstance, c: Sequence[Fraction], alpha: Fraction,
         budget_ok=None if grand is None else total <= scale * grand)
 
 
-def _marked(slices: Iterable[list[int]], sums: list[int], offs: list[int],
-            k: int, den: int) -> tuple[
-        tuple[CoalitionViolation, ...], tuple[tuple[int, ...], ...]]:
-    """Violations and tight coalitions among all 2^n masks, in mask order.
+def _exhaustive(g: GameInstance, bci: list[int], k: int, den: int) -> tuple[
+        tuple[CoalitionViolation, ...], tuple[tuple[int, ...], ...], int]:
+    """Violations and tight coalitions among all 2^n masks, in mask
+    order, and the grand worth; with `bci` the b * `ci`, k = a * L and
+    `den` = b * L.
 
-    Slice t of `slices` holds the worths w of masks t * len(`sums`) + i,
-    whose y = b * x(S) is `sums[i]` + `offs[t]`; with k = a * L and
-    `den` = b * L. A worth is an int, so y < k * w, a violation,
-    exactly when w > y // k. One pass per slice marks every w >= y // k,
-    and only the marked masks are classified: a violation if y < k * w,
-    tight if y == k * w and w > 0, otherwise a near miss (y // k == w
-    with y > k * w, or y < k with w == 0).
+    Every mask's k * w and y = b * sum(ci over S) are packed one per
+    field (`check_core` gives the width and the proof), and two guarded
+    subtractions per slice, of y and of 1, mark every mask with
+    y <= k * w and w > 0. Only the marked masks are read one by one:
+    a violation if y < k * w, else tight. A coalition of worth 0 is
+    neither, so however many there are, none is read.
     """
+    n = g.vertex_count
+    if n == 0:  # the empty coalition: worth 0, paid 0
+        return (), (), 0
+    nb = _field_bytes(k * sum(w for (_, _, w) in g.edges), sum(bci))
+    bits = 8 * nb
+    lower = _lower_neighbours(g, k)
+    top = n - 1
+    low = _worth_store(lower[:top], nb)
+    size = min(1 << top, _SLICE)
+    span = size * nb
+    ones = _packed(1, nb, size)
+    guard = ones << (bits - 1)
+    offers = _offers(lower[top], nb, size)
+    starts = range(0, 1 << top, size)
+    worths = chain((_read(low, nb, start, size) for start in starts),
+                   (_block(low, nb, guard, offers, start, size) for start in starts))
+    # y over a slice's low vertices, packed, plus one offset per slice
+    # for the vertices from log2(size) on
+    low_bits = size.bit_length() - 1
+    ys = 0
+    for t, x in enumerate(bci[:low_bits]):
+        ys += (ys + _packed(x, nb, 1 << t)) << (bits << t)
+    y_fields = ys.to_bytes(span, "little")
+    offsets = [0]
+    for x in bci[low_bits:]:
+        offsets += [y + x for y in offsets]
+
     violations = []
     tight = []
-    base = 0
-    for worths, off in zip(slices, offs):
-        hits = bytes(map(ge, worths, [(y + off) // k for y in sums]))
+    for first, worth, off in zip(range(0, 1 << n, size), worths, offsets):
+        lifted = worth | guard
+        hits = ((((lifted - (ys + off * ones)) & (lifted - ones) & guard) >> (bits - 1))
+                .to_bytes(span, "little")[::nb])
+        w_fields = worth.to_bytes(span, "little")
         i = hits.find(1)
         while i >= 0:
-            w = worths[i]
-            y = sums[i] + off
-            if y < k * w:
-                violations.append(CoalitionViolation(_mask_members(base + i), w,
+            kw = int.from_bytes(w_fields[i * nb:(i + 1) * nb], "little")
+            y = int.from_bytes(y_fields[i * nb:(i + 1) * nb], "little") + off
+            if y < kw:
+                violations.append(CoalitionViolation(_mask_members(first + i), kw // k,
                                                      Fraction(y, den)))
-            elif y == k * w and w:
-                tight.append(_mask_members(base + i))
+            else:
+                tight.append(_mask_members(first + i))
             i = hits.find(1, i + 1)
-        base += len(sums)
-    return tuple(violations), tuple(tight)
+    return tuple(violations), tuple(tight), (worth >> (span * 8 - bits)) // k
 
 
 def _edge_pass(g: GameInstance, ci: list[int], alpha: Fraction, scale: int) -> tuple[

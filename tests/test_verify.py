@@ -235,6 +235,87 @@ def test_check_core_matches_reference():
         assert seen[case], case
 
 
+def field_bits(g, c, alpha):
+    """The exhaustive check's field width B and the bit length of the
+    larger of k * (sum of the weights) and b * x(N), which its B - 1
+    low bits must hold under the guard bit."""
+    c = [Fraction(x) for x in c]
+    scale = math.lcm(*(x.denominator for x in c))
+    allocated = alpha.denominator * sum(x.numerator * (scale // x.denominator) for x in c)
+    length = max(alpha.numerator * scale * sum(w for (_, _, w) in g.edges),
+                 allocated).bit_length()
+    return 8 * ((length + 8) // 8), length, allocated.bit_length()
+
+
+def test_packed_fields_match_reference():
+    # The exhaustive check packs every k * worth and y = b * x(S) into
+    # fields of B bits, a guard bit above B - 1 bits of value; the
+    # report must not depend on the width or on where slices end.
+    rng = random.Random(20)
+    seen = Counter()
+
+    def compare(g, c, alpha):
+        alpha = Fraction(alpha)
+        report = check_core(g, c, alpha)
+        assert report == reference_check_core(g, c, alpha)
+        width, length, allocated = field_bits(g, c, alpha)
+        seen[f"n = {g.vertex_count}"] += 1
+        seen["8-bit fields"] += width == 8
+        seen["fields above 64 bits"] += width > 64
+        # b * x(N) is the grand coalition's y, a value in a field
+        seen["a value fills B - 1 bits"] += allocated == width - 1
+        seen["the guard bit has a byte of its own"] += length % 8 == 0
+        seen["violating"] += bool(report.violations)
+        seen["many tight at one"] += alpha == 1 and len(report.tight_coalitions) >= 100
+
+    # n = 13 fills one 4,096-mask slice per half; 14 and 15 take several
+    for n in (0, 1, 2, 13, 14, 15):
+        g = random_graph(rng, n, heavy=n % 2 == 1, isolated=0)
+        fair, unfair, _ = random_imputations(rng, g)
+        compare(g, fair, 1)
+        compare(g, unfair, Fraction(2, 3))
+
+    for seed in range(8):
+        n = 4 + seed % 5
+        # unit weights and small integer payouts: 8-bit fields
+        g = gen_random(n, Fraction(1, 2), 2, seed=seed)
+        compare(g, [rng.randrange(3) for _ in range(n)], 1)
+        # weights of at least 2^61: fields wider than 64 bits
+        g = GameInstance(n, tuple((u, v, rng.randrange(1 << 61, 1 << 62))
+                                  for u in range(n) for v in range(u + 1, n)
+                                  if rng.random() < 0.5))
+        for c in random_imputations(rng, g):
+            compare(g, c, Fraction(3, 4))
+        # an isolated vertex's payout brings x(N) to 2^t - 1 or 2^t
+        g = random_graph(rng, n + 1, heavy=False, isolated=1)
+        for t in (7, 8, 15, 16, 23, 24, 71, 72):
+            c = [rng.randrange(10) for _ in range(n)]
+            for total in ((1 << t) - 1, 1 << t):
+                compare(g, c + [total - sum(c)], 1)
+
+    # every coalition is worth 0 and paid nothing: none is violated or tight
+    compare(GameInstance(5, ()), [0] * 5, 1)
+    # the mechanism's payouts on bipartite graphs are in the core
+    for seed in range(3):
+        g = gen_random(12, Fraction(1, 2), 9, seed=seed, bipartite=True)
+        compare(g, run_mechanism(g).c, 1)
+
+    for case in ("n = 0", "n = 1", "n = 2", "n = 13", "n = 14", "n = 15",
+                 "8-bit fields", "fields above 64 bits", "a value fills B - 1 bits",
+                 "the guard bit has a byte of its own", "violating", "many tight at one"):
+        assert seen[case], case
+
+
+def test_exhaustive_grand_worth():
+    rng = random.Random(21)
+    for n in range(12):
+        for heavy in (False, True):
+            g = random_graph(rng, n, heavy, isolated=n % 3)
+            report = check_core(g, run_mechanism(g).c, Fraction(2, 3))
+            assert report.grand_worth == coalition_worth_table(g)[-1] \
+                == worth_bruteforce(g, max_edges=g.edge_count)
+
+
 @pytest.mark.parametrize("c, alpha, worst", [
     ((THIRD,) * 3, Fraction(3, 4), Fraction(1)),     # violations, ratio not below alpha
     ((THIRD,) * 3, Fraction(2, 3), Fraction(1, 2)),  # no violation, ratio below alpha

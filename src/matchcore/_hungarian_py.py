@@ -4,9 +4,9 @@ Works with arbitrary-precision integers, so no weight is too large.
 
 Contract (checked independently by `bipartite.check_certificate`):
 
-- input is a bipartite graph in CSR form over `nl` left and `nr` right
-  vertices; all weights are positive integers (drop zero-weight edges
-  upstream, they can never improve a matching);
+- input is a bipartite graph as one row per left vertex over `nr`
+  right vertices; all weights are positive integers (drop zero-weight
+  edges upstream, they can never improve a matching);
 - output `(match_l, match_r, u, v)` is a matching plus integer duals
   with `u[i] + v[j] >= w(i, j)` on every edge, equality on matched
   edges, and zero dual on every unmatched vertex. By LP duality those
@@ -48,28 +48,28 @@ from __future__ import annotations
 
 
 def solve_max_weight_bipartite(
-        nl: int,
         nr: int,
-        heads: list[int],
-        rights: list[int],
-        weights: list[int],
+        rights: list[list[int]],
+        weights: list[list[int]],
 ) -> tuple[list[int], list[int], list[int], list[int]]:
-    """Solve the CSR-form bipartite instance; see the module docstring.
+    """Solve the bipartite instance given as rows; see the module docstring.
 
-    `heads` has nl+1 offsets; `rights[heads[i]:heads[i+1]]` are the
-    distinct right neighbors of left vertex i in ascending order and
-    `weights` is parallel to `rights`.
+    Left vertex i is row i: `rights[i]` lists its distinct right
+    neighbours in ascending order and `weights[i]` is parallel to it.
+    The rows are read, never changed.
     """
-    u = [max(weights[a:b]) if b > a else 0 for a, b in zip(heads, heads[1:])]
+    nl = len(rights)
+    u = [max(row) if row else 0 for row in weights]
     v = [0] * nr
     match_l = [-1] * nl
     match_r = [-1] * nr
-    if not weights:
+    max_w = max(u, default=0)
+    if not max_w:
         return match_l, match_r, u, v
     # Above every key: u starts at the row maxima and only falls; a matched
     # pair's duals sum to its weight and u >= 0, so u, v <= max w, a slack
     # is <= 2 max w, and D <= null_key <= u[s] <= max w: a key is <= 3 max w.
-    infinity = 4 * max(weights) + 1
+    infinity = 4 * max_w + 1
 
     # key[j] = D + min reduced cost u[i]+v[j]-w over tree-left i, or -1
     # (below any such key) once j is in the tree; way[j] = the left vertex
@@ -84,10 +84,9 @@ def solve_max_weight_bipartite(
         us = u[s]
         if us == 0:
             continue
-        h0 = heads[s]
-        h1 = heads[s + 1]
-        # right vertices with a finite key; s reaches all its neighbors
-        touched = rights[h0:h1]
+        # right vertices with a finite key; s reaches all its neighbors.
+        # A copy: the stage appends to it, and the rows stay as given.
+        touched = rights[s][:]
         tree_right: list[int] = []
         null_key = us  # the smallest D at which a tree-left dual reaches zero;
         null_arg = s  # that vertex, which then leaves the matching
@@ -100,9 +99,8 @@ def solve_max_weight_bipartite(
         # cannot fall, so its path is fixed, and each vertex queued ahead
         # of it would join the tree at this D and have its dual moved by 0.
         end_right = -1
-        for t in range(h0, h1):
-            j = rights[t]
-            k = us + v[j] - weights[t]
+        for j, w in zip(rights[s], weights[s]):
+            k = us + v[j] - w
             key[j] = k
             way[j] = s
             if k == 0:
@@ -123,37 +121,19 @@ def solve_max_weight_bipartite(
                 if base < null_key:
                     null_key = base
                     null_arg = i2
-                h0 = heads[i2]
-                h1 = heads[i2 + 1]
-                if h1 - h0 > 32:  # zip copies the row: it pays on long rows only
-                    for j2, w in zip(rights[h0:h1], weights[h0:h1]):
-                        k = base + v[j2] - w
-                        kj = key[j2]
-                        if k < kj:
-                            if kj == infinity:
-                                touched.append(j2)
-                            key[j2] = k
-                            way[j2] = i2
-                            if k == D:
-                                if match_r[j2] == -1:
-                                    end_right = j2
-                                    break
-                                tq.append(j2)
-                else:
-                    for t in range(h0, h1):
-                        j2 = rights[t]
-                        k = base + v[j2] - weights[t]
-                        kj = key[j2]
-                        if k < kj:
-                            if kj == infinity:
-                                touched.append(j2)
-                            key[j2] = k
-                            way[j2] = i2
-                            if k == D:
-                                if match_r[j2] == -1:
-                                    end_right = j2
-                                    break
-                                tq.append(j2)
+                for j2, w in zip(rights[i2], weights[i2]):
+                    k = base + v[j2] - w
+                    kj = key[j2]
+                    if k < kj:
+                        if kj == infinity:
+                            touched.append(j2)
+                        key[j2] = k
+                        way[j2] = i2
+                        if k == D:
+                            if match_r[j2] == -1:
+                                end_right = j2
+                                break
+                            tq.append(j2)
                 if end_right >= 0:
                     break
             if end_right >= 0:

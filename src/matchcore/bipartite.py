@@ -13,10 +13,10 @@ w/2, and the duals returned by the solver are integers on the same
 scale. That convention removes every fraction from the solver.
 
 The doubled graph is never listed edge by edge: left copy i' is
-adjacent to j'' exactly when i and j are neighbors, so row i of the
-kernel's CSR input holds i's neighbours. `double_graph` fills the rows
-straight from the edge list, in one counting-sort pass over the edges
-in `(u, v)` order that leaves every row ascending.
+adjacent to j'' exactly when i and j are neighbors, so the kernel's
+row i holds i's neighbours. `double_graph` fills the rows straight
+from the edge list, in one pass over the edges in `(u, v)` order that
+leaves every row ascending.
 
 A certificate is the kernel's own arrays: `match_l[i]` is the j with
 i' matched to j'' (or -1), `u[i]` the dual of i' and `v[j]` the dual
@@ -31,7 +31,6 @@ competing matching.
 
 from __future__ import annotations
 
-from itertools import accumulate
 from typing import NamedTuple
 
 from . import _hungarian_py
@@ -40,18 +39,17 @@ from .instances import GameInstance
 
 
 class DoubledGraph(NamedTuple):
-    """Bipartite double of a game instance as the kernel's CSR input.
+    """Bipartite double of a game instance as the kernel's rows.
 
-    `rights[heads[i]:heads[i+1]]` are the original ids of the right
-    copies adjacent to left copy i, in ascending order, and `weights`
-    holds their half-unit weights (the original integer weights).
+    `rights[i]` lists the original ids of the right copies adjacent to
+    left copy i, in ascending order, and `weights[i]` their half-unit
+    weights (the original integer weights), parallel to it.
     Zero-weight edges are left out: they never improve a matching.
     """
 
     original: GameInstance
-    heads: list[int]
-    rights: list[int]
-    weights: list[int]
+    rights: list[list[int]]
+    weights: list[list[int]]
 
 
 class PrimalDualCertificate(NamedTuple):
@@ -71,35 +69,23 @@ class PrimalDualCertificate(NamedTuple):
 def double_graph(g: GameInstance) -> DoubledGraph:
     """Split every vertex into a left/right pair of half-weight copies.
 
-    One counting sort: the positive-weight degrees give each row's
-    slice of the preallocated flat arrays, then the edges are walked in
-    `(u, v)` order and each fills the next free slot of both its rows.
-    Row i receives its neighbours j < i (from edges (j, i), ascending in
-    j) before its neighbours j > i (from edges (i, j), ascending in j),
-    so every row comes out ascending without a per-row sort.
+    One pass over the edges in `(u, v)` order appends each to both its
+    rows. Row i receives its neighbours j < i (from edges (j, i),
+    ascending in j) before its neighbours j > i (from edges (i, j),
+    ascending in j), so every row comes out ascending without a per-row
+    sort.
     """
     n = g.vertex_count
-    degree = [0] * n
-    for (u, v, w) in g.edges:
-        if w > 0:
-            degree[u] += 1
-            degree[v] += 1
-    heads = [0, *accumulate(degree)]
-    free = heads[:n]  # next unfilled slot of each row
-    rights = [0] * heads[n]
-    weights = [0] * heads[n]
+    rights: list[list[int]] = [[] for _ in range(n)]
+    weights: list[list[int]] = [[] for _ in range(n)]
     # the pairs are distinct, so sorting never compares the weights
     for (u, v, w) in sorted(g.edges):
         if w > 0:
-            s = free[u]
-            rights[s] = v
-            weights[s] = w
-            free[u] = s + 1
-            s = free[v]
-            rights[s] = u
-            weights[s] = w
-            free[v] = s + 1
-    return DoubledGraph(g, heads, rights, weights)
+            rights[u].append(v)
+            weights[u].append(w)
+            rights[v].append(u)
+            weights[v].append(w)
+    return DoubledGraph(g, rights, weights)
 
 
 def solve_bipartite(d: DoubledGraph) -> PrimalDualCertificate:
@@ -118,9 +104,9 @@ def solve_bipartite(d: DoubledGraph) -> PrimalDualCertificate:
 
 
 def _run_kernel(d: DoubledGraph):
-    """Run the matching kernel on the doubled graph's CSR arrays."""
-    n = d.original.vertex_count
-    return _hungarian_py.solve_max_weight_bipartite(n, n, d.heads, d.rights, d.weights)
+    """Run the matching kernel on the doubled graph's rows."""
+    return _hungarian_py.solve_max_weight_bipartite(
+        d.original.vertex_count, d.rights, d.weights)
 
 
 def check_certificate(g: GameInstance, cert: PrimalDualCertificate) -> list[str]:
@@ -128,7 +114,7 @@ def check_certificate(g: GameInstance, cert: PrimalDualCertificate) -> list[str]
     result means optimal.
 
     Checks, in half-unit integer arithmetic throughout, against both
-    doubled copies of every edge of `g` (never the kernel's CSR):
+    doubled copies of every edge of `g` (never the kernel's rows):
 
     - the matched pairs exist in the doubled graph and form a matching;
     - dual feasibility: duals are nonnegative and cover every edge;

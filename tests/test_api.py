@@ -37,7 +37,7 @@ def test_trace_keeps_no_duplicate_artifacts():
 
 
 def test_instance_has_no_adjacency_lists():
-    # `double_graph` fills its CSR rows straight from the edge list
+    # `double_graph` fills its rows straight from the edge list
     assert not hasattr(GameInstance, "adjacency")
 
 

@@ -1,5 +1,6 @@
 """Doubling transform and the certified bipartite solver."""
 
+import copy
 import random
 from fractions import Fraction
 
@@ -37,11 +38,20 @@ EMPTY = GameInstance(0, ())
 
 
 def doubled_triples(d):
-    """(left id, right id, weight) of every doubled edge in the CSR,
+    """(left id, right id, weight) of every doubled edge in the rows,
     right ids shifted into the doubled id space n..2n-1."""
     n = d.original.vertex_count
-    return [(i, n + d.rights[t], d.weights[t])
-            for i in range(n) for t in range(d.heads[i], d.heads[i + 1])]
+    return [(i, n + j, w)
+            for i in range(n) for j, w in zip(d.rights[i], d.weights[i])]
+
+
+def csr(rights, weights):
+    """The rows as `(heads, rights, weights)` CSR lists, the input of
+    `reference_max_weight_bipartite`."""
+    heads = [0]
+    for row in rights:
+        heads.append(heads[-1] + len(row))
+    return heads, [j for row in rights for j in row], [w for row in weights for w in row]
 
 
 def doubled_pairs(d):
@@ -55,7 +65,7 @@ def matched_weight(g, cert):
 
 def test_double_counts():
     d = double_graph(K3)
-    assert len(d.heads) == 4
+    assert len(d.rights) == len(d.weights) == 3
     assert len(doubled_triples(d)) == 6
     assert all(a < 3 <= b for (a, b, _) in doubled_triples(d))
     assert all(w == 1 for (_, _, w) in doubled_triples(d))
@@ -92,7 +102,7 @@ def test_double_bipartite_gives_two_copies():
 
 def test_double_single_edge():
     d = double_graph(EDGE5)
-    assert (d.heads, d.rights, d.weights) == ([0, 1, 2], [1, 0], [5, 5])
+    assert (d.rights, d.weights) == ([[1], [0]], [[5], [5]])
     assert set(doubled_triples(d)) == {(0, 3, 5), (1, 2, 5)}
 
 
@@ -113,14 +123,13 @@ def test_double_rows_ascending_whatever_the_edge_order(n):
     rows = [sorted((b, w) for (a, b, w) in doubled_edges(g.edges) if a == i and w > 0)
             for i in range(n)]
     d = double_graph(g)
-    assert d.heads == [sum(len(r) for r in rows[:i]) for i in range(n + 1)]
     assert (d.rights, d.weights) == tuple(
-        [x[col] for row in rows for x in row] for col in (0, 1))
+        [[x[col] for x in row] for row in rows] for col in (0, 1))
 
 
 def test_double_empty():
     d = double_graph(EMPTY)
-    assert (d.heads, d.rights, d.weights) == ([0], [], [])
+    assert (d.rights, d.weights) == ([], [])
 
 
 def test_solve_doubled_k3():
@@ -149,7 +158,7 @@ def test_solve_empty():
 def test_solve_zero_weights_only():
     g = GameInstance(3, ((0, 1, 0), (1, 2, 0)))
     d = double_graph(g)
-    assert d.rights == []  # zero-weight edges never reach the kernel
+    assert d.rights == d.weights == [[]] * 3  # zero-weight edges never reach the kernel
     cert = solve_bipartite(d)
     assert cert.match_l == (-1,) * 3
     assert cert.u == cert.v == (0,) * 3
@@ -297,20 +306,19 @@ def test_kernel_matches_reference_exactly():
     for g in parity_instances():
         n = g.vertex_count
         d = double_graph(g)
-        got = _hungarian_py.solve_max_weight_bipartite(n, n, d.heads, d.rights, d.weights)
-        assert got == reference_max_weight_bipartite(
-            n, n, d.heads, d.rights, d.weights), g.name
+        got = _hungarian_py.solve_max_weight_bipartite(n, d.rights, d.weights)
+        assert got == reference_max_weight_bipartite(n, n, *csr(d.rights, d.weights)), g.name
 
 
 def test_kernel_matches_reference_on_long_rows():
-    # rows of over 32 entries are scanned through `zip`; with weights
-    # 1..3 a free vertex often turns tight in the middle of one
+    # rows of 21 to 72 entries; with weights 1..3 a free vertex often
+    # turns tight in the middle of one, which ends the scan of that row
     for seed in range(6):
         g = gen_random(60 + 5 * seed, Fraction(2 + seed % 2, 4), 1 + seed % 3, seed=seed)
         n = g.vertex_count
         d = double_graph(g)
-        got = _hungarian_py.solve_max_weight_bipartite(n, n, d.heads, d.rights, d.weights)
-        assert got == reference_max_weight_bipartite(n, n, d.heads, d.rights, d.weights)
+        got = _hungarian_py.solve_max_weight_bipartite(n, d.rights, d.weights)
+        assert got == reference_max_weight_bipartite(n, n, *csr(d.rights, d.weights))
 
 
 def test_kernel_settles_a_vertex_that_joined_after_a_dual_step():
@@ -321,9 +329,9 @@ def test_kernel_settles_a_vertex_that_joined_after_a_dual_step():
     # late vertices by nothing.
     g = parse_instance("p mg 4 3\ne 1 2 2\ne 1 3 2\ne 1 4 3\n")
     d = double_graph(g)
-    got = _hungarian_py.solve_max_weight_bipartite(4, 4, d.heads, d.rights, d.weights)
+    got = _hungarian_py.solve_max_weight_bipartite(4, d.rights, d.weights)
     assert got == ([3, -1, -1, 0], [3, -1, -1, 0], [3, 0, 0, 1], [2, 0, 0, 0])
-    assert got == reference_max_weight_bipartite(4, 4, d.heads, d.rights, d.weights)
+    assert got == reference_max_weight_bipartite(4, 4, *csr(d.rights, d.weights))
 
 
 @settings(max_examples=150, deadline=None)
@@ -336,8 +344,8 @@ def test_kernel_matches_reference_on_small_graphs(data):
     weight = data.draw(st.sampled_from([
         st.integers(1, 3), st.integers(1 << 63, (1 << 63) + 4)]))
     d = double_graph(GameInstance(n, tuple((a, b, data.draw(weight)) for (a, b) in chosen)))
-    got = _hungarian_py.solve_max_weight_bipartite(n, n, d.heads, d.rights, d.weights)
-    assert got == reference_max_weight_bipartite(n, n, d.heads, d.rights, d.weights)
+    got = _hungarian_py.solve_max_weight_bipartite(n, d.rights, d.weights)
+    assert got == reference_max_weight_bipartite(n, n, *csr(d.rights, d.weights))
 
 
 def test_huge_weights_solved_exactly():
@@ -365,20 +373,20 @@ def test_certificate_property_random_graphs(data):
     assert matched_weight(g, cert) == oracle
 
 
-def csr_certificate_problems(nl, nr, heads, rights, weights, out):
-    """Check the kernel's contract on its own CSR input, sharing no code
-    with `check_certificate`: nonnegative duals, u[i] + v[j] >= w on every
-    CSR entry with equality on matched ones, zero dual on unmatched
-    vertices, `match_l`/`match_r` mirror each other over CSR entries, and
+def row_certificate_problems(nr, rights, weights, out):
+    """Check the kernel's contract on its own rows, sharing no code with
+    `check_certificate`: nonnegative duals, u[i] + v[j] >= w on every
+    row entry with equality on matched ones, zero dual on unmatched
+    vertices, `match_l`/`match_r` mirror each other over row entries, and
     the matched weight equals the dual total."""
+    nl = len(rights)
     match_l, match_r, u, v = out
     if (len(match_l), len(u), len(match_r), len(v)) != (nl, nl, nr, nr):
         return ["array lengths differ from nl/nr"]
     problems = []
     entry = {}
     for i in range(nl):
-        for t in range(heads[i], heads[i + 1]):
-            j, w = rights[t], weights[t]
+        for j, w in zip(rights[i], weights[i]):
             entry[i, j] = w
             if u[i] + v[j] < w:
                 problems.append(f"infeasible on ({i}, {j})")
@@ -408,26 +416,37 @@ def csr_certificate_problems(nl, nr, heads, rights, weights, out):
 
 @settings(max_examples=120, deadline=None)
 @given(st.data())
-def test_kernel_contract_on_raw_csr(data):
-    # a general CSR graph, not a doubled one: unequal sides, so at least
+def test_kernel_contract_on_raw_rows(data):
+    # a general graph, not a doubled one: unequal sides, so at least
     # |nl - nr| vertices end unmatched at dual zero
     nl = data.draw(st.integers(0, 8))
     nr = data.draw(st.integers(0, 8).filter(lambda x: x != nl))
     weight = data.draw(st.sampled_from([
         st.integers(1, 12), st.integers(1, 2), st.integers(1 << 63, (1 << 63) + 8)]))
-    heads, rights, weights = [0], [], []
-    for _ in range(nl):
-        row = sorted(data.draw(st.sets(st.integers(0, nr - 1), max_size=nr))) if nr else []
-        rights += row
-        weights += [data.draw(weight) for _ in row]
-        heads.append(len(rights))
-    out = _hungarian_py.solve_max_weight_bipartite(nl, nr, heads, rights, weights)
-    assert csr_certificate_problems(nl, nr, heads, rights, weights, out) == []
+    rights = [sorted(data.draw(st.sets(st.integers(0, nr - 1), max_size=nr))) if nr else []
+              for _ in range(nl)]
+    weights = [[data.draw(weight) for _ in row] for row in rights]
+    rows = copy.deepcopy((rights, weights))
+    out = _hungarian_py.solve_max_weight_bipartite(nr, rights, weights)
+    assert (rights, weights) == rows  # read, never changed
+    assert row_certificate_problems(nr, rights, weights, out) == []
     if nr <= 6:
         # the dual total, equal to the matched weight as checked above
-        triples = [(i, rights[t], weights[t])
-                   for i in range(nl) for t in range(heads[i], heads[i + 1])]
+        triples = [(i, j, w) for i in range(nl) for j, w in zip(rights[i], weights[i])]
         assert sum(out[2]) + sum(out[3]) == bipartite_max_weight_dp(nl, nr, triples)
+
+
+@pytest.mark.parametrize("g", [
+    gen_random(40, Fraction(1, 2), 3, seed=1),
+    GameInstance(60, tuple((i, i + 1, 60 - i) for i in range(59))),
+], ids=["dense", "decreasing-path"])
+def test_kernel_leaves_its_rows_as_given(g):
+    # a stage appends the right vertices it reaches to its own list, so
+    # that list must not be the root's row
+    d = double_graph(g)
+    rows = copy.deepcopy((d.rights, d.weights))
+    solve_bipartite(d)
+    assert (d.rights, d.weights) == rows
 
 
 @settings(max_examples=100, deadline=None)

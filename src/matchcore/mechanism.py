@@ -35,9 +35,9 @@ instance, the certificate and the result. `audit_pipeline` checks a
 finished trace's certificate, derives the result from it again and
 reports where the stored result differs. The checks compare integers
 only: the doubled cover v2, each factor as the pair (2k, 2k+1) read off
-the cycle lengths, and the payouts as numerators over one scale.
-`Fraction`s are built only for the result, the factors one per
-distinct cycle length.
+the cycle lengths, and the payouts as numerators over one scale, in the
+audit too. `Fraction`s are built only for the result, one per distinct
+value, and `ImputationResult.to_json_dict` makes one string per object.
 """
 
 from __future__ import annotations
@@ -75,10 +75,18 @@ class ImputationResult(NamedTuple):
     factor_guarantee: Fraction
 
     def to_json_dict(self) -> dict:
+        # one string per distinct object, keyed by its id(): equal values
+        # share one object (see `_result`), and the tuples keep all alive
+        text = {}
+
+        def strings(values):
+            return [text[key] if (key := id(x)) in text else text.setdefault(key, str(x))
+                    for x in values]
+
         return {
-            "values": [str(x) for x in self.c],
+            "values": strings(self.c),
             "matching": [[u + 1, v + 1] for (u, v) in self.matching],
-            "factors": [str(x) for x in self.factors],
+            "factors": strings(self.factors),
             "allocated": str(self.allocated),
             "matching_weight": str(self.matching_weight),
             "fractional_optimum": str(self.worth_fractional),
@@ -160,13 +168,16 @@ def run_pipeline(g: GameInstance) -> PipelineTrace:
     the certificate and the result."""
     cert = solve_bipartite(double_graph(g))
     folded = fold_solution(g, cert)
-    return PipelineTrace(g, cert, _assemble(g, folded, decompose_components(g, folded)))
+    return PipelineTrace(g, cert, _result(*_assemble(g, folded, decompose_components(g, folded))))
 
 
-def _assemble(g: GameInstance, folded, comps) -> ImputationResult:
+def _assemble(g: GameInstance, folded, comps):
     """Pay each vertex its factor times its cover and back the payouts
     with the integral edges plus each cycle's heaviest matching (see
-    `analyze_cycle`); raise on `check_payout`'s first problem."""
+    `analyze_cycle`); raise on `check_payout`'s first problem. Return,
+    in integers, the payouts pay[i] / scale, the factor denominators
+    fden (f_i = (fden[i] - 1)/fden[i], or 1 where fden[i] = 1), the
+    sorted matching, its weight and sum(v2), for `_result` to build on."""
     fnum = [1] * g.vertex_count
     fden = [1] * g.vertex_count
     for cycle in comps.odd_cycles:
@@ -189,14 +200,20 @@ def _assemble(g: GameInstance, folded, comps) -> ImputationResult:
     problems = check_payout(g, pay, scale, matching, matching_weight)
     if problems:
         raise InvariantViolation(problems[0])
+    return pay, scale, fden, tuple(matching), matching_weight, sum(folded.v2)
 
-    # one Fraction per distinct factor; fden[i] is 1 or a cycle length 2k+1
+
+def _result(pay, scale, fden, matching, matching_weight, v2_total) -> ImputationResult:
+    """The result of `_assemble`'s integers: one `Fraction` per distinct
+    payout and per distinct factor, shared by the equal values."""
+    value_of = {x: Fraction(x, scale) for x in set(pay)}
+    # fden[i] is 1 or a cycle length 2k+1
     factor_of = {f: Fraction(f - 1, f) if f > 1 else Fraction(1) for f in set(fden)}
     return ImputationResult(
-        c=tuple(Fraction(x, scale) for x in pay),
-        matching=tuple(matching),
-        factors=tuple(factor_of[f] for f in fden),
-        worth_fractional=Fraction(sum(folded.v2), 2),  # = weight(x), per the fold
+        c=tuple(map(value_of.__getitem__, pay)),
+        matching=matching,
+        factors=tuple(map(factor_of.__getitem__, fden)),
+        worth_fractional=Fraction(v2_total, 2),  # = weight(x), per the fold
         matching_weight=matching_weight,
         allocated=Fraction(sum(pay), scale),
         factor_guarantee=min(factor_of.values(), default=Fraction(1)),
@@ -250,9 +267,10 @@ def audit_pipeline(trace: PipelineTrace) -> list[str]:
     `solve --check` runs this on the in-memory trace. All after the
     kernel is a function of its certificate, so the audit returns the
     problems of `check_certificate`, if any. Else it derives the fold,
-    the odd cycles and the result again with the live run's stages,
-    which run their checks again, and reports where the stored result
-    differs from the derived one (see `_differences`).
+    the odd cycles and the result's integers again with the live run's
+    stages, which run their checks again, and compares (see `_matches`).
+    Only if that fails does it build the derived result, to report
+    where the stored one differs (see `_differences`).
     """
     g = trace.instance
     problems = check_certificate(g, trace.certificate)
@@ -261,7 +279,38 @@ def audit_pipeline(trace: PipelineTrace) -> list[str]:
     # by `halfint.`: the benchmark times the live fold and decomposition only
     folded = halfint.fold_solution(g, trace.certificate)
     derived = _assemble(g, folded, halfint.decompose_components(g, folded))
-    return _differences("result", trace.result, derived)
+    if _matches(trace.result, *derived):
+        return []
+    return _differences("result", trace.result, _result(*derived))
+
+
+_EXACT = frozenset({int, Fraction})
+
+
+def _matches(stored, pay, scale, fden, matching, matching_weight, v2_total) -> bool:
+    """Whether `stored == _result(pay, ...)`, decided with no `Fraction` built.
+
+    Every rational must be exactly an `int` or a `Fraction`: both keep
+    their value in lowest terms with a positive denominator, so that
+    `a/b == p/q` exactly when `a * q == p * b`. Any other type, a
+    `bool` or a `float` among them, gives False, and the caller falls
+    back to comparing the built result with `==`.
+    """
+    if type(stored) is not ImputationResult:
+        return False
+    c, factors = stored.c, stored.factors
+    if not (type(c) is tuple and type(factors) is tuple and len(c) == len(pay) == len(factors)
+            and set(map(type, c)) | set(map(type, factors)) <= _EXACT):
+        return False
+    least = min(set(fden) - {1}, default=1)  # the least factor's cycle length
+    totals = ((stored.worth_fractional, v2_total, 2), (stored.allocated, sum(pay), scale),
+              (stored.factor_guarantee, least - 1 or 1, least))
+    return (stored.matching == matching and stored.matching_weight == matching_weight
+            and all(type(x) in _EXACT and x.numerator * den == num * x.denominator
+                    for x, num, den in totals)
+            and all(x.numerator * scale == p * x.denominator for x, p in zip(c, pay))
+            # the factor (d - 1)/d, or 1 where d == 1
+            and all(x.numerator * d == (d - 1 or 1) * x.denominator for x, d in zip(factors, fden)))
 
 
 def _differences(path: str, stored, derived) -> list[str]:

@@ -59,6 +59,7 @@ def test_parse_reversed_duplicate_detected():
     ("p mg 2 1\ne 0 2 4\n", 2, "out of range"),
     ("p mg 2 1\ne 1 2\n", 2, "malformed edge"),
     ("p mg 2 1\nq 1 2 1\n", 2, "unknown directive"),
+    ("q 1 2 1\np mg 2 1\n", 1, "unknown directive"),
     ("", 1, "missing header"),
     ("p mg 2 2\ne 1 2 1\n", 1, "declares 2 edges"),
     ("p mg 2 0\ne 1 2 1\n", 2, "more edge lines"),

@@ -343,6 +343,49 @@ def test_audit_reports_a_stored_value_of_another_shape():
                                    "stored result.matching_weight is a tuple"]
 
 
+# each case stores a result equal in value to the derived one: an int is
+# read by numerator like a Fraction, any other type is compared with ==
+@pytest.mark.parametrize("stored", [
+    pytest.param(lambda res: res._replace(c=(res.c[0], 1, res.c[2])), id="a payout as an int"),
+    pytest.param(lambda res: res._replace(c=(res.c[0], 1.0, res.c[2])), id="a payout as a float"),
+    pytest.param(lambda res: res._replace(c=(res.c[0], True, res.c[2])), id="a payout as True"),
+    pytest.param(lambda res: res._replace(allocated=1.0), id="a total as a float"),
+    pytest.param(tuple, id="a plain tuple for the record"),
+])
+def test_audit_accepts_a_result_equal_in_value(stored):
+    trace = run_pipeline(PATH3)
+    assert trace.result.c == (0, 1, 0)
+    assert audit_pipeline(trace._replace(result=stored(trace.result))) == []
+
+
+def test_audit_reports_a_factor_changed_alone():
+    # every payout is left as it is
+    trace = run_pipeline(gen_odd_cycle(1))
+    res = trace.result
+    bad = trace._replace(result=res._replace(factors=(res.factors[0], Fraction(1), res.factors[2])))
+    assert audit_pipeline(bad) == ["stored result.factors[1] is 1; the certificate gives 2/3"]
+
+
+@pytest.mark.parametrize("connected", [False, True])
+def test_fractions_built_once_per_distinct_value(monkeypatch, connected):
+    built = []
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    g = gen_gap_family(4, connected=connected)
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    trace = run_pipeline(g)
+    res = trace.result
+    # one per distinct payout and factor, plus the three totals
+    assert len(built) <= len(set(res.c)) + len(set(res.factors)) + 3 == 5
+    built.clear()
+    assert audit_pipeline(trace) == []
+    assert built == []
+
+
 @pytest.mark.parametrize("matching, weight, expected", [
     (((0, 1), (1, 2)), 2, ["output edges are not a matching at (1, 2)"]),
     (((0, 2),), 1, ["output edge (0, 2) not in the instance",

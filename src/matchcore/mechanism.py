@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 from typing import NamedTuple
 
 from . import halfint
@@ -75,13 +76,12 @@ class ImputationResult(NamedTuple):
     factor_guarantee: Fraction
 
     def to_json_dict(self) -> dict:
-        # one string per distinct object, keyed by its id(): equal values
-        # share one object (see `_result`), and the tuples keep all alive
-        text = {}
-
         def strings(values):
+            # one string per distinct object, keyed by its id(): equal values
+            # share one object (see `_result`), and the tuple keeps all alive
+            text = {}
             return [text[key] if (key := id(x)) in text else text.setdefault(key, str(x))
-                    for x in values]
+                    for x in tuple(values)]
 
         return {
             "values": strings(self.c),
@@ -168,18 +168,18 @@ def run_pipeline(g: GameInstance) -> PipelineTrace:
     the certificate and the result."""
     cert = solve_bipartite(double_graph(g))
     folded = fold_solution(g, cert)
-    return PipelineTrace(g, cert, _result(*_assemble(g, folded, decompose_components(g, folded))))
+    return PipelineTrace(g, cert, _result(_assemble(g, folded, decompose_components(g, folded))))
 
 
-def _assemble(g: GameInstance, folded, comps):
+def _assemble(g: GameInstance, folded, comps) -> SimpleNamespace:
     """Pay each vertex its factor times its cover and back the payouts
     with the integral edges plus each cycle's heaviest matching (see
-    `analyze_cycle`); raise on `check_payout`'s first problem. Return,
-    in integers, the payouts pay[i] / scale, the factor denominators
-    fden (f_i = (fden[i] - 1)/fden[i], or 1 where fden[i] = 1), the
-    sorted matching, its weight and sum(v2), for `_result` to build on."""
-    fnum = [1] * g.vertex_count
-    fden = [1] * g.vertex_count
+    `analyze_cycle`); raise on `check_payout`'s first problem. Return the
+    result in integers (a namespace: a record class would add 0.2 ms to
+    every import): payouts c_i = pay[i] / scale, factors f_i = fnum[i] /
+    fden[i], the sorted `matching`, its `matching_weight` and the
+    `totals` in `ImputationResult`'s order as (numerator, denominator)."""
+    fnum, fden = [1] * g.vertex_count, [1] * g.vertex_count
     for cycle in comps.odd_cycles:
         for i in cycle.vertices:
             fnum[i], fden[i] = 2 * cycle.k, 2 * cycle.k + 1
@@ -200,23 +200,28 @@ def _assemble(g: GameInstance, folded, comps):
     problems = check_payout(g, pay, scale, matching, matching_weight)
     if problems:
         raise InvariantViolation(problems[0])
-    return pay, scale, fden, tuple(matching), matching_weight, sum(folded.v2)
+    k = min((cycle.k for cycle in comps.odd_cycles), default=0)
+    # weight(x) per the fold, sum(c) and the least factor, 2k/(2k+1) or 1
+    totals = ((sum(folded.v2), 2), (sum(pay), scale), (2 * k or 1, 2 * k + 1))
+    return SimpleNamespace(pay=pay, scale=scale, fnum=fnum, fden=fden, matching=tuple(matching),
+                           matching_weight=matching_weight, totals=totals)
 
 
-def _result(pay, scale, fden, matching, matching_weight, v2_total) -> ImputationResult:
-    """The result of `_assemble`'s integers: one `Fraction` per distinct
-    payout and per distinct factor, shared by the equal values."""
-    value_of = {x: Fraction(x, scale) for x in set(pay)}
-    # fden[i] is 1 or a cycle length 2k+1
-    factor_of = {f: Fraction(f - 1, f) if f > 1 else Fraction(1) for f in set(fden)}
+def _result(exact: SimpleNamespace) -> ImputationResult:
+    """Build the result of `_assemble`'s integers: one `Fraction` per
+    distinct payout and per distinct factor, shared by the equal values."""
+    value_of = {x: Fraction(x, exact.scale) for x in set(exact.pay)}
+    # a factor's denominator, 1 or 2k+1, fixes its numerator
+    factor_of = {d: Fraction(f, d) for d, f in dict(zip(exact.fden, exact.fnum)).items()}
+    worth, allocated, guarantee = (Fraction(*total) for total in exact.totals)
     return ImputationResult(
-        c=tuple(map(value_of.__getitem__, pay)),
-        matching=matching,
-        factors=tuple(map(factor_of.__getitem__, fden)),
-        worth_fractional=Fraction(v2_total, 2),  # = weight(x), per the fold
-        matching_weight=matching_weight,
-        allocated=Fraction(sum(pay), scale),
-        factor_guarantee=min(factor_of.values(), default=Fraction(1)),
+        c=tuple(map(value_of.__getitem__, exact.pay)),
+        matching=exact.matching,
+        factors=tuple(map(factor_of.__getitem__, exact.fden)),
+        worth_fractional=worth,
+        matching_weight=exact.matching_weight,
+        allocated=allocated,
+        factor_guarantee=guarantee,
     )
 
 
@@ -278,17 +283,17 @@ def audit_pipeline(trace: PipelineTrace) -> list[str]:
         return problems
     # by `halfint.`: the benchmark times the live fold and decomposition only
     folded = halfint.fold_solution(g, trace.certificate)
-    derived = _assemble(g, folded, halfint.decompose_components(g, folded))
-    if _matches(trace.result, *derived):
+    exact = _assemble(g, folded, halfint.decompose_components(g, folded))
+    if _matches(trace.result, exact):
         return []
-    return _differences("result", trace.result, _result(*derived))
+    return _differences("result", trace.result, _result(exact))
 
 
 _EXACT = frozenset({int, Fraction})
 
 
-def _matches(stored, pay, scale, fden, matching, matching_weight, v2_total) -> bool:
-    """Whether `stored == _result(pay, ...)`, decided with no `Fraction` built.
+def _matches(stored, exact: SimpleNamespace) -> bool:
+    """Whether `stored == _result(exact)`, decided with no `Fraction` built.
 
     Every rational must be exactly an `int` or a `Fraction`: both keep
     their value in lowest terms with a positive denominator, so that
@@ -298,19 +303,17 @@ def _matches(stored, pay, scale, fden, matching, matching_weight, v2_total) -> b
     """
     if type(stored) is not ImputationResult:
         return False
-    c, factors = stored.c, stored.factors
+    c, factors, pay, scale = stored.c, stored.factors, exact.pay, exact.scale
     if not (type(c) is tuple and type(factors) is tuple and len(c) == len(pay) == len(factors)
             and set(map(type, c)) | set(map(type, factors)) <= _EXACT):
         return False
-    least = min(set(fden) - {1}, default=1)  # the least factor's cycle length
-    totals = ((stored.worth_fractional, v2_total, 2), (stored.allocated, sum(pay), scale),
-              (stored.factor_guarantee, least - 1 or 1, least))
-    return (stored.matching == matching and stored.matching_weight == matching_weight
+    totals = (stored.worth_fractional, stored.allocated, stored.factor_guarantee)
+    return (stored.matching == exact.matching and stored.matching_weight == exact.matching_weight
             and all(type(x) in _EXACT and x.numerator * den == num * x.denominator
-                    for x, num, den in totals)
-            and all(x.numerator * scale == p * x.denominator for x, p in zip(c, pay))
-            # the factor (d - 1)/d, or 1 where d == 1
-            and all(x.numerator * d == (d - 1 or 1) * x.denominator for x, d in zip(factors, fden)))
+                    for x, (num, den) in zip(totals, exact.totals))
+            and all(x.numerator * scale == num * x.denominator for x, num in zip(c, pay))
+            and all(x.numerator * den == num * x.denominator
+                    for x, num, den in zip(factors, exact.fnum, exact.fden)))
 
 
 def _differences(path: str, stored, derived) -> list[str]:

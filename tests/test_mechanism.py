@@ -386,6 +386,15 @@ def test_fractions_built_once_per_distinct_value(monkeypatch, connected):
     assert built == []
 
 
+def test_json_of_a_result_built_from_generators():
+    # each value is freed after its turn, so a later one may reuse its id()
+    res = run_mechanism(K3)._replace(c=(Fraction(i, 7) for i in range(40)),
+                                     factors=(Fraction(1, i) for i in range(1, 41)))
+    out = res.to_json_dict()
+    assert out["values"] == [str(Fraction(i, 7)) for i in range(40)]
+    assert out["factors"] == [str(Fraction(1, i)) for i in range(1, 41)]
+
+
 @pytest.mark.parametrize("matching, weight, expected", [
     (((0, 1), (1, 2)), 2, ["output edges are not a matching at (1, 2)"]),
     (((0, 2),), 1, ["output edge (0, 2) not in the instance",

@@ -21,6 +21,7 @@ import functools
 import json
 import sys
 from fractions import Fraction
+from operator import add
 
 from .errors import BoundExceeded, InstanceFormatError, InvariantViolation
 from .instances import gen_gap_family, gen_odd_cycle, gen_random, load_instance, serialize_instance
@@ -43,16 +44,15 @@ def _cmd_solve(args) -> int:
                 _err(f"check failed: {p}")
             return 1
     res = trace.result
+    out = res.to_json_dict()
     if args.json:
-        print(json.dumps(res.to_json_dict()))
+        print(json.dumps(out))
         return 0
-    cert = trace.certificate
+    v2 = list(map(add, trace.certificate.u, trace.certificate.v))  # the fold's doubled cover
+    cover = {x: str(Fraction(x, 2)) for x in set(v2)}
     rows = [("vertex", "cover", "factor", "payout")]
-    for i in range(g.vertex_count):
-        rows.append((str(i + 1),
-                     str(Fraction(cert.u[i] + cert.v[i], 2)),  # the fold's cover v2[i] / 2
-                     str(res.factors[i]),
-                     str(res.c[i])))
+    rows += zip(map(str, range(1, g.vertex_count + 1)), map(cover.__getitem__, v2),
+                out["factors"], out["values"])
     widths = [max(len(r[col]) for r in rows) for col in range(4)]
     for r in rows:
         print("  ".join(x.rjust(w) for x, w in zip(r, widths)))

@@ -182,12 +182,13 @@ def parse_instance(text: str) -> GameInstance:
     `text.splitlines()` numbers them: malformed header, bad edge line,
     self-loop, duplicate edge, negative weight, vertex id out of range,
     or an edge count that disagrees with the header. `_records` reads
-    the header, then the edge lines in pieces of about `_PIECE`
-    characters. A piece made only of canonical edge lines (`e U V W`
-    in ASCII with "\\n" line ends, as `serialize_instance` writes
-    them) arrives as three columns that are checked whole
-    (`_take_columns`). Any other piece, and any piece whose columns
-    fail a check, is read one line at a time and its edges checked one
+    up to the header one line at a time, then the edge lines in pieces
+    of about `_PIECE` characters. A piece made only of canonical edge
+    lines (`e U V W` in ASCII with "\\n" line ends, as
+    `serialize_instance` writes them) arrives as three columns that
+    are checked whole (`_take_columns`). Any other piece is read one
+    line at a time by `_line_records`, the header's reader too; its
+    edges, and those of any columns that fail a check, are checked one
     at a time, in file order, by `_normalized_edges`, the only code
     that names a fault. So the first fault in the file is the one
     reported, exactly as a line-by-line read reports it, and nothing
@@ -271,20 +272,31 @@ def _records(text: str) -> Iterator:
     the edge lines after it in file order, in batches of 0-based
     `(u, v, w)`.
 
-    The text after the header is read in pieces of about `_PIECE`
-    characters, each ending just after a "\\n". A piece that `_columns`
-    takes becomes one batch: the tuple of its three columns. Any other
-    piece becomes an iterator that reads the syntax one line at a time
-    (`_edge_records`), so a line that breaks it raises
-    `InstanceFormatError` only when the reader gets to it, and every
-    edge before it has already been checked. Vertex ids are read
-    through a table from their strings once the lines read number at
-    least twice the vertices, so the table never outweighs them.
+    Up to the header the text is read one "\\n"-ended chunk at a time,
+    and after it in pieces of about `_PIECE` characters, each ending
+    just after a "\\n". Every line of a chunk, and of a piece that
+    `_columns` does not take, is read by `_line_records`; the lines of
+    the header's chunk after the header become the first batch. A piece
+    that `_columns` takes becomes one batch: the tuple of its three
+    columns. A line that breaks the syntax raises `InstanceFormatError`
+    only when the reader gets to it, so every edge before it has
+    already been checked. Vertex ids are read through a table from
+    their strings once the lines read number at least twice the
+    vertices, so the table never outweighs them.
     """
-    n, m, lineno, rest, start = _header(text)
-    yield n, m, lineno
-    yield _edge_records(rest, lineno)
-    lineno += len(rest)
+    lineno, start, header = 0, 0, None
+    while header is None:
+        if start == len(text):
+            raise InstanceFormatError(1, "missing header")
+        end = _piece_end(text, start, 0)
+        lines = text[start:end].splitlines()
+        records = _line_records(lines, lineno, header=True)
+        header = next(records, None)
+        lineno += len(lines)
+        start = end
+    yield header
+    yield records  # the lines after the header in its chunk
+    n = header[0]
     ids = None
     while start < len(text):
         end = _piece_end(text, start, _PIECE)
@@ -296,7 +308,7 @@ def _records(text: str) -> Iterator:
         columns = _columns(piece, lines, n, ids)
         if columns is None:
             piece_lines = piece.splitlines()
-            yield _edge_records(piece_lines, lineno)
+            yield _line_records(piece_lines, lineno, header=False)
             lineno += len(piece_lines)
         else:
             yield columns
@@ -345,54 +357,21 @@ def _columns(piece: str, lines: int, n: int, ids: dict[str, int] | None):
     return list(map(sub, us, repeat(1))), list(map(sub, vs, repeat(1))), ws
 
 
-def _header(text: str) -> tuple[int, int, int, list[str], int]:
-    """Read `text` up to its header, one "\\n"-ended chunk at a time.
+def _line_records(lines: list[str], lineno: int, header: bool) -> Iterator:
+    """The records of `lines`, the lines after line `lineno`, read one
+    line at a time: if `header`, first the header `(n, m, line)` (an
+    edge line before it raises), then the edges as `(u, v, w)` with
+    0-based endpoints (a second header raises).
 
-    Returns n, m, the header's line number, the lines after it in its
-    chunk (there are some only if a line break other than "\\n" ends
-    it) and the offset where that chunk ends.
-    """
-    lineno, start = 0, 0
-    while start < len(text):
-        end = _piece_end(text, start, 0)
-        lines = text[start:end].splitlines()
-        for i, raw in enumerate(lines):
-            line = raw.strip()
-            if not line or line[0] == "#":
-                continue
-            fields = line.split()
-            at = lineno + i + 1
-            if fields[0] == "p":
-                if len(fields) != 4 or fields[1] != "mg" or not _plain_digits(line):
-                    raise InstanceFormatError(at, f"malformed header: {line!r}")
-                try:
-                    n, m = int(fields[2]), int(fields[3])
-                except ValueError:
-                    raise InstanceFormatError(at, f"malformed header: {line!r}")
-                if n < 0 or m < 0:
-                    raise InstanceFormatError(at, "negative count in header")
-                return n, m, at, lines[i + 1:], end
-            if fields[0] == "e":
-                raise InstanceFormatError(at, "edge before header")
-            raise InstanceFormatError(at, f"unknown directive: {fields[0]!r}")
-        lineno += len(lines)
-        start = end
-    raise InstanceFormatError(1, "missing header")
-
-
-def _edge_records(lines: list[str], lineno: int) -> Iterator[Edge]:
-    """The edges of `lines`, the lines after line `lineno` of a file
-    whose header is read, as `(u, v, w)` with 0-based endpoints.
-
-    Reads the syntax only, one line at a time: a line that breaks it
-    raises `InstanceFormatError` when the reader gets to it.
+    Reads the syntax only: a line that breaks it raises
+    `InstanceFormatError` when the reader gets to it.
     """
     for lineno, raw in enumerate(lines, start=lineno + 1):
         line = raw.strip()
         if not line or line[0] == "#":
             continue
         fields = line.split()
-        if fields[0] == "e":  # nearly every line, so tested first
+        if fields[0] == "e" and not header:  # nearly every line, so tested first
             if len(fields) != 4 or not _plain_digits(line):
                 raise InstanceFormatError(lineno, f"malformed edge line: {line!r}")
             try:
@@ -400,8 +379,19 @@ def _edge_records(lines: list[str], lineno: int) -> Iterator[Edge]:
             except ValueError:
                 raise InstanceFormatError(lineno, f"malformed edge line: {line!r}")
             yield u - 1, v - 1, w
-        elif fields[0] == "p":
-            raise InstanceFormatError(lineno, "duplicate header")
+        elif fields[0] == "p" and header:
+            if len(fields) != 4 or fields[1] != "mg" or not _plain_digits(line):
+                raise InstanceFormatError(lineno, f"malformed header: {line!r}")
+            try:
+                n, m = int(fields[2]), int(fields[3])
+            except ValueError:
+                raise InstanceFormatError(lineno, f"malformed header: {line!r}")
+            if n < 0 or m < 0:
+                raise InstanceFormatError(lineno, "negative count in header")
+            header = False
+            yield n, m, lineno
+        elif fields[0] in ("e", "p"):
+            raise InstanceFormatError(lineno, "edge before header" if header else "duplicate header")
         else:
             raise InstanceFormatError(lineno, f"unknown directive: {fields[0]!r}")
 

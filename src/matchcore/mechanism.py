@@ -35,16 +35,19 @@ instance, the certificate and the result. `audit_pipeline` checks a
 finished trace's certificate, derives the result from it again and
 reports where the stored result differs. The checks compare integers
 only: the doubled cover v2, each factor as the pair (2k, 2k+1) read off
-the cycle lengths, and the payouts as numerators over one scale, in the
-audit too. `Fraction`s are built only for the result, one per distinct
-value, and `ImputationResult.to_json_dict` makes one string per object.
+the cycle lengths, and the payouts as numerators over one scale. Every
+`Fraction` of a result comes from one bounded memo, `_fraction`, so a
+result holds one object per distinct value, the audit's derived result
+holds the stored one's objects, and `ImputationResult.to_json_dict`
+makes one string per object.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
-from types import SimpleNamespace
+from itertools import repeat
 from typing import NamedTuple
 
 from . import halfint
@@ -78,7 +81,7 @@ class ImputationResult(NamedTuple):
     def to_json_dict(self) -> dict:
         def strings(values):
             # one string per distinct object, keyed by its id(): equal values
-            # share one object (see `_result`), and the tuple keeps all alive
+            # share one object (see `_fraction`), and the tuple keeps all alive
             text = {}
             return [text[key] if (key := id(x)) in text else text.setdefault(key, str(x))
                     for x in tuple(values)]
@@ -168,17 +171,25 @@ def run_pipeline(g: GameInstance) -> PipelineTrace:
     the certificate and the result."""
     cert = solve_bipartite(double_graph(g))
     folded = fold_solution(g, cert)
-    return PipelineTrace(g, cert, _result(_assemble(g, folded, decompose_components(g, folded))))
+    return PipelineTrace(g, cert, _assemble(g, folded, decompose_components(g, folded)))
 
 
-def _assemble(g: GameInstance, folded, comps) -> SimpleNamespace:
+# Every `Fraction` of a result, one per (numerator, denominator): equal
+# values share one object, and a result derived again from the same
+# certificate holds the same objects, so `==` matches them by identity.
+# The memo lives as long as the process, so it is bounded: 1,024 entries
+# are over three times what one result needs on the benchmark's files
+# (306 at most: its distinct payouts and factors and its 3 totals). In a
+# larger result a value may be built again, and is compared by value.
+@functools.lru_cache(maxsize=1024)
+def _fraction(numerator: int, denominator: int) -> Fraction:
+    return Fraction(numerator, denominator)
+
+
+def _assemble(g: GameInstance, folded, comps) -> ImputationResult:
     """Pay each vertex its factor times its cover and back the payouts
     with the integral edges plus each cycle's heaviest matching (see
-    `analyze_cycle`); raise on `check_payout`'s first problem. Return the
-    result in integers (a namespace: a record class would add 0.2 ms to
-    every import): payouts c_i = pay[i] / scale, factors f_i = fnum[i] /
-    fden[i], the sorted `matching`, its `matching_weight` and the
-    `totals` in `ImputationResult`'s order as (numerator, denominator)."""
+    `analyze_cycle`); raise on `check_payout`'s first problem."""
     fnum, fden = [1] * g.vertex_count, [1] * g.vertex_count
     for cycle in comps.odd_cycles:
         for i in cycle.vertices:
@@ -201,27 +212,14 @@ def _assemble(g: GameInstance, folded, comps) -> SimpleNamespace:
     if problems:
         raise InvariantViolation(problems[0])
     k = min((cycle.k for cycle in comps.odd_cycles), default=0)
-    # weight(x) per the fold, sum(c) and the least factor, 2k/(2k+1) or 1
-    totals = ((sum(folded.v2), 2), (sum(pay), scale), (2 * k or 1, 2 * k + 1))
-    return SimpleNamespace(pay=pay, scale=scale, fnum=fnum, fden=fden, matching=tuple(matching),
-                           matching_weight=matching_weight, totals=totals)
-
-
-def _result(exact: SimpleNamespace) -> ImputationResult:
-    """Build the result of `_assemble`'s integers: one `Fraction` per
-    distinct payout and per distinct factor, shared by the equal values."""
-    value_of = {x: Fraction(x, exact.scale) for x in set(exact.pay)}
-    # a factor's denominator, 1 or 2k+1, fixes its numerator
-    factor_of = {d: Fraction(f, d) for d, f in dict(zip(exact.fden, exact.fnum)).items()}
-    worth, allocated, guarantee = (Fraction(*total) for total in exact.totals)
     return ImputationResult(
-        c=tuple(map(value_of.__getitem__, exact.pay)),
-        matching=exact.matching,
-        factors=tuple(map(factor_of.__getitem__, exact.fden)),
-        worth_fractional=worth,
-        matching_weight=exact.matching_weight,
-        allocated=allocated,
-        factor_guarantee=guarantee,
+        c=tuple(map(_fraction, pay, repeat(scale))),
+        matching=tuple(matching),
+        factors=tuple(map(_fraction, fnum, fden)),
+        worth_fractional=_fraction(sum(folded.v2), 2),  # weight(x) per the fold
+        matching_weight=matching_weight,
+        allocated=_fraction(sum(pay), scale),
+        factor_guarantee=_fraction(2 * k or 1, 2 * k + 1),  # the least factor
     )
 
 
@@ -272,10 +270,10 @@ def audit_pipeline(trace: PipelineTrace) -> list[str]:
     `solve --check` runs this on the in-memory trace. All after the
     kernel is a function of its certificate, so the audit returns the
     problems of `check_certificate`, if any. Else it derives the fold,
-    the odd cycles and the result's integers again with the live run's
-    stages, which run their checks again, and compares (see `_matches`).
-    Only if that fails does it build the derived result, to report
-    where the stored one differs (see `_differences`).
+    the odd cycles and the result again with the live run's stages,
+    which run their checks again, and reports where the stored result
+    differs (see `_differences`). The values of both come from
+    `_fraction`, so on an untampered trace each pair is one object.
     """
     g = trace.instance
     problems = check_certificate(g, trace.certificate)
@@ -283,37 +281,8 @@ def audit_pipeline(trace: PipelineTrace) -> list[str]:
         return problems
     # by `halfint.`: the benchmark times the live fold and decomposition only
     folded = halfint.fold_solution(g, trace.certificate)
-    exact = _assemble(g, folded, halfint.decompose_components(g, folded))
-    if _matches(trace.result, exact):
-        return []
-    return _differences("result", trace.result, _result(exact))
-
-
-_EXACT = frozenset({int, Fraction})
-
-
-def _matches(stored, exact: SimpleNamespace) -> bool:
-    """Whether `stored == _result(exact)`, decided with no `Fraction` built.
-
-    Every rational must be exactly an `int` or a `Fraction`: both keep
-    their value in lowest terms with a positive denominator, so that
-    `a/b == p/q` exactly when `a * q == p * b`. Any other type, a
-    `bool` or a `float` among them, gives False, and the caller falls
-    back to comparing the built result with `==`.
-    """
-    if type(stored) is not ImputationResult:
-        return False
-    c, factors, pay, scale = stored.c, stored.factors, exact.pay, exact.scale
-    if not (type(c) is tuple and type(factors) is tuple and len(c) == len(pay) == len(factors)
-            and set(map(type, c)) | set(map(type, factors)) <= _EXACT):
-        return False
-    totals = (stored.worth_fractional, stored.allocated, stored.factor_guarantee)
-    return (stored.matching == exact.matching and stored.matching_weight == exact.matching_weight
-            and all(type(x) in _EXACT and x.numerator * den == num * x.denominator
-                    for x, (num, den) in zip(totals, exact.totals))
-            and all(x.numerator * scale == num * x.denominator for x, num in zip(c, pay))
-            and all(x.numerator * den == num * x.denominator
-                    for x, num, den in zip(factors, exact.fnum, exact.fden)))
+    derived = _assemble(g, folded, halfint.decompose_components(g, folded))
+    return _differences("result", trace.result, derived)
 
 
 def _differences(path: str, stored, derived) -> list[str]:

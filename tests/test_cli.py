@@ -10,7 +10,8 @@ import pytest
 
 from matchcore import _hungarian_py, cli
 from matchcore.cli import main
-from matchcore.instances import parse_instance
+from matchcore.halfint import fold_solution
+from matchcore.instances import gen_gap_family, gen_random, parse_instance, serialize_instance
 from matchcore.mechanism import audit_pipeline, run_pipeline
 
 K3_TEXT = "p mg 3 3\ne 1 2 1\ne 2 3 1\ne 1 3 1\n"
@@ -47,6 +48,20 @@ def test_solve_k3_check_and_table(capsys, k3_path):
     assert code == 0
     assert "payout" in out
     assert "factor guarantee 2/3" in out
+
+
+@pytest.mark.parametrize("g", [gen_gap_family(2, connected=True), gen_random(9, Fraction(1, 2), 7, seed=5)],
+                         ids=["gap_2c", "rnd_9"])
+def test_solve_table_columns_are_the_json_strings(capsys, tmp_path, g):
+    path = tmp_path / "g.mg"
+    path.write_text(serialize_instance(g))
+    code, table, err = run(capsys, "solve", str(path), "--check")
+    assert code == 0
+    data = json.loads(run(capsys, "solve", str(path), "--json")[1])
+    rows = [line.split() for line in table.splitlines()[1:g.vertex_count + 1]]
+    v2 = fold_solution(g, run_pipeline(g).certificate).v2
+    assert rows == [[str(i + 1), str(Fraction(v2[i], 2)), data["factors"][i], data["values"][i]]
+                    for i in range(g.vertex_count)]
 
 
 def test_solve_check_reports_each_audit_problem(capsys, k3_path, monkeypatch):

@@ -1,5 +1,6 @@
 """Scaled-cover mechanism: cycle analyses, factors, payouts."""
 
+import operator
 import random
 from fractions import Fraction
 
@@ -343,8 +344,8 @@ def test_audit_reports_a_stored_value_of_another_shape():
                                    "stored result.matching_weight is a tuple"]
 
 
-# each case stores a result equal in value to the derived one: an int is
-# read by numerator like a Fraction, any other type is compared with ==
+# each case stores a result equal in value to the derived one, which the
+# audit compares with ==, whatever the stored value's type
 @pytest.mark.parametrize("stored", [
     pytest.param(lambda res: res._replace(c=(res.c[0], 1, res.c[2])), id="a payout as an int"),
     pytest.param(lambda res: res._replace(c=(res.c[0], 1.0, res.c[2])), id="a payout as a float"),
@@ -376,6 +377,7 @@ def test_fractions_built_once_per_distinct_value(monkeypatch, connected):
         return new(cls, *args, **kwargs)
 
     g = gen_gap_family(4, connected=connected)
+    mechanism._fraction.cache_clear()  # else the memo may hold every value already
     monkeypatch.setattr(Fraction, "__new__", counted)
     trace = run_pipeline(g)
     res = trace.result
@@ -384,6 +386,64 @@ def test_fractions_built_once_per_distinct_value(monkeypatch, connected):
     built.clear()
     assert audit_pipeline(trace) == []
     assert built == []
+
+
+RND9 = gen_random(9, Fraction(1, 2), 7, seed=5)  # a 5-cycle and 7 distinct payouts
+
+
+def derived_result(trace):
+    """The result the audit derives from the trace's certificate."""
+    folded = fold_solution(trace.instance, trace.certificate)
+    return mechanism._assemble(trace.instance, folded, decompose_components(trace.instance, folded))
+
+
+def values(res):
+    return (*res.c, *res.factors, res.worth_fractional, res.allocated, res.factor_guarantee)
+
+
+@pytest.mark.parametrize("g", [K3, gen_gap_family(3, connected=True), COMPLETE12, RND9],
+                         ids=["K3", "gap_3c", "complete12", "rnd_9"])
+def test_audit_derives_the_stored_objects(g):
+    # so the audit's == matches each value by identity, with no Fraction.__eq__
+    trace = run_pipeline(g)
+    assert all(map(operator.is_, values(trace.result), values(derived_result(trace))))
+
+
+def stored_results(res):
+    """Results a caller could store in place of `res`: the record as a
+    tuple or a list; each field, or the first entry of a tuple field, as
+    equal values of other types and as changed values; and each tuple
+    field as a list, shorter and longer."""
+    def others(x):
+        if type(x) is tuple:  # an edge
+            return [list(x), (x[0] + 1, x[1])]
+        return [float(x), Fraction(x), x + 1, (x,), *([int(x), x == 1] if x in (0, 1) else [])]
+
+    yield tuple(res)
+    yield list(res)
+    for field, value in zip(res._fields, res):
+        if type(value) is tuple:
+            variants = [list(value), value[:-1], value + value[:1]]
+            variants += [(x,) + value[1:] for x in others(value[0])]
+        else:
+            variants = others(value)
+        for other in variants:
+            yield res._replace(**{field: other})
+
+
+@pytest.mark.parametrize("g", [PATH3, K3, gen_odd_cycle(2), gen_gap_family(2, connected=True), RND9],
+                         ids=["path3", "K3", "C5", "gap_2c", "rnd_9"])
+def test_audit_verdicts_do_not_depend_on_the_memo(g):
+    # warm: the memo holds the stored objects; cold: it was cleared after
+    # the run, so the derived values are other objects, compared by value
+    trace = run_pipeline(g)
+    cases = [trace._replace(result=stored) for stored in stored_results(trace.result)]
+    warm = [audit_pipeline(case) for case in cases]
+    mechanism._fraction.cache_clear()
+    assert not any(map(operator.is_, values(trace.result), values(derived_result(trace))))
+    assert audit_pipeline(trace) == []
+    assert [audit_pipeline(case) for case in cases] == warm
+    assert [] in warm and any(warm)
 
 
 def test_json_of_a_result_built_from_generators():

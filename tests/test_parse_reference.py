@@ -82,6 +82,11 @@ def _small_texts(draw):
 @example("p mg 900 2\ne 1 2 3\ne 1 901 3\n")
 @example("p mg 900 1\ne 1 x 3\n")
 @example("# only a comment\n")
+# a header inside a multi-line "\n" chunk
+@example("# a\r# b\rp mg 2 1\re 1 2 1\n")
+@example("# a\re 1 2 1\rp mg 2 1\n")
+@example("p mg 2 1\rp mg 2 1\n")
+@example("# x\rq 1\rp mg 2 0\n")
 def test_small_texts_parse_as_before(text):
     _assert_same(text)
 

@@ -15,8 +15,9 @@ scale. That convention removes every fraction from the solver.
 The doubled graph is never listed edge by edge: left copy i' is
 adjacent to j'' exactly when i and j are neighbors, so the kernel's
 row i holds i's neighbours. `double_graph` fills the rows straight
-from the edge list, in one pass over the edges in `(u, v)` order that
-leaves every row ascending.
+from the edge list, in one pass over the edges by falling weight that
+leaves every row by falling weight, the order in which the kernel can
+stop reading a row once its weights are too small to matter.
 
 A certificate is the kernel's own arrays: `match_l[i]` is the j with
 i' matched to j'' (or -1), `u[i]` the dual of i' and `v[j]` the dual
@@ -31,6 +32,7 @@ competing matching.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import NamedTuple
 
 from . import _hungarian_py
@@ -42,9 +44,11 @@ class DoubledGraph(NamedTuple):
     """Bipartite double of a game instance as the kernel's rows.
 
     `rights[i]` lists the original ids of the right copies adjacent to
-    left copy i, in ascending order, and `weights[i]` their half-unit
-    weights (the original integer weights), parallel to it.
-    Zero-weight edges are left out: they never improve a matching.
+    left copy i, by falling weight, and `weights[i]` their half-unit
+    weights (the original integer weights), parallel to it. Equal
+    weights keep the order of the instance's edge list; the kernel's
+    output does not depend on it. Zero-weight edges are left out: they
+    never improve a matching.
     """
 
     original: GameInstance
@@ -69,30 +73,30 @@ class PrimalDualCertificate(NamedTuple):
 def double_graph(g: GameInstance) -> DoubledGraph:
     """Split every vertex into a left/right pair of half-weight copies.
 
-    One pass over the edges in `(u, v)` order appends each to both its
-    rows. Row i receives its neighbours j < i (from edges (j, i),
-    ascending in j) before its neighbours j > i (from edges (i, j),
-    ascending in j), so every row comes out ascending without a per-row
+    One stable sort of the edges by falling weight, then one pass that
+    appends each edge to both its rows and stops at the first zero
+    weight. Every row comes out by falling weight without a per-row
     sort.
     """
     n = g.vertex_count
     rights: list[list[int]] = [[] for _ in range(n)]
     weights: list[list[int]] = [[] for _ in range(n)]
-    # the pairs are distinct, so sorting never compares the weights
-    for (u, v, w) in sorted(g.edges):
-        if w > 0:
-            rights[u].append(v)
-            weights[u].append(w)
-            rights[v].append(u)
-            weights[v].append(w)
+    for (u, v, w) in sorted(g.edges, key=itemgetter(2), reverse=True):
+        if not w:
+            break  # the rest weigh 0 too
+        rights[u].append(v)
+        weights[u].append(w)
+        rights[v].append(u)
+        weights[v].append(w)
     return DoubledGraph(g, rights, weights)
 
 
 def solve_bipartite(d: DoubledGraph) -> PrimalDualCertificate:
     """Maximum-weight matching of the doubled graph with integer duals.
 
-    The output is deterministic: vertices and adjacency lists are
-    processed in ascending id order.
+    The output is deterministic: vertices are processed in ascending
+    id order, and within a row ties are taken in ascending id order
+    too, so the order of equal weights in a row never shows.
     """
     match_l, _, u, v = _run_kernel(d)
     cert = PrimalDualCertificate(tuple(match_l), tuple(u), tuple(v))

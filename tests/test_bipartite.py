@@ -54,6 +54,15 @@ def csr(rights, weights):
     return heads, [j for row in rights for j in row], [w for row in weights for w in row]
 
 
+def reference_on_id_rows(nr, rights, weights):
+    """`reference_max_weight_bipartite` on the same rows with each row
+    sorted by right id, the order that kernel was written for."""
+    rows = [sorted(zip(r, w)) for r, w in zip(rights, weights)]
+    return reference_max_weight_bipartite(
+        len(rows), nr, *csr([[j for j, _ in row] for row in rows],
+                            [[w for _, w in row] for row in rows]))
+
+
 def doubled_pairs(d):
     return [(a, b) for (a, b, _) in doubled_triples(d)]
 
@@ -108,23 +117,26 @@ def test_double_single_edge():
 
 @pytest.mark.parametrize("n", [2, 5, 12, 40])
 def test_double_rows_ascending_whatever_the_edge_order(n):
-    # row i holds i's positive-weight neighbours in ascending order,
-    # built here one row at a time, from edges given shuffled and with
-    # endpoints in either order
+    # row i holds i's positive-weight neighbours by falling weight (the
+    # name predates that order), the same (neighbour, weight) multiset
+    # as the doubled edges leaving i', from edges given shuffled and
+    # with endpoints in either order
     rng = random.Random(n)
     edges = []
     for u in range(n):
         for v in range(u + 1, n):
             if rng.randrange(2):
                 a, b = (v, u) if rng.randrange(2) else (u, v)
-                edges.append((a, b, rng.choice([0, 1, 7])))
+                edges.append((a, b, rng.choice([0, 1, 7, 1 << 63])))
     rng.shuffle(edges)
     g = GameInstance(n, edges)
-    rows = [sorted((b, w) for (a, b, w) in doubled_edges(g.edges) if a == i and w > 0)
-            for i in range(n)]
     d = double_graph(g)
-    assert (d.rights, d.weights) == tuple(
-        [[x[col] for x in row] for row in rows] for col in (0, 1))
+    assert len(d.rights) == len(d.weights) == n
+    for i in range(n):
+        assert len(d.rights[i]) == len(d.weights[i])
+        assert sorted(zip(d.rights[i], d.weights[i])) == sorted(
+            (b, w) for (a, b, w) in doubled_edges(g.edges) if a == i and w > 0)
+        assert d.weights[i] == sorted(d.weights[i], reverse=True)
 
 
 def test_double_empty():
@@ -307,18 +319,18 @@ def test_kernel_matches_reference_exactly():
         n = g.vertex_count
         d = double_graph(g)
         got = _hungarian_py.solve_max_weight_bipartite(n, d.rights, d.weights)
-        assert got == reference_max_weight_bipartite(n, n, *csr(d.rights, d.weights)), g.name
+        assert got == reference_on_id_rows(n, d.rights, d.weights), g.name
 
 
 def test_kernel_matches_reference_on_long_rows():
-    # rows of 21 to 72 entries; with weights 1..3 a free vertex often
-    # turns tight in the middle of one, which ends the scan of that row
+    # rows of 21 to 72 entries; with weights 1..3 a row holds long runs
+    # of equal weights, and a free vertex often turns tight in one of them
     for seed in range(6):
         g = gen_random(60 + 5 * seed, Fraction(2 + seed % 2, 4), 1 + seed % 3, seed=seed)
         n = g.vertex_count
         d = double_graph(g)
         got = _hungarian_py.solve_max_weight_bipartite(n, d.rights, d.weights)
-        assert got == reference_max_weight_bipartite(n, n, *csr(d.rights, d.weights))
+        assert got == reference_on_id_rows(n, d.rights, d.weights)
 
 
 def test_kernel_settles_a_vertex_that_joined_after_a_dual_step():
@@ -331,7 +343,7 @@ def test_kernel_settles_a_vertex_that_joined_after_a_dual_step():
     d = double_graph(g)
     got = _hungarian_py.solve_max_weight_bipartite(4, d.rights, d.weights)
     assert got == ([3, -1, -1, 0], [3, -1, -1, 0], [3, 0, 0, 1], [2, 0, 0, 0])
-    assert got == reference_max_weight_bipartite(4, 4, *csr(d.rights, d.weights))
+    assert got == reference_on_id_rows(4, d.rights, d.weights)
 
 
 @settings(max_examples=150, deadline=None)
@@ -345,7 +357,31 @@ def test_kernel_matches_reference_on_small_graphs(data):
         st.integers(1, 3), st.integers(1 << 63, (1 << 63) + 4)]))
     d = double_graph(GameInstance(n, tuple((a, b, data.draw(weight)) for (a, b) in chosen)))
     got = _hungarian_py.solve_max_weight_bipartite(n, d.rights, d.weights)
-    assert got == reference_max_weight_bipartite(n, n, *csr(d.rights, d.weights))
+    assert got == reference_on_id_rows(n, d.rights, d.weights)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_kernel_output_ignores_the_order_of_equal_weights(data):
+    # every row's runs of equal weights permuted at random: the kernel
+    # ends a stage at the least-id free tight vertex of a row and queues
+    # the row's other tight vertices by id, so its 4-tuple stays the
+    # reference's on id-ascending rows
+    n = data.draw(st.integers(1, 12))
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    chosen = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    weight = data.draw(st.sampled_from([
+        st.integers(1, 3), st.integers(1 << 63, (1 << 63) + 2)]))
+    d = double_graph(GameInstance(n, tuple((a, b, data.draw(weight)) for (a, b) in chosen)))
+    rights, weights = [], []
+    for row in zip(d.rights, d.weights):
+        # a stable sort of a random permutation: equal weights in random order
+        entries = sorted(data.draw(st.permutations(list(zip(*row)))),
+                         key=lambda entry: entry[1], reverse=True)
+        rights.append([j for j, _ in entries])
+        weights.append([w for _, w in entries])
+    got = _hungarian_py.solve_max_weight_bipartite(n, rights, weights)
+    assert got == reference_on_id_rows(n, rights, weights)
 
 
 def test_huge_weights_solved_exactly():
@@ -423,9 +459,14 @@ def test_kernel_contract_on_raw_rows(data):
     nr = data.draw(st.integers(0, 8).filter(lambda x: x != nl))
     weight = data.draw(st.sampled_from([
         st.integers(1, 12), st.integers(1, 2), st.integers(1 << 63, (1 << 63) + 8)]))
-    rights = [sorted(data.draw(st.sets(st.integers(0, nr - 1), max_size=nr))) if nr else []
-              for _ in range(nl)]
-    weights = [[data.draw(weight) for _ in row] for row in rights]
+    rights, weights = [], []
+    for _ in range(nl):
+        ids = sorted(data.draw(st.sets(st.integers(0, nr - 1), max_size=nr))) if nr else []
+        # drawn by ascending id, then put in the kernel's order
+        row = sorted(((j, data.draw(weight)) for j in ids),
+                     key=lambda entry: entry[1], reverse=True)
+        rights.append([j for j, _ in row])
+        weights.append([w for _, w in row])
     rows = copy.deepcopy((rights, weights))
     out = _hungarian_py.solve_max_weight_bipartite(nr, rights, weights)
     assert (rights, weights) == rows  # read, never changed

@@ -122,91 +122,72 @@ def solve_max_weight_bipartite(
         qn = 0  # len(tq)
         D = 0
         end_right = -1  # the free right vertex that ends the stage, once tight
-        # The root's row, every key still infinity. A scan stops at the
-        # first entry it does not store whose weight is below
-        # lim = base - F; no entry it stores is below lim.
-        lim = 0
-        for j, w in zip(rights[s], weights[s]):
-            k = us + v[j] - w
-            if k <= F:
-                touched.append(j)
-                key[j] = k
-                way[j] = s
-                if match_r[j] == -1:
-                    F = k
-                    lim = us - k
-                    if k == 0 and (end_right < 0 or j < end_right):
-                        end_right = j
-                elif k == 0:
-                    tq.append(j)
-                    qn += 1
-            elif w < lim:
-                break
-        if qn > 1:
-            tq.sort()
-
-        while end_right < 0:
-            while tqh < qn:
-                j = tq[tqh]
-                tqh += 1
-                i2 = match_r[j]
-                key[j] = -1
-                tree_right.append(j)
-                base = u[i2] + D
-                if base < null_key:
-                    null_key = base
-                    null_arg = i2
-                    if base < F:
-                        F = base
-                lim = base - F
-                seg = qn
-                for j2, w in zip(rights[i2], weights[i2]):
-                    k = base + v[j2] - w
-                    kj = key[j2]
-                    if k < kj and k <= F:
-                        if kj == infinity:
-                            touched.append(j2)
-                        key[j2] = k
-                        way[j2] = i2
-                        if match_r[j2] == -1:
-                            F = k
-                            lim = base - k
-                            if k == D and (end_right < 0 or j2 < end_right):
-                                end_right = j2
-                        elif k == D:
-                            tq.append(j2)
-                            qn += 1
-                    elif w < lim:
-                        break
-                if end_right >= 0:
+        i2 = s  # the tree-left vertex whose row is scanned next, the root first;
+        base = us  # its dual plus D
+        while True:
+            if base < null_key:
+                null_key = base
+                null_arg = i2
+                if base < F:
+                    F = base
+            # The scan stops at the first entry it does not store whose
+            # weight is below lim = base - F; no entry it stores is below lim.
+            lim = base - F
+            seg = qn
+            for j2, w in zip(rights[i2], weights[i2]):
+                k = base + v[j2] - w
+                kj = key[j2]
+                if k < kj and k <= F:
+                    if kj == infinity:
+                        touched.append(j2)
+                    key[j2] = k
+                    way[j2] = i2
+                    if match_r[j2] == -1:
+                        F = k
+                        lim = base - k
+                        if k == D and (end_right < 0 or j2 < end_right):
+                            end_right = j2
+                    elif k == D:
+                        tq.append(j2)
+                        qn += 1
+                elif w < lim:
                     break
-                if qn > seg + 1:
-                    tq[seg:] = sorted(tq[seg:])
             if end_right >= 0:
                 break
-            # No tight edge leaves the tree: raise D to the smallest key, or
-            # to null_key, and queue the vertices that this makes tight.
-            m = null_key
-            tight = []
-            for j in touched:
-                kj = key[j]
-                if kj < m:
-                    if kj >= 0:
-                        m = kj
-                        tight = [j]
-                elif kj == m:
-                    tight.append(j)
-            rises.append((len(tree_right), D))
-            D = m
-            if not tight:
-                break  # D == null_key: null_arg's dual is zero, it leaves the matching
-            tight.sort()
-            for j in tight:
-                if match_r[j] == -1:
-                    end_right = j
+            if qn > seg + 1:
+                tq[seg:] = sorted(tq[seg:])
+            if tqh == qn:
+                # No tight edge leaves the tree: raise D to the smallest key, or
+                # to null_key, and queue the vertices that this makes tight.
+                m = null_key
+                tight = []
+                for j in touched:
+                    kj = key[j]
+                    if kj < m:
+                        if kj >= 0:
+                            m = kj
+                            tight = [j]
+                    elif kj == m:
+                        tight.append(j)
+                rises.append((len(tree_right), D))
+                D = m
+                if not tight:
+                    break  # D == null_key: null_arg's dual is zero, it leaves the matching
+                tight.sort()
+                for j in tight:
+                    if match_r[j] == -1:
+                        end_right = j
+                        break
+                    tq.append(j)
+                qn = len(tq)
+                if end_right >= 0:
                     break
-                tq.append(j)
-            qn = len(tq)
+            j = tq[tqh]
+            tqh += 1
+            i2 = match_r[j]
+            key[j] = -1
+            tree_right.append(j)
+            base = u[i2] + D
 
         # Settle the tree duals while match_r still pairs each tree-right
         # vertex with the tree-left vertex that joined with it.

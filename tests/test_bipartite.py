@@ -349,33 +349,20 @@ def test_kernel_settles_a_vertex_that_joined_after_a_dual_step():
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_kernel_matches_reference_on_small_graphs(data):
-    n = data.draw(st.integers(0, 9))
+    n = data.draw(st.integers(0, 12))
     pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
     chosen = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
     # ties, then ties past 64-bit arithmetic
     weight = data.draw(st.sampled_from([
         st.integers(1, 3), st.integers(1 << 63, (1 << 63) + 4)]))
     d = double_graph(GameInstance(n, tuple((a, b, data.draw(weight)) for (a, b) in chosen)))
-    got = _hungarian_py.solve_max_weight_bipartite(n, d.rights, d.weights)
-    assert got == reference_on_id_rows(n, d.rights, d.weights)
-
-
-@settings(max_examples=150, deadline=None)
-@given(st.data())
-def test_kernel_output_ignores_the_order_of_equal_weights(data):
-    # every row's runs of equal weights permuted at random: the kernel
-    # ends a stage at the least-id free tight vertex of a row and queues
-    # the row's other tight vertices by id, so its 4-tuple stays the
-    # reference's on id-ascending rows
-    n = data.draw(st.integers(1, 12))
-    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
-    chosen = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
-    weight = data.draw(st.sampled_from([
-        st.integers(1, 3), st.integers(1 << 63, (1 << 63) + 2)]))
-    d = double_graph(GameInstance(n, tuple((a, b, data.draw(weight)) for (a, b) in chosen)))
+    # Every row's runs of equal weights permuted at random (a stable sort
+    # of a random permutation; `double_graph`'s own order is one of them).
+    # The kernel ends a stage at the least-id free tight vertex of a row
+    # and queues the row's other tight vertices by id, so its 4-tuple
+    # stays the reference's on id-ascending rows.
     rights, weights = [], []
     for row in zip(d.rights, d.weights):
-        # a stable sort of a random permutation: equal weights in random order
         entries = sorted(data.draw(st.permutations(list(zip(*row)))),
                          key=lambda entry: entry[1], reverse=True)
         rights.append([j for j, _ in entries])

@@ -1,16 +1,16 @@
 """Time the matching kernel on its known worst case: weighted paths.
 
-usage: python tools/kernel_paths.py [--sizes N [N ...]] [--repeats R]
+usage: python tools/kernel_paths.py [--sizes N [N ...]]
 
 Builds the paths 0-1-...-(n-1) with edge (i, i+1) of weight i+1
 (increasing) and n-i (decreasing), doubles each with `double_graph`,
-and times the kernel alone (`bipartite._run_kernel`), best of R runs
-in this process. Every run's certificate is checked with
+and times the kernel alone (`bipartite._run_kernel`), best of `REPEATS`
+runs in this process. Every run's certificate is checked with
 `check_certificate`. Prints one JSON object per path and size, with
 every run's time, and exits 1 if any certificate has a problem, else
 0. The times are reported, never asserted. Uses the standard library
-and matchcore only; the defaults (n = 4,000 and 8,000, best of 3)
-take 25-45 s on a 2-vCPU VM, `--sizes 2000` about 2 s.
+and matchcore only; the default sizes (n = 4,000 and 8,000) take
+25-45 s on a 2-vCPU VM, `--sizes 2000` about 2 s.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ WEIGHTS = {
     "increasing": lambda n, i: i + 1,
     "decreasing": lambda n, i: n - i,
 }
+REPEATS = 3
 
 
 def path(n: int, family: str) -> GameInstance:
@@ -42,11 +43,11 @@ def path(n: int, family: str) -> GameInstance:
     return GameInstance(n, tuple((i, i + 1, weight(n, i)) for i in range(n - 1)))
 
 
-def measure(n: int, family: str, repeats: int) -> dict:
+def measure(n: int, family: str) -> dict:
     g = path(n, family)
     d = double_graph(g)
     runs, problems = [], []
-    for _ in range(repeats):
+    for _ in range(REPEATS):
         start = time.perf_counter()
         match_l, _, u, v = _run_kernel(d)
         runs.append(time.perf_counter() - start)
@@ -59,12 +60,11 @@ def measure(n: int, family: str, repeats: int) -> dict:
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--sizes", type=int, nargs="+", default=[4000, 8000])
-    ap.add_argument("--repeats", type=int, default=3)
     args = ap.parse_args(argv)
     failed = False
     for n in args.sizes:
         for family in WEIGHTS:
-            record = measure(n, family, args.repeats)
+            record = measure(n, family)
             failed |= bool(record["problems"])
             print(json.dumps(record), flush=True)
     return 1 if failed else 0

@@ -6,6 +6,8 @@ original graph, and summing the two copies' duals turns them into a
 cover v with v_i + v_j >= w_ij on every edge. The fold preserves total
 value exactly, so weight(x) = sum(v) certifies that both are optimal;
 the checked certificate already implies all three (see `fold_solution`).
+Each matched copy i' - j'' adds 1/2 to x_ij. The fold keeps these pairs,
+and nothing after it reads the instance's edge list.
 
 Edges at value 1/2 form disjoint paths and cycles. Each path or even
 cycle is a 50/50 blend of its two alternating matchings, which must be
@@ -15,11 +17,8 @@ and records the rest, vertex-disjoint odd cycles, in the same pass.
 Every odd cycle C satisfies two exact identities used downstream: its
 edge weight w_C equals twice its cover value v_C, and the cover on C is
 uniquely determined, vertex by vertex, by the alternating matchings of
-C.
-
-Arithmetic convention: x and the cover are stored doubled, as ints on
-the doubled graph's half-unit scale: x2[e] = 2 x_e in {0, 1, 2} and
-v2[i] = 2 v_i, the sum of i's two copies' duals.
+C. The cover is stored doubled, as ints on the doubled graph's
+half-unit scale.
 """
 
 from __future__ import annotations
@@ -29,17 +28,18 @@ from typing import NamedTuple
 
 from .bipartite import PrimalDualCertificate
 from .errors import InvariantViolation
-from .instances import GameInstance
 
 
 class HalfIntegralSolution(NamedTuple):
     """Optimal half-integral matching and cover on the original graph.
 
-    `x2[e]` is 2*x_e for edge index e of the instance; `v2[i]` is twice
-    the cover value of vertex i.
+    `match[i]` is the j with i' matched to j'' (or -1) and `weight[i]`
+    that pair's weight (0 if unmatched). `v2[i]` is twice the cover
+    value of vertex i, the sum of its two copies' duals.
     """
 
-    x2: tuple[int, ...]
+    match: tuple[int, ...]
+    weight: tuple[int, ...]
     v2: tuple[int, ...]
 
 
@@ -62,11 +62,11 @@ class FractionalComponents(NamedTuple):
     cycles and integral edges."""
 
     odd_cycles: tuple[OddCycle, ...]
-    integral_edges: tuple[int, ...]  # edge indices with x = 1
+    integral: tuple[tuple[int, int, int], ...]  # sorted (i, j, w), i < j, with x = 1
 
 
-def fold_solution(g: GameInstance, cert: PrimalDualCertificate) -> HalfIntegralSolution:
-    """Average the doubled matching and sum the doubled duals.
+def fold_solution(cert: PrimalDualCertificate) -> HalfIntegralSolution:
+    """Keep each vertex's `match_l` pair and its weight; sum the duals.
 
     `cert` must have passed `check_certificate`, as `solve_bipartite`'s
     output has; then the fold needs no check. x sums to at most 1 at
@@ -74,99 +74,68 @@ def fold_solution(g: GameInstance, cert: PrimalDualCertificate) -> HalfIntegralS
     Both copies of edge (i, j) are dual feasible, which covers 2w:
     v2[i] + v2[j] = (u_i + v_j) + (u_j + v_i). The tight, distinct matched
     copies hold every nonzero dual, so 2 weight(x) = sum(v2); v2 >= 0.
+    Tight also means that a matched pair i' - j'' weighs u_i + v_j.
     """
-    match_l = cert.match_l
-    x2 = [(match_l[i] == j) + (match_l[j] == i) for (i, j, _) in g.edges]
-    v2 = [a + b for a, b in zip(cert.u, cert.v)]  # 2 * v_i
-    return HalfIntegralSolution(tuple(x2), tuple(v2))
+    match_l, u, v = cert.match_l, cert.u, cert.v
+    weight = [u[i] + v[j] if j >= 0 else 0 for i, j in enumerate(match_l)]
+    v2 = [a + b for a, b in zip(u, v)]  # 2 * v_i
+    return HalfIntegralSolution(tuple(match_l), tuple(weight), tuple(v2))
 
 
-def _half_adjacency(g: GameInstance, x2) -> list[list[tuple[int, int]]]:
-    """Per-vertex (edge index, other endpoint) lists over half-edges,
-    lower-id neighbor first; a vertex with three or more is rejected."""
-    half: list[list[tuple[int, int]]] = [[] for _ in range(g.vertex_count)]
-    for e, (i, j, _) in enumerate(g.edges):
-        if x2[e] == 1:
-            half[i].append((e, j))
-            half[j].append((e, i))
-    for i, lst in enumerate(half):
-        if len(lst) > 2:
-            raise InvariantViolation(f"vertex {i} has {len(lst)} half-edges")
-        if len(lst) == 2 and lst[0][1] > lst[1][1]:
-            lst.reverse()
-    return half
-
-
-def _resolve_alternating(g: GameInstance, x2: list[int], run: list[int]) -> None:
-    """Replace a half path/even cycle by its first alternating matching.
-
-    `run` lists edge indices in walk order. The two alternating
-    matchings must weigh the same (otherwise the blend was not optimal,
-    which contradicts the input contract).
-    """
-    keep = sum(g.edges[e][2] for pos, e in enumerate(run) if pos % 2 == 0)
-    drop = sum(g.edges[e][2] for pos, e in enumerate(run) if pos % 2 == 1)
-    if keep != drop:
-        raise InvariantViolation(
-            f"alternating matchings differ in weight ({keep} vs {drop}); "
-            "the half-integral solution was not optimal")
-    for pos, e in enumerate(run):
-        x2[e] = 2 if pos % 2 == 0 else 0
-
-
-def decompose_components(g: GameInstance,
-                         s: HalfIntegralSolution) -> FractionalComponents:
+def decompose_components(s: HalfIntegralSolution) -> FractionalComponents:
     """Resolve half paths and even cycles; collect the odd cycles.
 
-    One walker visits every vertex of the half-edges once, marking it
-    seen, and each step leaves a vertex by its other half-edge. It
-    starts from the degree-1 vertices, so open runs go first, each
-    from its lowest-id endpoint; then every cycle is walked from its
-    lowest-id vertex toward that vertex's lower-id neighbor, so the
-    result is deterministic. A run or an even cycle becomes its first
-    alternating matching in walk order; an odd cycle is reported in that
-    canonical cyclic order and checked against the exact identity
-    w_C = 2 v_C. The cover is not touched and the matching weight stays
-    unchanged, since each run's two matchings weigh the same.
+    The pairs i -> match[i] form a partial injection, since a right copy
+    is matched at most once. So a vertex has at most one pair out and
+    one in, and the pairs form vertex-disjoint runs and cycles: no
+    vertex has three half-edges or lies on two components. A mutual pair
+    is a 2-cycle of two halves and resolves to its edge like any even
+    cycle. One walker follows the injection forward, or backward through
+    its inverse, marking each vertex seen. Runs go first, each from its
+    lowest-id end; then each cycle from its lowest-id vertex toward that
+    vertex's lower-id neighbor. A run or an even cycle becomes its first
+    alternating matching in walk order, which keeps the matching weight
+    (its two matchings weigh the same); an odd cycle is reported in that
+    order and checked against the exact identity w_C = 2 v_C.
     """
-    x2 = list(s.x2)
-    half = _half_adjacency(g, x2)
-    n = g.vertex_count
+    match, weight = s.match, s.weight
+    n = len(match)
+    pred = [-1] * n  # the inverse of the injection
+    for i, j in enumerate(match):
+        if j >= 0:
+            pred[j] = i
     seen = [False] * n
-    cycles = []
-    # Every run has two degree-1 ends, so once the ends are walked from,
-    # what is left unseen of the half-edges is cycles.
-    for a in chain((i for i in range(n) if len(half[i]) == 1), range(n)):
-        if seen[a] or not half[a]:
+    cycles, integral = [], []
+    # A run's ends have a pair on one side only, so once they are walked
+    # from, what is left unseen is cycles and vertices with no pair.
+    ends = (i for i in range(n) if (match[i] < 0) != (pred[i] < 0))
+    for a in chain(ends, range(n)):
+        if seen[a]:
             continue
+        forward = pred[a] < 0 or 0 <= match[a] < pred[a]
+        step = match if forward else pred
         seen[a] = True
-        e, cur = half[a][0]  # a run's one half-edge, or a cycle's lower-id neighbor
-        verts, run = [a], [e]
-        while not seen[cur]:
-            seen[cur] = True
-            verts.append(cur)
-            if len(half[cur]) == 1:  # the far end of a run
+        verts, weights = [a], []
+        while (nxt := step[verts[-1]]) >= 0:
+            weights.append(weight[verts[-1]] if forward else weight[nxt])
+            if seen[nxt]:  # back at a: the cycle closed
                 break
-            first, second = half[cur]
-            e, cur = second if first[0] == e else first
-            run.append(e)
-        if cur != a or len(run) % 2 == 0:  # a run or an even cycle
-            _resolve_alternating(g, x2, run)
+            seen[nxt] = True
+            verts.append(nxt)
+        if len(weights) == len(verts) and len(verts) % 2:
+            cycles.append(OddCycle(tuple(verts), len(verts) // 2, tuple(weights), sum(weights)))
             continue
-        weights = tuple(g.edges[e][2] for e in run)
-        cycles.append(OddCycle(tuple(verts), len(run) // 2, weights, sum(weights)))
+        keep, drop = sum(weights[0::2]), sum(weights[1::2])
+        if keep != drop:
+            raise InvariantViolation(
+                f"alternating matchings differ in weight ({keep} vs {drop}); "
+                "the half-integral solution was not optimal")
+        for t in range(0, len(weights), 2):
+            i, j = verts[t], verts[(t + 1) % len(verts)]
+            integral.append((min(i, j), max(i, j), weights[t]))
 
-    integral = tuple(e for e, val in enumerate(x2) if val == 2)
-
-    used = set()
     for cyc in cycles:
         if cyc.w_C != sum(s.v2[i] for i in cyc.vertices):
             raise InvariantViolation(f"cycle weight {cyc.w_C} != twice its cover")
-        used.update(cyc.vertices)  # the walker puts a vertex on one cycle at most
-    for e in integral:
-        for i in g.edges[e][:2]:
-            if i in used:
-                raise InvariantViolation(f"vertex {i} on two components")
-            used.add(i)
-
-    return FractionalComponents(tuple(cycles), integral)
+    integral.sort()
+    return FractionalComponents(tuple(cycles), tuple(integral))

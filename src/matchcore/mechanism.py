@@ -170,8 +170,8 @@ def run_pipeline(g: GameInstance) -> PipelineTrace:
     """Run every stage of the mechanism and its checks; keep the instance,
     the certificate and the result."""
     cert = solve_bipartite(double_graph(g))
-    folded = fold_solution(g, cert)
-    return PipelineTrace(g, cert, _assemble(g, folded, decompose_components(g, folded)))
+    folded = fold_solution(cert)
+    return PipelineTrace(g, cert, _assemble(folded, decompose_components(folded)))
 
 
 # Every `Fraction` of a result, one per (numerator, denominator): equal
@@ -186,11 +186,11 @@ def _fraction(numerator: int, denominator: int) -> Fraction:
     return Fraction(numerator, denominator)
 
 
-def _assemble(g: GameInstance, folded, comps) -> ImputationResult:
+def _assemble(folded, comps) -> ImputationResult:
     """Pay each vertex its factor times its cover and back the payouts
     with the integral edges plus each cycle's heaviest matching (see
     `analyze_cycle`); raise on `check_payout`'s first problem."""
-    fnum, fden = [1] * g.vertex_count, [1] * g.vertex_count
+    fnum, fden = [1] * len(folded.v2), [1] * len(folded.v2)
     for cycle in comps.odd_cycles:
         for i in cycle.vertices:
             fnum[i], fden[i] = 2 * cycle.k, 2 * cycle.k + 1
@@ -199,8 +199,8 @@ def _assemble(g: GameInstance, folded, comps) -> ImputationResult:
     scale = 2 * half
     pay = [f * x * (half // d) for f, x, d in zip(fnum, folded.v2, fden)]
 
-    matching = [g.edges[e][:2] for e in comps.integral_edges]
-    matching_weight = sum(g.edges[e][2] for e in comps.integral_edges)
+    matching = [(i, j) for (i, j, _) in comps.integral]
+    matching_weight = sum(w for (_, _, w) in comps.integral)
     for cycle in comps.odd_cycles:
         heaviest = analyze_cycle(cycle, folded.v2)
         for (a, b) in heaviest.edges:
@@ -208,7 +208,7 @@ def _assemble(g: GameInstance, folded, comps) -> ImputationResult:
         matching_weight += heaviest.weight
     matching.sort()
 
-    problems = check_payout(g, pay, scale, matching, matching_weight)
+    problems = check_payout(folded, pay, scale, matching, matching_weight)
     if problems:
         raise InvariantViolation(problems[0])
     k = min((cycle.k for cycle in comps.odd_cycles), default=0)
@@ -223,11 +223,13 @@ def _assemble(g: GameInstance, folded, comps) -> ImputationResult:
     )
 
 
-def check_payout(g: GameInstance, pay, scale: int, matching, matching_weight: int) -> list[str]:
+def check_payout(folded, pay, scale: int, matching, matching_weight: int) -> list[str]:
     """Check the matching behind the payouts pay[i] / scale; [] means all good.
 
-    The output edges are a matching of the instance's edges that weighs
-    `matching_weight`, at least the payouts' sum (the budget). Nothing
+    The output edges are matched pairs of the fold that form a matching
+    of weight `matching_weight`, at least the payouts' sum (the budget).
+    `check_certificate` proved a matched copy i' - j'' a doubled edge and
+    tight, so the pair is an instance edge of weight u_i + v_j. Nothing
     per vertex or per edge needs a check. `_assemble` builds pay[i] as
     f_i v_i, its factor times its cover, one entry per vertex. The
     certified cover is nonnegative and meets every edge (see
@@ -235,25 +237,21 @@ def check_payout(g: GameInstance, pay, scale: int, matching, matching_weight: in
     edge (i, j) of weight w is paid f_i v_i + f_j v_j >= min(f_i, f_j)
     (v_i + v_j) >= min(f_i, f_j) w >= (2/3) w.
     """
-    # the weight of each output edge, read in the one pass over the edges
-    weight_of = dict.fromkeys(matching)
-    for (i, j, w) in g.edges:
-        if (i, j) in weight_of:
-            weight_of[i, j] = w
-
     problems = []
-    weight = 0
+    total = 0
     used = set()
     for (a, b) in matching:
         if a in used or b in used:
             problems.append(f"output edges are not a matching at ({a}, {b})")
         used.update((a, b))
-        if weight_of[a, b] is None:
-            problems.append(f"output edge ({a}, {b}) not in the instance")
+        if folded.match[a] == b:
+            total += folded.weight[a]
+        elif folded.match[b] == a:
+            total += folded.weight[b]
         else:
-            weight += weight_of[a, b]
-    if weight != matching_weight:
-        problems.append(f"matching weight {matching_weight} != output edges' total {weight}")
+            problems.append(f"output edge ({a}, {b}) is not a matched pair of the certificate")
+    if total != matching_weight:
+        problems.append(f"matching weight {matching_weight} != output edges' total {total}")
     if sum(pay) > matching_weight * scale:
         problems.append("payouts exceed the backing matching weight")
     return problems
@@ -275,13 +273,12 @@ def audit_pipeline(trace: PipelineTrace) -> list[str]:
     differs (see `_differences`). The values of both come from
     `_fraction`, so on an untampered trace each pair is one object.
     """
-    g = trace.instance
-    problems = check_certificate(g, trace.certificate)
+    problems = check_certificate(trace.instance, trace.certificate)
     if problems:
         return problems
     # by `halfint.`: the benchmark times the live fold and decomposition only
-    folded = halfint.fold_solution(g, trace.certificate)
-    derived = _assemble(g, folded, halfint.decompose_components(g, folded))
+    folded = halfint.fold_solution(trace.certificate)
+    derived = _assemble(folded, halfint.decompose_components(folded))
     return _differences("result", trace.result, derived)
 
 

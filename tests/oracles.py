@@ -24,9 +24,20 @@ from matchcore.mechanism import CycleMatching
 from matchcore.verify import CoalitionReport, CoalitionViolation, worth_bruteforce
 
 
-def solution_weight2(g, s: HalfIntegralSolution) -> int:
-    """Twice the matching weight of x (exact integer)."""
-    return sum(w * s.x2[e] for e, (_, _, w) in enumerate(g.edges))
+def fold_x2(g, s: HalfIntegralSolution) -> tuple[int, ...]:
+    """2 x_e for each edge e of g under a fold's `match`: 2 on a mutual
+    pair, 1 on a one-way pair and 0 elsewhere, as `reference_normalize`
+    reads it."""
+    match = s.match
+    return tuple((match[i] == j) + (match[j] == i) for (i, j, _) in g.edges)
+
+
+def solution_weight2(g, s) -> int:
+    """Twice the matching weight of x (exact integer), with the weights
+    read from g's edge list, not from the fold. `s` is a fold or a
+    `ReferenceHalfIntegralSolution`, which carries its x2."""
+    x2 = s.x2 if isinstance(s, ReferenceHalfIntegralSolution) else fold_x2(g, s)
+    return sum(w * x for (_, _, w), x in zip(g.edges, x2))
 
 
 def max_matching_by_edge_subsets(edges: list[tuple[int, int, int]]) -> int:

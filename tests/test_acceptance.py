@@ -166,7 +166,7 @@ def test_c05_bipartite_exactness():
     for g, trace in traces_for(corpus("bipartite")):
         res = trace.result
         assert set(trace.result.factors) <= {Fraction(1)}
-        assert res.c == tuple(Fraction(x, 2) for x in fold_solution(g, trace.certificate).v2)
+        assert res.c == tuple(Fraction(x, 2) for x in fold_solution(trace.certificate).v2)
         report = check_core(g, res.c, Fraction(1))
         assert report.violations == ()
         assert report.budget_ok is True
@@ -194,17 +194,19 @@ def test_c07_cycle_identity_ledger():
                  "bipartite", "high_girth"):
         for g, trace in traces_for(corpus(name)):
             # a trace keeps no fold and no components: derive them from its certificate
-            folded = fold_solution(g, trace.certificate)
-            comps = decompose_components(g, folded)
+            folded = fold_solution(trace.certificate)
+            comps = decompose_components(folded)
             v = [Fraction(x, 2) for x in folded.v2]
             assert Fraction(solution_weight2(g, folded), 2) == sum(v, Fraction(0))
-            # resolving the half paths and even cycles kept the weight
-            integral = sum(g.edges[e][2] for e in comps.integral_edges)
-            assert 2 * integral + sum(c.w_C for c in comps.odd_cycles) == sum(folded.v2)
-            solves += 1
             weight = {}
             for (a, b, w) in g.edges:
                 weight[a, b] = weight[b, a] = w
+            # the integral edges carry the instance's weights, and
+            # resolving the half paths and even cycles kept the weight
+            assert all(weight[a, b] == w for (a, b, w) in comps.integral)
+            integral = sum(w for (_, _, w) in comps.integral)
+            assert 2 * integral + sum(c.w_C for c in comps.odd_cycles) == sum(folded.v2)
+            solves += 1
             for cyc in comps.odd_cycles:
                 k = cyc.k
                 L = 2 * k + 1

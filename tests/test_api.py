@@ -23,6 +23,8 @@ def test_every_exported_name_resolves():
     (rationals, "format_fraction"),
     (halfint, "solution_weight"),
     (halfint, "check_fold"),
+    (halfint, "_half_adjacency"),
+    (halfint, "_resolve_alternating"),
 ])
 def test_removed_names_stay_gone(module, name):
     assert not hasattr(module, name)
@@ -34,6 +36,12 @@ def test_trace_keeps_no_duplicate_artifacts():
     # all after the kernel is a function of its certificate
     fields = set(mechanism.PipelineTrace._fields)
     assert not fields & {"doubled", "profile", "folded", "components", "analyses"}
+
+
+def test_fold_keeps_no_per_edge_entries():
+    # the fold is the certificate's matched pairs, at most one per vertex
+    assert "x2" not in halfint.HalfIntegralSolution._fields
+    assert "integral_edges" not in halfint.FractionalComponents._fields
 
 
 def test_instance_has_no_adjacency_lists():

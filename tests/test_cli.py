@@ -59,7 +59,7 @@ def test_solve_table_columns_are_the_json_strings(capsys, tmp_path, g):
     assert code == 0
     data = json.loads(run(capsys, "solve", str(path), "--json")[1])
     rows = [line.split() for line in table.splitlines()[1:g.vertex_count + 1]]
-    v2 = fold_solution(g, run_pipeline(g).certificate).v2
+    v2 = fold_solution(run_pipeline(g).certificate).v2
     assert rows == [[str(i + 1), str(Fraction(v2[i], 2)), data["factors"][i], data["values"][i]]
                     for i in range(g.vertex_count)]
 

@@ -29,8 +29,8 @@ TRI211 = parse_instance("p mg 3 3\ne 1 2 2\ne 1 3 1\ne 2 3 1\n")
 def derive(trace):
     """The fold and the odd cycles of a run, derived from its certificate
     with the live run's stages: a trace keeps neither."""
-    folded = fold_solution(trace.instance, trace.certificate)
-    return folded, decompose_components(trace.instance, folded).odd_cycles
+    folded = fold_solution(trace.certificate)
+    return folded, decompose_components(folded).odd_cycles
 
 
 def test_k3_analysis():
@@ -393,8 +393,8 @@ RND9 = gen_random(9, Fraction(1, 2), 7, seed=5)  # a 5-cycle and 7 distinct payo
 
 def derived_result(trace):
     """The result the audit derives from the trace's certificate."""
-    folded = fold_solution(trace.instance, trace.certificate)
-    return mechanism._assemble(trace.instance, folded, decompose_components(trace.instance, folded))
+    folded = fold_solution(trace.certificate)
+    return mechanism._assemble(folded, decompose_components(folded))
 
 
 def values(res):
@@ -456,15 +456,21 @@ def test_json_of_a_result_built_from_generators():
 
 
 @pytest.mark.parametrize("matching, weight, expected", [
-    (((0, 1), (1, 2)), 2, ["output edges are not a matching at (1, 2)"]),
-    (((0, 2),), 1, ["output edge (0, 2) not in the instance",
+    (((0, 1), (0, 1)), 2, ["output edges are not a matching at (0, 1)"]),
+    (((0, 2),), 1, ["output edge (0, 2) is not a matched pair of the certificate",
                     "matching weight 1 != output edges' total 0"]),
     ((), 0, ["payouts exceed the backing matching weight"]),
+    # an instance edge, but no matched pair: x is 0 on it
+    (((1, 2),), 1, ["output edge (1, 2) is not a matched pair of the certificate",
+                    "matching weight 1 != output edges' total 0"]),
 ])
 def test_check_payout_reports_each_problem(matching, weight, expected):
-    # the payouts (0, 1, 0) as numerators over the scale 2
-    assert check_payout(PATH3, [0, 2, 0], 2, ((0, 1),), 1) == []
-    assert check_payout(PATH3, [0, 2, 0], 2, matching, weight) == expected
+    # PATH3's fold: the mutual pair (0, 1) and the payouts (0, 1, 0) as
+    # numerators over the scale 2
+    folded = derive(run_pipeline(PATH3))[0]
+    assert folded.match == (1, 0, -1)
+    assert check_payout(folded, [0, 2, 0], 2, ((0, 1),), 1) == []
+    assert check_payout(folded, [0, 2, 0], 2, matching, weight) == expected
 
 
 def test_run_pipeline_raises_on_a_payout_problem(monkeypatch):

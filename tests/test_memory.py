@@ -13,19 +13,20 @@ it is, and the code with the per-edge copies listed below.
 | `parse_instance` |      246 |   360 |             445 |
 | `double_graph`   |       44 |   100 |             165 |
 | `run_pipeline`   |       44 |   110 |             161 |
-| `audit_pipeline` |       18 |    40 |             134 |
+| `audit_pipeline` |        3 |    10 |              18 |
 
 The copies: a list of every line of the text and one of every edge's
 line number, a second tuple per parsed edge, one `(neighbour, weight)`
-tuple per edge end in `double_graph`, and a dict of all m edge weights
-in the audit. What remains of the parse is one tuple per edge, its
-numbers and the set of vertex pairs the duplicate check keeps: the
-parser checks each piece of lines into the one list of edges that
-becomes the instance's tuple, and holds at most one piece's tokens
-and columns besides. Of `double_graph` remain its lists of rows, and they are also
-the peak of `run_pipeline`, whose trace keeps no fold. Of the audit
-remain the fold and the decomposition it derives from the certificate,
-lists and tuples of `x2` entries.
+tuple per edge end in `double_graph`, and a list and a tuple of 2 x_e
+over all m edges in the audit's fold. What remains of the parse is one
+tuple per edge, its numbers and the set of vertex pairs the duplicate
+check keeps: the parser checks each piece of lines into the one list
+of edges that becomes the instance's tuple, and holds at most one
+piece's tokens and columns besides. Of `double_graph` remain its lists
+of rows, and they are also the peak of `run_pipeline`, whose trace
+keeps no fold. Of the audit remain the fold and the decomposition it
+derives from the certificate, lists and tuples of at most one entry
+per vertex.
 """
 
 import random
@@ -203,4 +204,4 @@ def test_audit_keeps_no_per_edge_table(dense):
     _, g, trace = dense
     problems, per_edge = _peak_per_edge(g.edge_count, audit_pipeline, trace)
     assert problems == []
-    assert per_edge < 40
+    assert per_edge < 10

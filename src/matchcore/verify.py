@@ -5,11 +5,12 @@ trusting the mechanism pipeline: coalition worths by brute-force
 matching enumeration, core membership by checking every subset of
 agents, the relaxation gap by comparing the integral and fractional
 optima, and the structural factor guarantee from the shortest odd
-cycle. Exponential enumeration is bounded and refuses to run past its
-size bound rather than silently approximating. Every comparison
-is an exact integer one: `check_core` reads the imputation as
-numerators over the lcm of its denominators and cross-multiplies, and
-builds `Fraction`s only for the report.
+cycle. The integral optimum is enumerated only between the weight of
+the mechanism's backing matching, checked against the instance, and
+the floor of the fractional one, the LP bound. Exponential enumeration
+is bounded and refuses to run past its size bound rather than silently
+approximating. Every comparison is an exact integer one (see
+`check_core`); `Fraction`s are built only for the reports.
 
 Costs: `check_core` in edges mode is O(m); in exhaustive mode it is
 O(2^n * degree) for the subset table plus one pass over all 2^n
@@ -20,13 +21,13 @@ and streams the rest of the worths and every coalition's allocation in
 slices of at most 4,096 masks. A slice is one int of such fields, so
 each step of the subset table and each slice's marks are a handful of
 C-level big-int operations, not a Python step per mask; Python runs
-per coalition only at the marks, the violations and the tight
-coalitions that the report lists. The worst ratio comes from the
-edges, in O(m). `odd_girth` runs one breadth-first search per vertex,
-over the vertices numbered from it on, each cut off once it cannot
-beat the shortest odd cycle found so far; O(n * m) stays the worst
-case, but a triangle ends the scan and a short odd cycle cuts every
-later search.
+per coalition only at the violations and the tight coalitions that the
+report lists, and reads their members from tables by mask byte. The
+worst ratio comes from the edges, in O(m). `odd_girth` runs one
+breadth-first search per vertex, over the vertices numbered from it
+on, each cut off once it cannot beat the shortest odd cycle found so
+far; O(n * m) stays the worst case, but a triangle ends the scan and a
+short odd cycle cuts every later search.
 
 Two deliberately different exact matchers are provided so they can be
 played against each other: `worth_bruteforce` enumerates matchings
@@ -37,6 +38,7 @@ once by dynamic programming over vertex subsets.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from itertools import chain, islice
@@ -46,6 +48,7 @@ from typing import Iterable, NamedTuple, Sequence
 from .bipartite import double_graph, solve_bipartite
 from .errors import BoundExceeded, InvariantViolation
 from .instances import GameInstance
+from .mechanism import run_pipeline
 from .rationals import FractionArray
 
 DEFAULT_MAX_EDGES = 24
@@ -161,9 +164,11 @@ def worth_bruteforce(g: GameInstance, coalition: Iterable[int] | None = None,
     return _max_matching_recursive(sub)
 
 
-def _max_matching_recursive(edges: list[tuple[int, int, int]]) -> int:
-    if not edges:
-        return 0
+def _max_matching_recursive(edges: list[tuple[int, int, int]], best: int = 0,
+                            stop: int | None = None) -> int:
+    """Max weight of a matching of `edges`, at least `best`; ends on reaching `stop`."""
+    if not edges or best == stop:
+        return best
     verts = sorted({u for (u, _, _) in edges} | {v for (_, v, _) in edges})
     index = {x: i for i, x in enumerate(verts)}
     nv = len(verts)
@@ -181,7 +186,6 @@ def _max_matching_recursive(edges: list[tuple[int, int, int]]) -> int:
         lst.sort(key=lambda t: (-t[0], t[1]))  # heavy edges first: good incumbents
 
     free = [True] * nv
-    best = 0
 
     def rec(pos: int, cur: int, pot: int) -> None:
         nonlocal best
@@ -192,7 +196,7 @@ def _max_matching_recursive(edges: list[tuple[int, int, int]]) -> int:
         if pos == nv:
             return
         # each future edge weighs at most half its endpoints' maxima
-        if 2 * cur + pot <= 2 * best:
+        if 2 * cur + pot <= 2 * best or best == stop:
             return
         free[pos] = False
         mp = maxw[pos]
@@ -247,7 +251,7 @@ def _packed(value: int, nb: int, count: int) -> int:
     return int.from_bytes(value.to_bytes(nb, "little") * count, "little")
 
 
-def _read(store: bytearray, nb: int, start: int, size: int) -> int:
+def _read(store: bytes, nb: int, start: int, size: int) -> int:
     """Fields `start` to `start` + `size` - 1 of `store`, as one int."""
     return int.from_bytes(store[start * nb:(start + size) * nb], "little")
 
@@ -333,15 +337,11 @@ def _block(low: bytearray, nb: int, guard: int, offers: list[tuple[int, int | No
     return out
 
 
-def _mask_members(mask: int) -> tuple[int, ...]:
-    out = []
-    i = 0
-    while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
-    return tuple(out)
+@functools.cache  # built at the first exhaustive check, not at import
+def _byte_members(shift: int) -> tuple[tuple[int, ...], ...]:
+    """Entry b: the vertices shift + i for the set bits i of the byte b,
+    so a mask m < 2^24 has the members of its three bytes, in order."""
+    return tuple(tuple(shift + i for i in range(8) if b >> i & 1) for b in range(256))
 
 
 def check_core(g: GameInstance, c: Sequence[Fraction], alpha: Fraction,
@@ -379,7 +379,8 @@ def check_core(g: GameInstance, c: Sequence[Fraction], alpha: Fraction,
     A_i >= C_i. The DP keeps, field by field, the larger of the worth
     so far and each offer by that mark; the check marks every mask with
     k * worth(S) >= y and k * worth(S) >= 1, the violations and the
-    tight coalitions, and reads only those (`_exhaustive`).
+    tight coalitions, and a second mark, of k * worth(S) >= y + 1, the
+    violations: y + 1 <= 2^(B-1) does not borrow either (`_exhaustive`).
 
     The worst ratio, the least x(S) / worth(S) over the coalitions of
     positive worth, is r, the least (c_i + c_j) / w_ij over the
@@ -397,20 +398,21 @@ def check_core(g: GameInstance, c: Sequence[Fraction], alpha: Fraction,
     n = g.vertex_count
     if len(c) != n:
         raise ValueError(f"imputation has {len(c)} entries for {n} vertices")
-    plain = type(c) is not FractionArray
     # `type(x)` rather than isinstance: `bool` is an `int` subclass
-    for x in (*c, alpha) if plain else (alpha,):
-        if type(x) not in (int, Fraction):
-            raise ValueError(f"{x!r} is not an int or a Fraction")
-    nums = [x.numerator for x in c] if plain else c.nums
-    dens = [x.denominator for x in c] if plain else c.dens
-    if any(x < 0 for x in nums):
+    if type(c) is not FractionArray:
+        for x in c:
+            if type(x) not in (int, Fraction):
+                raise ValueError(f"{x!r} is not an int or a Fraction")
+        c = FractionArray([x.numerator for x in c], [x.denominator for x in c])
+    if type(alpha) not in (int, Fraction):
+        raise ValueError(f"{alpha!r} is not an int or a Fraction")
+    if any(x < 0 for x in c.nums):
         raise ValueError("imputation entries must be nonnegative")
     alpha = Fraction(alpha)
     if not (0 < alpha <= 1):
         raise ValueError("alpha must be in (0, 1]")
-    scale = math.lcm(*dens)
-    ci = [x * (scale // d) for x, d in zip(nums, dens)]
+    scale = math.lcm(*c.dens)
+    ci = [x * (scale // d) for x, d in zip(c.nums, c.dens)]
     total = sum(ci)
 
     if mode == "exhaustive":
@@ -451,9 +453,9 @@ def _exhaustive(g: GameInstance, bci: list[int], k: int, den: int) -> tuple[
     Every mask's k * w and y = b * sum(ci over S) are packed one per
     field (`check_core` gives the width and the proof), and two guarded
     subtractions per slice, of y and of 1, mark every mask with
-    y <= k * w and w > 0. Only the marked masks are read one by one:
-    a violation if y < k * w, else tight. A coalition of worth 0 is
-    neither, so however many there are, none is read.
+    y <= k * w and w > 0; in a slice with any, a third, of y + 1, marks
+    the violations, and the rest are tight. Only a violation's fields
+    are read. A coalition of worth 0 is neither, so none is read.
     """
     n = g.vertex_count
     if n == 0:  # the empty coalition: worth 0, paid 0
@@ -482,23 +484,31 @@ def _exhaustive(g: GameInstance, bci: list[int], k: int, den: int) -> tuple[
     for x in bci[low_bits:]:
         offsets += [y + x for y in offsets]
 
+    t0, t1, t2 = map(_byte_members, (0, 8, 16))  # n <= 20: three bytes
+
+    def hits(fields: int, first: int):  # masks first + i whose field i has its guard bit set
+        tops = fields.to_bytes(span, "little")[nb - 1::nb]
+        i = -1
+        while (i := tops.find(128, i + 1)) >= 0:
+            yield first + i
+
     violations = []
     tight = []
     for first, worth, off in zip(range(0, 1 << n, size), worths, offsets):
         lifted = worth | guard
-        hits = ((((lifted - (ys + off * ones)) & (lifted - ones) & guard) >> (bits - 1))
-                .to_bytes(span, "little")[::nb])
-        w_fields = worth.to_bytes(span, "little")
-        i = hits.find(1)
-        while i >= 0:
-            kw = int.from_bytes(w_fields[i * nb:(i + 1) * nb], "little")
-            y = int.from_bytes(y_fields[i * nb:(i + 1) * nb], "little") + off
-            if y < kw:
-                violations.append(CoalitionViolation(_mask_members(first + i), kw // k,
-                                                     Fraction(y, den)))
-            else:
-                tight.append(_mask_members(first + i))
-            i = hits.find(1, i + 1)
+        above = lifted - (ys + off * ones)
+        marks = above & (lifted - ones) & guard
+        if not marks:
+            continue
+        short = (above - ones) & guard  # y + 1 <= k * w: the violations
+        tight += [t0[m & 255] + t1[m >> 8 & 255] + t2[m >> 16] for m in hits(marks ^ short, first)]
+        if short:
+            w_fields = worth.to_bytes(span, "little")
+            violations += [
+                CoalitionViolation(t0[m & 255] + t1[m >> 8 & 255] + t2[m >> 16],
+                                   _read(w_fields, nb, m - first, 1) // k,
+                                   Fraction(_read(y_fields, nb, m - first, 1) + off, den))
+                for m in hits(short, first)]
     return tuple(violations), tuple(tight), (worth >> (span * 8 - bits)) // k
 
 
@@ -526,24 +536,38 @@ def _edge_pass(g: GameInstance, ci: list[int], alpha: Fraction, scale: int) -> t
 
 
 def integrality_gap(g: GameInstance, max_edges: int = DEFAULT_MAX_EDGES) -> GapReport:
-    """Integral optimum (brute force) against the fractional optimum.
+    """Integral optimum nu against the fractional optimum tau.
 
-    The fractional side comes from the certified doubled-graph solve
-    and works at any size; the integral side is exhaustive and may be
-    refused, in which case emptiness of the core is unknown. When both
-    are available the core is nonempty exactly if they coincide.
+    tau comes from the certified doubled-graph solve, at any size. nu is
+    refused past `max_edges` positive edges, leaving emptiness unknown;
+    else it is enumerated only between two certified bounds
+    (`_integral_optimum`). The core is nonempty exactly if nu = tau.
     """
-    cert = solve_bipartite(double_graph(g))
-    opt_f = Fraction(cert.total_dual(), 2)  # strong duality, certified
-    try:
-        opt_i = worth_bruteforce(g, max_edges=max_edges)
-    except BoundExceeded:
-        return GapReport(None, opt_f, None, None)
+    # the brute force's refusal, decided without counting every edge
+    positive = list(islice(filter(itemgetter(2), g.edges), max(max_edges + 1, 0)))
+    if len(positive) > max_edges:
+        return GapReport(None, Fraction(solve_bipartite(double_graph(g)).total_dual(), 2),
+                         None, None)
+    trace = run_pipeline(g)
+    opt_f = Fraction(trace.certificate.total_dual(), 2)  # strong duality, certified
+    opt_i = _integral_optimum(g, positive, trace.result.matching, math.floor(opt_f))
     if opt_i > opt_f or 3 * opt_i < 2 * opt_f:
         raise InvariantViolation(
             f"optima out of order: integral {opt_i}, fractional {opt_f}")
     ratio = Fraction(opt_i) / opt_f if opt_f > 0 else None
     return GapReport(opt_i, opt_f, ratio, opt_i == opt_f)
+
+
+def _integral_optimum(g: GameInstance, positive: list[tuple[int, int, int]],
+                      matching: Sequence[tuple[int, int]], stop: int) -> int:
+    """nu, with `positive` g's positive-weight edges, enumerated only from
+    the weight in g of `matching`, once its pairs are checked to be
+    disjoint edges (u, v), u < v, of g, up to `stop`, floor(tau)."""
+    pairs = set(matching)
+    weights = [w for (u, v, w) in g.edges if (u, v) in pairs]
+    if len(weights) != len(matching) or len({x for p in pairs for x in p}) != 2 * len(pairs):
+        raise InvariantViolation(f"backing matching {matching} is not a matching of g")
+    return _max_matching_recursive(positive, sum(weights), stop)
 
 
 def odd_girth(g: GameInstance) -> int | None:

@@ -366,6 +366,36 @@ def test_c12_golden_verify_output(name, tmp_path, capsys):
           f"byte-identical to the recorded output")
 
 
+# SHA-256 of `gap` stdout and exit code over each corpus, at the default
+# `--brute-max-edges`, so refusals (exit 3) are in the hash too.
+# Recorded while `integrality_gap` still took the integral optimum from
+# a full brute-force enumeration on every instance.
+GOLDEN_GAP_JSON = {
+    "unit_triangle": "45023c60922f6c97d0a25b51ee904e81a365bd8fdf175cb7d5192ced4b00acd8",
+    "gap_family": "675861f50c0bdb401f50b7a9e8e8b0918fb81f09d3ec5c6ccd83682a4b787c1e",
+    "odd_cycles": "63d5cfe79a0b3ff63dcf1724a6d9457a456d296b873cc2e00f2728ff25aac341",
+    "random": "c1e3a5a60c4031edc74c9cea63bd3749d23cf679c3bc811c35ee463058980f0f",
+    "bipartite": "e821085013cda844e14ba19f3f42ffb2529f25725693657afb66b54d777b004a",
+    "high_girth": "bd704162dcd5e8a711d942d67879467faefcf4b7f132f10a6b1af89adf32034e",
+}
+
+
+@pytest.mark.parametrize("name", list(GOLDEN_GAP_JSON))
+def test_c13_golden_gap_output(name, tmp_path, capsys):
+    path = tmp_path / "instance.mg"
+    digest = hashlib.sha256()
+    codes = {}
+    for g in corpus(name):
+        path.write_text(serialize_instance(g))
+        code = main(["gap", str(path)])
+        digest.update(capsys.readouterr().out.encode())
+        digest.update(f"exit {code}\n".encode())
+        codes[code] = codes.get(code, 0) + 1
+    assert digest.hexdigest() == GOLDEN_GAP_JSON[name]
+    print(f"\n[acceptance 13] PASS {name}: {len(corpus(name))} gap runs "
+          f"(exit codes {dict(sorted(codes.items()))}) byte-identical to the recorded output")
+
+
 def _int_leaves(value, path):
     """Paths of the leaves under `value` that are not plain `int`s,
     walking records (NamedTuples) by field name, and tuples and lists."""

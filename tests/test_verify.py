@@ -17,7 +17,7 @@ from matchcore.instances import (
     gen_random,
     parse_instance,
 )
-from matchcore.mechanism import run_mechanism
+from matchcore.mechanism import run_mechanism, run_pipeline
 from matchcore.rationals import FractionArray
 from matchcore.verify import (
     check_core,
@@ -531,7 +531,7 @@ def test_gap_unknown_when_refused():
 
 
 def test_gap_rejects_optima_out_of_order(monkeypatch):
-    monkeypatch.setattr(verify, "worth_bruteforce", lambda g, max_edges: 2)
+    monkeypatch.setattr(verify, "_integral_optimum", lambda g, positive, matching, stop: 2)
     with pytest.raises(InvariantViolation,
                        match=r"^optima out of order: integral 2, fractional 3/2$"):
         integrality_gap(K3)
@@ -551,6 +551,106 @@ def test_gap_ratio_bounds_random():
         report = integrality_gap(g, max_edges=40)
         if report.ratio is not None:
             assert Fraction(2, 3) <= report.ratio <= 1
+
+
+def test_gap_integral_optimum_between_its_bounds(monkeypatch):
+    # nu is enumerated only between the backing matching's weight and
+    # floor(tau): not at all when they meet, else from the one up to
+    # the other. It must equal the subset DP's grand worth and the
+    # unseeded brute force either way, and a backing matching that is
+    # not a matching of the instance's edges must be refused.
+    calls = []
+    enumerate_ = verify._max_matching_recursive
+
+    def spy(edges, best=0, stop=None):
+        calls.append((best, stop))
+        if best == stop:  # bounds that meet: an enumeration of this edge would reach stop + 1
+            edges = [(0, 1, stop + 1)]
+        return enumerate_(edges, best, stop)
+
+    monkeypatch.setattr(verify, "_max_matching_recursive", spy)
+    rng = random.Random(27)
+    seen = Counter()
+    for seed in range(600):
+        n = 2 + seed % 13
+        top = rng.choice((1, 2, 3, 9))  # small weight ranges: ties and zeros
+        g = GameInstance(n, tuple((u, v, rng.randrange(top + 1))
+                                  for u in range(n) for v in range(u + 1, n)
+                                  if rng.random() < rng.choice((0.25, 0.5, 0.75))))
+        trace = run_pipeline(g)
+        low, stop = trace.result.matching_weight, trace.certificate.total_dual() // 2
+        calls.clear()
+        nu = integrality_gap(g, max_edges=g.edge_count).opt_integral
+        assert calls == [(low, stop)]
+        assert nu == coalition_worth_table(g)[-1] == worth_bruteforce(g, max_edges=g.edge_count)
+        seen["zero weights"] += any(w == 0 for (_, _, w) in g.edges)
+        seen["bounds meet" if low == stop else
+             "enumerated up to floor(tau)" if nu == stop else "enumerated below floor(tau)"] += 1
+        # tampered backing matchings: a pair that repeats a matched
+        # vertex, and a pair that is not an edge
+        matching = trace.result.matching
+        positive = [e for e in g.edges if e[2]]
+        edges = {(u, v) for (u, v, _) in g.edges}
+        if matching:
+            a = matching[0][0]
+            others = sorted(p for p in edges if a in p and p not in matching)
+            if others:
+                with pytest.raises(InvariantViolation, match="^backing matching .* is not a matching"):
+                    verify._integral_optimum(g, positive, matching + tuple(others[:1]), stop)
+                seen["repeated vertex"] += 1
+        used = {x for pair in matching for x in pair}
+        free = [x for x in range(n) if x not in used]
+        missing = [(u, v) for u in free for v in free if u < v and (u, v) not in edges]
+        if missing:
+            with pytest.raises(InvariantViolation, match="^backing matching .* is not a matching"):
+                verify._integral_optimum(g, positive, matching + tuple(missing[:1]), stop)
+            seen["non-edge"] += 1
+    for case in ("zero weights", "bounds meet", "enumerated up to floor(tau)",
+                 "enumerated below floor(tau)", "repeated vertex", "non-edge"):
+        assert seen[case] >= 10, (case, seen)
+
+
+def test_enumeration_starts_at_its_incumbent_and_ends_at_its_bound():
+    # three disjoint unit edges: the search returns its incumbent when it
+    # is more, and stops at `stop`, which the caller vouches is an upper
+    # bound, instead of looking further
+    edges = [(0, 1, 1), (2, 3, 1), (4, 5, 1)]
+    assert verify._max_matching_recursive(edges) == 3
+    assert verify._max_matching_recursive(edges, 4) == 4
+    assert verify._max_matching_recursive(edges, 0, 2) == 2
+    assert verify._max_matching_recursive(edges, 1, 1) == 1
+    assert verify._max_matching_recursive([], 5, 7) == 5
+
+
+@pytest.mark.parametrize("matching", [
+    pytest.param(((0, 1), (1, 2)), id="repeated vertex"),
+    pytest.param(((0, 1), (0, 1)), id="repeated pair"),
+    pytest.param(((0, 2),), id="non-edge"),
+    pytest.param(((1, 0),), id="reversed pair"),
+])
+def test_gap_checks_the_backing_matching(monkeypatch, matching):
+    # the path 1-2-3: the mechanism's matching is one of its edges
+    path = parse_instance("p mg 3 2\ne 1 2 1\ne 2 3 2\n")
+    trace = run_pipeline(path)
+    assert integrality_gap(path).opt_integral == 2
+    tampered = trace._replace(result=trace.result._replace(matching=matching))
+    monkeypatch.setattr(verify, "run_pipeline", lambda g: tampered)
+    with pytest.raises(InvariantViolation, match=r"^backing matching .* is not a matching of g$"):
+        integrality_gap(path)
+
+
+def test_exhaustive_report_with_violations_and_tight_coalitions():
+    # one vertex's payout lowered: the coalitions through it that were
+    # tight fall short, and the tight ones without it stay, at one, two
+    # and three mask bytes
+    for n in (8, 9, 16, 17):
+        g = gen_random(n, Fraction(1, 2), 9, seed=n, bipartite=True)
+        c = list(run_mechanism(g).c)
+        richest = max(range(n), key=c.__getitem__)
+        c[richest] /= 2
+        report = check_core(g, c, 1)
+        assert report.violations and report.tight_coalitions
+        assert report == reference_check_core(g, c, 1)
 
 
 def test_odd_girth_basics():

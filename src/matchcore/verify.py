@@ -5,12 +5,12 @@ trusting the mechanism pipeline: coalition worths by brute-force
 matching enumeration, core membership by checking every subset of
 agents, the relaxation gap by comparing the integral and fractional
 optima, and the structural factor guarantee from the shortest odd
-cycle. The integral optimum is enumerated only between the weight of
-the mechanism's backing matching, checked against the instance, and
-the floor of the fractional one, the LP bound. Exponential enumeration
-is bounded and refuses to run past its size bound rather than silently
-approximating. Every comparison is an exact integer one (see
-`check_core`); `Fraction`s are built only for the reports.
+cycle. The integral optimum is enumerated only between two bounds
+checked here: the weight of the mechanism's backing matching and the
+floor of a feasible dual's total, the fractional optimum. Exponential
+enumeration is bounded and refuses to run past its size bound rather
+than silently approximating. Every comparison is an exact integer one
+(see `check_core`); `Fraction`s are built only for the reports.
 
 Costs: `check_core` in edges mode is O(m); in exhaustive mode it is
 O(2^n * degree) for the subset table plus one pass over all 2^n
@@ -45,7 +45,7 @@ from itertools import chain, islice
 from operator import itemgetter
 from typing import Iterable, NamedTuple, Sequence
 
-from .bipartite import double_graph, solve_bipartite
+from .bipartite import check_certificate, double_graph, solve_bipartite
 from .errors import BoundExceeded, InvariantViolation
 from .instances import GameInstance
 from .mechanism import run_pipeline
@@ -144,7 +144,7 @@ def worth_bruteforce(g: GameInstance, coalition: Iterable[int] | None = None,
     floats, which would match vertices by value).
     """
     if coalition is None:
-        positive = (e for e in g.edges if e[2] > 0)
+        inside = iter(g.edges)
     else:
         given = tuple(coalition)
         for i in given:  # before any set: {1, True} == {1}
@@ -153,15 +153,19 @@ def worth_bruteforce(g: GameInstance, coalition: Iterable[int] | None = None,
             if not (0 <= i < g.vertex_count):
                 raise ValueError(f"vertex {i} outside the instance")
         members = set(given)
-        positive = ((u, v, w) for (u, v, w) in g.edges
-                    if w > 0 and u in members and v in members)
-    sub = list(islice(positive, max(max_edges + 1, 0)))
-    if len(sub) > max_edges:
-        count = len(sub) + sum(1 for _ in positive)  # counted without a list
-        raise BoundExceeded(
-            f"coalition has {count} weighted edges, above the bound "
-            f"{max_edges}; raise max_edges to force the enumeration")
+        inside = ((u, v, w) for (u, v, w) in g.edges if u in members and v in members)
+    sub = _positive_edges(inside, max_edges)
+    if sub is None:  # `inside` is left past the edge over the bound
+        count = max(max_edges + 1, 0) + sum(1 for e in inside if e[2])
+        raise BoundExceeded(f"coalition has {count} weighted edges, above the bound "
+                            f"{max_edges}; raise max_edges to force the enumeration")
     return _max_matching_recursive(sub)
+
+
+def _positive_edges(edges: Iterable, max_edges: int = DEFAULT_MAX_EDGES) -> list | None:
+    """The positive-weight `edges`, or None past `max_edges` of them."""
+    sub = list(islice(filter(itemgetter(2), edges), max(max_edges + 1, 0)))
+    return None if len(sub) > max_edges else sub
 
 
 def _max_matching_recursive(edges: list[tuple[int, int, int]], best: int = 0,
@@ -431,10 +435,7 @@ def check_core(g: GameInstance, c: Sequence[Fraction], alpha: Fraction,
     elif mode == "edges":
         violations, tight, worst = _edge_pass(g, ci, alpha, scale)
         checked = g.edge_count
-        # the brute force's refusal, decided without counting every edge
-        fits = sum(1 for _ in islice(filter(itemgetter(2), g.edges),
-                                     DEFAULT_MAX_EDGES + 1)) <= DEFAULT_MAX_EDGES
-        grand = worth_bruteforce(g) if fits else None
+        grand = None if _positive_edges(g.edges) is None else worth_bruteforce(g)
     else:
         raise ValueError(f"unknown mode: {mode!r}")
     return CoalitionReport(
@@ -538,24 +539,25 @@ def _edge_pass(g: GameInstance, ci: list[int], alpha: Fraction, scale: int) -> t
 def integrality_gap(g: GameInstance, max_edges: int = DEFAULT_MAX_EDGES) -> GapReport:
     """Integral optimum nu against the fractional optimum tau.
 
-    tau comes from the certified doubled-graph solve, at any size. nu is
-    refused past `max_edges` positive edges, leaving emptiness unknown;
-    else it is enumerated only between two certified bounds
+    tau comes from the doubled-graph solve, at any size. nu is refused
+    past `max_edges` positive edges, leaving emptiness unknown; else its
+    certificate is checked here, its feasible dual bounding nu by tau,
+    and nu enumerated from a checked matching's weight up to floor(tau)
     (`_integral_optimum`). The core is nonempty exactly if nu = tau.
     """
-    # the brute force's refusal, decided without counting every edge
-    positive = list(islice(filter(itemgetter(2), g.edges), max(max_edges + 1, 0)))
-    if len(positive) > max_edges:
+    positive = _positive_edges(g.edges, max_edges)
+    if positive is None:
         return GapReport(None, Fraction(solve_bipartite(double_graph(g)).total_dual(), 2),
                          None, None)
     trace = run_pipeline(g)
-    opt_f = Fraction(trace.certificate.total_dual(), 2)  # strong duality, certified
+    if problems := check_certificate(g, trace.certificate):
+        raise InvariantViolation(f"certificate of tau is invalid: {problems[0]}")
+    opt_f = Fraction(trace.certificate.total_dual(), 2)  # strong duality, checked
     opt_i = _integral_optimum(g, positive, trace.result.matching, math.floor(opt_f))
     if opt_i > opt_f or 3 * opt_i < 2 * opt_f:
         raise InvariantViolation(
             f"optima out of order: integral {opt_i}, fractional {opt_f}")
-    ratio = Fraction(opt_i) / opt_f if opt_f > 0 else None
-    return GapReport(opt_i, opt_f, ratio, opt_i == opt_f)
+    return GapReport(opt_i, opt_f, Fraction(opt_i) / opt_f if opt_f > 0 else None, opt_i == opt_f)
 
 
 def _integral_optimum(g: GameInstance, positive: list[tuple[int, int, int]],

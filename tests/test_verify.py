@@ -639,6 +639,25 @@ def test_gap_checks_the_backing_matching(monkeypatch, matching):
         integrality_gap(path)
 
 
+def test_gap_checks_the_certificate(monkeypatch):
+    # the path 1-2-3 again, with a weak but genuine backing matching,
+    # the edge of weight 1, and duals whose total is too low: tau = 1
+    # < nu = 2. Unchecked, floor(tau) would meet the matching's weight,
+    # nothing would be enumerated, and the gap would report nu = tau = 1
+    # and a nonempty core, so the dual must be refused first.
+    path = parse_instance("p mg 3 2\ne 1 2 1\ne 2 3 2\n")
+    trace = run_pipeline(path)
+    low = trace.certificate._replace(u=(0, 1, 0), v=(0, 1, 0))
+    assert low.total_dual() == 2
+    assert verify._integral_optimum(path, [(0, 1, 1), (1, 2, 2)], ((0, 1),), 1) == 1
+    tampered = trace._replace(certificate=low,
+                              result=trace.result._replace(matching=((0, 1),)))
+    monkeypatch.setattr(verify, "run_pipeline", lambda g: tampered)
+    with pytest.raises(InvariantViolation,
+                       match=r"^certificate of tau is invalid: dual infeasible on edge"):
+        integrality_gap(path)
+
+
 def test_exhaustive_report_with_violations_and_tight_coalitions():
     # one vertex's payout lowered: the coalitions through it that were
     # tight fall short, and the tight ones without it stay, at one, two

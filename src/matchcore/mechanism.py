@@ -47,7 +47,6 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
-from itertools import repeat
 from typing import NamedTuple
 
 from . import halfint
@@ -212,10 +211,13 @@ def _assemble(folded, comps) -> ImputationResult:
     if problems:
         raise InvariantViolation(problems[0])
     k = min((cycle.k for cycle in comps.odd_cycles), default=0)
+    # each distinct payout and factor is built once, and the vertices share it
+    value = {p: _fraction(p, scale) for p in set(pay)}
+    factor = {d: _fraction(f, d) for d, f in dict(zip(fden, fnum)).items()}
     return ImputationResult(
-        c=tuple(map(_fraction, pay, repeat(scale))),
+        c=tuple(map(value.__getitem__, pay)),
         matching=tuple(matching),
-        factors=tuple(map(_fraction, fnum, fden)),
+        factors=tuple(map(factor.__getitem__, fden)),
         worth_fractional=_fraction(sum(folded.v2), 2),  # weight(x) per the fold
         matching_weight=matching_weight,
         allocated=_fraction(sum(pay), scale),

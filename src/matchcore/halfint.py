@@ -11,10 +11,10 @@ and nothing after it reads the instance's edge list.
 
 Edges at value 1/2 form disjoint paths and cycles. Each path or even
 cycle is a 50/50 blend of its two alternating matchings, which must be
-of equal weight at an optimum. `decompose_components` takes the edges
-at x = 1, mutual pairs, in one pass over the pairs, then walks the
-half-edges once: it replaces each such blend with one of its matchings
-and records the rest, vertex-disjoint odd cycles, in the same pass.
+of equal weight at an optimum. `decompose_components` takes the mutual
+pairs, the edges at x = 1, in one pass, then walks the half-edges
+once: it replaces each such blend with one of its matchings and
+records the rest, vertex-disjoint odd cycles, in the same pass.
 Every odd cycle C satisfies two exact identities used downstream: its
 edge weight w_C equals twice its cover value v_C, and the cover on C is
 uniquely determined, vertex by vertex, by the alternating matchings of
@@ -91,12 +91,11 @@ def decompose_components(s: HalfIntegralSolution) -> FractionalComponents:
     one in, and the pairs form vertex-disjoint runs and cycles: no
     vertex has three half-edges or lies on two components. A mutual pair
     is a 2-cycle of two halves and resolves to its edge like any even
-    cycle: one pass over `match` takes each pair whose halves weigh the
-    same and marks its ends seen. One walker takes the rest, starting
-    only from vertices with a one-way pair or a pair of unequal halves,
-    so a fault is reported in walk order. It follows the injection
-    forward, or backward through its inverse, marking each vertex seen.
-    Runs go first, each from its lowest-id end; then each cycle from its
+    cycle: one pass takes each pair of equal halves and marks its ends
+    seen. One walker takes the rest, a pair of unequal halves too, so
+    faults come in walk order. It follows the injection forward, or
+    backward through its inverse, marking each vertex seen. Runs go
+    first, each from its lowest-id end; then each cycle from its
     lowest-id vertex toward that vertex's lower-id neighbor. A run or an
     even cycle becomes its first alternating matching in walk order,
     which keeps the matching weight (its two matchings weigh the same);
@@ -105,8 +104,7 @@ def decompose_components(s: HalfIntegralSolution) -> FractionalComponents:
     """
     match, weight = s.match, s.weight
     n = len(match)
-    # a mutual pair of equal halves is an edge at x = 1; the walker takes
-    # the rest, an unequal pair as a 2-cycle, so faults keep walk order
+    # mutual pairs of equal halves, at x = 1; the walker takes the rest
     integral = [(i, j, weight[j]) for i, j in enumerate(match)
                 if i < j and match[j] == i and weight[i] == weight[j]]
     seen = [False] * n
@@ -118,7 +116,7 @@ def decompose_components(s: HalfIntegralSolution) -> FractionalComponents:
         pred[match[i]] = i
     cycles = []
     # A run's ends have a pair on one side only, so once they are walked
-    # from, what is left unseen is cycles.
+    # from, the one-way pairs left unseen are cycles.
     ends = (i for i in range(n) if not seen[i] and (match[i] < 0) != (pred[i] < 0))
     for a in chain(ends, oneway):
         if seen[a]:

@@ -36,10 +36,10 @@ finished trace's certificate, derives the result from it again and
 reports where the stored result differs. The checks compare integers
 only: the doubled cover v2, each factor as the pair (2k, 2k+1) read off
 the cycle lengths, and the payouts as numerators over one scale. Every
-`Fraction` of a result comes from one bounded memo, `_fraction`, so a
-result holds one object per distinct value, the audit's derived result
-holds the stored one's objects, and `ImputationResult.to_json_dict`
-makes one string per object.
+`Fraction` of a result comes from one bounded memo, `_fraction`, asked
+once per distinct value, so a result holds one object per distinct
+value, the audit's derived result holds the stored one's objects, and
+`ImputationResult.to_json_dict` makes one string per object.
 """
 
 from __future__ import annotations
@@ -211,7 +211,6 @@ def _assemble(folded, comps) -> ImputationResult:
     if problems:
         raise InvariantViolation(problems[0])
     k = min((cycle.k for cycle in comps.odd_cycles), default=0)
-    # each distinct payout and factor is built once, and the vertices share it
     value = {p: _fraction(p, scale) for p in set(pay)}
     factor = {d: _fraction(f, d) for d, f in dict(zip(fden, fnum)).items()}
     return ImputationResult(

@@ -279,6 +279,80 @@ def test_decompose_matches_two_walk_reference():
     assert raised > 0
 
 
+def hand_made(n, halves):
+    """A raw solution from its halves {i: (match[i], weight[i])}, and an
+    instance with one edge per pair, at the weight of its first half."""
+    match, weight, edges = [-1] * n, [0] * n, {}
+    for i, (j, w) in halves.items():
+        match[i], weight[i] = j, w
+        edges.setdefault((min(i, j), max(i, j)), w)
+    g = GameInstance(n, [(u, v, w) for (u, v), w in edges.items()])
+    return g, HalfIntegralSolution(tuple(match), tuple(weight), (0,) * n)
+
+
+def reference_fault(g, s):
+    """The first message of the route that
+    `test_decompose_matches_two_walk_reference` compares with, or None."""
+    try:
+        reference_decompose_components(
+            g, reference_normalize(g, ReferenceHalfIntegralSolution(fold_x2(g, s), s.v2, False)))
+    except InvariantViolation as err:
+        return str(err)
+    return None
+
+
+def first_fault(s):
+    with pytest.raises(InvariantViolation) as got:
+        decompose_components(s)
+    return str(got.value)
+
+
+def pair_fault(keep, drop):
+    return (f"alternating matchings differ in weight ({keep} vs {drop}); "
+            "the half-integral solution was not optimal")
+
+
+# a mutual pair 3 <-> 6 whose halves weigh 4 and 7, beside a good pair 0 <-> 5
+BAD_PAIR = {3: (6, 4), 6: (3, 7), 0: (5, 2), 5: (0, 2)}
+
+
+def test_a_lone_pair_of_unequal_halves_is_a_fault():
+    # the reference reads one weight per edge, so it sees the pair as an
+    # edge at x = 1; the walker reports it as a 2-cycle from its lower id
+    g, s = hand_made(8, BAD_PAIR)
+    assert reference_fault(g, s) is None
+    assert first_fault(s) == pair_fault(7, 4)
+    g, s = hand_made(8, {**BAD_PAIR, 3: (6, 7), 6: (3, 4)})
+    assert first_fault(s) == pair_fault(4, 7)
+
+
+@pytest.mark.parametrize("run", [
+    {1: (2, 1), 2: (4, 2)},  # 1 -> 2 -> 4, its lowest id below the pair's
+    {7: (4, 2), 4: (2, 1)},  # 7 -> 4 -> 2, walked backward from 2
+    {7: (9, 3), 9: (8, 1)},  # every id above the pair's
+])
+def test_a_run_fault_comes_before_a_pair_fault(run):
+    g, s = hand_made(10, {**BAD_PAIR, **run})
+    want = reference_fault(g, s)
+    assert want is not None and "differ in weight" in want
+    assert first_fault(s) == want
+
+
+def test_a_cycle_fault_with_a_lower_start_comes_before_a_pair_fault():
+    # the even cycle 1 -> 2 -> 7 -> 4 -> 1 weighs 1 + 5 against 1 + 2
+    cycle = {1: (2, 1), 2: (7, 1), 7: (4, 5), 4: (1, 2)}
+    g, s = hand_made(8, {**BAD_PAIR, **cycle})
+    want = reference_fault(g, s)
+    assert want == pair_fault(6, 3)
+    assert first_fault(s) == want
+    # the same cycle on 4 -> 7 -> 9 -> 8: with its start above the
+    # pair's, the pair's fault comes first in the walk; the reference,
+    # which reads one weight per edge, sees only the cycle's
+    g, s = hand_made(10, {**BAD_PAIR, 4: (7, 1), 7: (9, 1), 9: (8, 5), 8: (4, 2)})
+    assert reference_fault(g, s) == pair_fault(6, 3)
+    assert first_fault(s) == pair_fault(7, 4)
+
+
 def test_cover_feasible_and_strong_duality():
     for g in rand_instances():
         s = pipeline_fold(g)

@@ -403,6 +403,17 @@ def values(res):
 
 @pytest.mark.parametrize("g", [K3, gen_gap_family(3, connected=True), COMPLETE12, RND9],
                          ids=["K3", "gap_3c", "complete12", "rnd_9"])
+def test_assembly_asks_the_memo_once_per_distinct_value(monkeypatch, g):
+    calls = []
+    memo = mechanism._fraction
+    monkeypatch.setattr(mechanism, "_fraction", lambda *args: calls.append(args) or memo(*args))
+    res = run_pipeline(g).result
+    # one per distinct payout and factor, plus the three totals
+    assert len(calls) == len(set(res.c)) + len(set(res.factors)) + 3
+
+
+@pytest.mark.parametrize("g", [K3, gen_gap_family(3, connected=True), COMPLETE12, RND9],
+                         ids=["K3", "gap_3c", "complete12", "rnd_9"])
 def test_audit_derives_the_stored_objects(g):
     # so the audit's == matches each value by identity, with no Fraction.__eq__
     trace = run_pipeline(g)

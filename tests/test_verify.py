@@ -7,6 +7,8 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from matchcore import verify
 from matchcore.errors import BoundExceeded, InvariantViolation
@@ -754,3 +756,39 @@ def test_mechanism_passes_structural_guarantee():
         assert report.violations == ()
         assert report.budget_ok is True
         assert res.allocated <= res.matching_weight <= report.grand_worth
+
+
+@st.composite
+def _games(draw):
+    """n <= 30, often with disjoint odd cycles of equal weight, so that x
+    has cycles of several lengths, plus random edges; ids permuted."""
+    n = draw(st.integers(1, 30))
+    weights = st.one_of(st.just(0), st.integers(1, 10), st.integers(0, 2**62))
+    edges, start = {}, 0
+    for length in draw(st.lists(st.sampled_from([3, 5, 7, 9]), max_size=4)):
+        if start + length > n:
+            break
+        w = draw(weights)
+        for t in range(length):
+            u, v = start + t, start + (t + 1) % length
+            edges[min(u, v), max(u, v)] = w
+        start += length
+    ids = draw(st.permutations(range(n)))
+    for u, v in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=40)):
+        if u != v:
+            edges.setdefault((min(u, v), max(u, v)), draw(weights))
+    return GameInstance(n, [(ids[u], ids[v], w) for (u, v), w in edges.items()])
+
+
+@settings(max_examples=300, deadline=None)
+@given(_games())
+@example(parse_instance("p mg 8 8\ne 1 2 1\ne 2 3 1\ne 1 3 1\n"
+                        "e 4 5 1\ne 5 6 1\ne 6 7 1\ne 7 8 1\ne 4 8 1\n"))  # a 3- and a 5-cycle
+@example(parse_instance("p mg 3 2\ne 1 2 0\ne 2 3 4611686018427387904\n"))
+def test_worst_edge_ratio_is_the_factor_guarantee(g):
+    # an odd cycle's edges are tight with both ends at its factor, and
+    # the least factor is the guarantee's; with no odd cycle a tight
+    # matched edge gives 1, and every edge is covered at least that well
+    res = run_mechanism(g)
+    if any(w for (_, _, w) in g.edges):
+        assert check_core(g, res.c, res.factor_guarantee, mode="edges").worst_ratio == res.factor_guarantee

@@ -34,12 +34,13 @@ reached, with one running dual offset `D`. A reached vertex stores its
 key, its slack plus `D` (at most 3 max w, below the sentinel
 4 max w + 1), so a dual step, which lowers every slack alike, raises
 `D` alone: it is one pass over the stored keys for the smallest one and
-its ties. Each tree dual is settled once, when the stage ends, by the
-rise of `D` since its vertex joined. A stage ends as soon as a free
-right vertex becomes tight, while its row is scanned or its tie is
-queued, rather than when the queue would pop it: the vertices queued
-ahead of it would join the tree at the final `D`, so their duals would
-not move.
+its ties. The tree's right vertices, the popped prefix `tq[:tqh]` of the
+queue, hold the key `-1 - D_join`, below every stored key, for the `D`
+they joined at, so each tree dual is settled once, at the stage's end,
+by `D + 1 + key`. A stage ends as soon as a free right vertex becomes
+tight, while its row is scanned or its tie is queued, rather than when
+the queue would pop it: the vertices queued ahead of it would join the
+tree at the final `D`, so their duals would not move.
 
 The stage bound (the shortest-augmenting-path rule of Jonker and
 Volgenant, Computing 1987). Let F be the least of `null_key` (the `D`
@@ -98,8 +99,8 @@ def solve_max_weight_bipartite(
     # is <= 2 max w, and D <= null_key <= u[s] <= max w: a key is <= 3 max w.
     infinity = 4 * max_w + 1
 
-    # key[j] = D + the least reduced cost u[i]+v[j]-w stored from a
-    # tree-left i, or -1 (below any such key) once j is in the tree;
+    # key[j] = D + the least reduced cost u[i]+v[j]-w stored from a tree-left
+    # i, or -1 - D_join (below any such key) once j joined the tree at D_join;
     # way[j] = the left vertex attaining it (tree predecessor). Between
     # stages every key is infinity; `way` is read only at vertices the
     # current stage touched, so it keeps stale entries.
@@ -111,14 +112,12 @@ def solve_max_weight_bipartite(
         if us == 0:
             continue
         touched: list[int] = []  # right vertices with a stored key
-        tree_right: list[int] = []  # in the order they joined
-        rises: list[tuple[int, int]] = []  # (len(tree_right), D) before each rise of D
         null_key = us  # the smallest D at which a tree-left dual reaches zero;
         null_arg = s  # that vertex, which then leaves the matching
         F = us  # the stage bound: min(null_key, the keys of free reached vertices)
         tq: list[int] = []  # right vertices whose key reached D, each queued once;
         # D moves only on an empty queue, so a popped one is tight, not in the tree
-        tqh = 0
+        tqh = 0  # tq[:tqh], the popped ones, are the tree's right vertices
         qn = 0  # len(tq)
         D = 0
         end_right = -1  # the free right vertex that ends the stage, once tight
@@ -169,7 +168,6 @@ def solve_max_weight_bipartite(
                             tight = [j]
                     elif kj == m:
                         tight.append(j)
-                rises.append((len(tree_right), D))
                 D = m
                 if not tight:
                     break  # D == null_key: null_arg's dual is zero, it leaves the matching
@@ -185,21 +183,17 @@ def solve_max_weight_bipartite(
             j = tq[tqh]
             tqh += 1
             i2 = match_r[j]
-            key[j] = -1
-            tree_right.append(j)
+            key[j] = -1 - D
             base = u[i2] + D
 
         # Settle the tree duals while match_r still pairs each tree-right
         # vertex with the tree-left vertex that joined with it.
         if D:
             u[s] -= D
-            lo = 0
-            for hi, joined in rises:
-                d = D - joined
-                for j in tree_right[lo:hi]:
-                    v[j] += d
-                    u[match_r[j]] -= d
-                lo = hi
+            for j in tq[:tqh]:
+                d = D + 1 + key[j]
+                v[j] += d
+                u[match_r[j]] -= d
 
         if end_right >= 0:
             j = end_right

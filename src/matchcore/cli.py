@@ -21,9 +21,9 @@ import functools
 import json
 import sys
 from fractions import Fraction
-from operator import add
 
 from .errors import BoundExceeded, InstanceFormatError, InvariantViolation
+from .halfint import fold_solution
 from .instances import gen_gap_family, gen_odd_cycle, gen_random, load_instance, serialize_instance
 from .mechanism import audit_pipeline, run_pipeline
 from .rationals import parse_fraction, parse_fractions
@@ -48,7 +48,7 @@ def _cmd_solve(args) -> int:
     if args.json:
         print(json.dumps(out))
         return 0
-    v2 = list(map(add, trace.certificate.u, trace.certificate.v))  # the fold's doubled cover
+    v2 = fold_solution(trace.certificate).v2  # the doubled cover
     cover = {x: str(Fraction(x, 2)) for x in set(v2)}
     rows = [("vertex", "cover", "factor", "payout")]
     rows += zip(map(str, range(1, g.vertex_count + 1)), map(cover.__getitem__, v2),

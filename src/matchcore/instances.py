@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import chain, islice, repeat
+from itertools import chain, combinations, islice, product, repeat
 from operator import add, eq, gt, mul, sub
 from typing import Iterable, Iterator
 
@@ -55,6 +55,12 @@ def _check_bounds(what: str, n: int, m: int) -> None:
         raise BoundExceeded(
             f"{what} {n} vertices and {m} edges, above the bounds of "
             f"{MAX_VERTICES} vertices and {MAX_EDGES} edges")
+
+
+def _check_int(what: str, x) -> None:
+    """Refuse a generator argument that is not an `int`, a `bool` included."""
+    if type(x) is not int:
+        raise ValueError(f"{what} {x!r} is not an int")
 
 
 def _plain_digits(line: str) -> bool:
@@ -466,6 +472,7 @@ def gen_gap_family(n: int, connected: bool = False) -> GameInstance:
     of every triangle; zero weights stand in for the vanishing-weight
     connector and change neither optimum.
     """
+    _check_int("n", n)
     if n < 1:
         raise ValueError("n must be >= 1")
     name = f"gap_{n}c" if connected else f"gap_{n}"
@@ -476,15 +483,14 @@ def gen_gap_family(n: int, connected: bool = False) -> GameInstance:
         a, b, c = 3 * t, 3 * t + 1, 3 * t + 2
         edges += [(a, b, 1), (b, c, 1), (a, c, 1)]
     if connected:
-        anchors = [3 * t for t in range(2 * n)]
-        for i in range(len(anchors)):
-            for j in range(i + 1, len(anchors)):
-                edges.append((anchors[i], anchors[j], 0))
+        edges += [(a, b, 0) for a, b in combinations(range(0, 6 * n, 3), 2)]
     return GameInstance(6 * n, tuple(edges), name=name)
 
 
 def gen_odd_cycle(k: int, weight: int = 1) -> GameInstance:
     """Cycle on 2k+1 vertices with every edge at the given weight."""
+    _check_int("k", k)
+    _check_int("weight", weight)
     if k < 1:
         raise ValueError("k must be >= 1")
     if weight < 0:
@@ -509,6 +515,8 @@ def gen_random(n: int, edge_probability: Fraction, max_weight: int,
     more than `MAX_EDGES` edges are drawn, it raises BoundExceeded; below
     the bounds it still draws for every one of the O(n^2) pairs.
     """
+    _check_int("n", n)
+    _check_int("max_weight", max_weight)
     if n < 0:
         raise ValueError("n must be nonnegative")
     if type(edge_probability) not in (int, Fraction):
@@ -523,19 +531,9 @@ def gen_random(n: int, edge_probability: Fraction, max_weight: int,
         raise BoundExceeded(f"{name} has {n} vertices, above the bound of {MAX_VERTICES}")
     rng = random.Random(seed)
     left = (n + 1) // 2
-
-    def candidates() -> Iterable[tuple[int, int]]:
-        if bipartite:
-            for u in range(left):
-                for v in range(left, n):
-                    yield (u, v)
-        else:
-            for u in range(n):
-                for v in range(u + 1, n):
-                    yield (u, v)
-
+    pairs = product(range(left), range(left, n)) if bipartite else combinations(range(n), 2)
     edges: list[Edge] = []
-    for (u, v) in candidates():
+    for (u, v) in pairs:
         if rng.randrange(p.denominator) < p.numerator:
             edges.append((u, v, rng.randint(1, max_weight)))
             if len(edges) > MAX_EDGES:

@@ -189,14 +189,16 @@ def _assemble(folded, comps) -> ImputationResult:
     """Pay each vertex its factor times its cover and back the payouts
     with the integral edges plus each cycle's heaviest matching (see
     `analyze_cycle`); raise on `check_payout`'s first problem."""
-    fnum, fden = [1] * len(folded.v2), [1] * len(folded.v2)
+    fden = [1] * len(folded.v2)  # factor denominators: 2k+1 on a (2k+1)-cycle, else 1
     for cycle in comps.odd_cycles:
         for i in cycle.vertices:
-            fnum[i], fden[i] = 2 * cycle.k, 2 * cycle.k + 1
-    # c_i = f_i * v_i = fnum[i] * v2[i] / (2 * fden[i]) = pay[i] / scale
-    half = math.lcm(*fden)
+            fden[i] = 2 * cycle.k + 1
+    fnum = {d: d - 1 or 1 for d in set(fden)}  # 2k from 2k+1, 1 from 1
+    # c_i = f_i * v_i = fnum[d] * v2[i] / (2 * d) = pay[i] / scale, d = fden[i]
+    half = math.lcm(*fnum)
     scale = 2 * half
-    pay = [f * x * (half // d) for f, x, d in zip(fnum, folded.v2, fden)]
+    mult = {d: f * (half // d) for d, f in fnum.items()}
+    pay = [mult[d] * x for x, d in zip(folded.v2, fden)]
 
     matching = [(i, j) for (i, j, _) in comps.integral]
     matching_weight = sum(w for (_, _, w) in comps.integral)
@@ -212,7 +214,7 @@ def _assemble(folded, comps) -> ImputationResult:
         raise InvariantViolation(problems[0])
     k = min((cycle.k for cycle in comps.odd_cycles), default=0)
     value = {p: _fraction(p, scale) for p in set(pay)}
-    factor = {d: _fraction(f, d) for d, f in dict(zip(fden, fnum)).items()}
+    factor = {d: _fraction(f, d) for d, f in fnum.items()}
     return ImputationResult(
         c=tuple(map(value.__getitem__, pay)),
         matching=tuple(matching),

@@ -346,6 +346,21 @@ def test_kernel_settles_a_vertex_that_joined_after_a_dual_step():
     assert got == reference_on_id_rows(4, d.rights, d.weights)
 
 
+@pytest.mark.parametrize("edge", [
+    lambda n, i: (i, i + 1, i + 1),
+    lambda n, i: (i, i + 1, n - i),
+    lambda n, i: (n - 2 - i, n - 1 - i, n - i),  # renumbered i -> n-1-i
+], ids=["increasing", "decreasing", "decreasing-renumbered"])
+def test_kernel_matches_reference_on_weighted_paths(edge):
+    # the weighted paths of tools/kernel_paths.py: the longest chains of
+    # dual steps and the deepest trees, so the most tree duals to settle,
+    # each by the rise of D since its vertex joined
+    n = 1000
+    d = double_graph(GameInstance(n, tuple(edge(n, i) for i in range(n - 1))))
+    got = _hungarian_py.solve_max_weight_bipartite(n, d.rights, d.weights)
+    assert got == reference_on_id_rows(n, d.rights, d.weights)
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_kernel_matches_reference_on_small_graphs(data):

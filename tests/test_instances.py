@@ -329,6 +329,16 @@ def test_gap_family_rejects_zero():
     (lambda: gen_odd_cycle(1, weight=-1), "weight must be nonnegative"),
     (lambda: gen_random(-1, Fraction(1, 2), 5, seed=1), "n must be nonnegative"),
     (lambda: gen_random(3, Fraction(1, 2), 0, seed=1), "max_weight must be >= 1"),
+    # counts must be ints: a bool, a float or a Fraction is refused, not converted
+    (lambda: gen_random(6, Fraction(1), True, seed=1), "max_weight True is not an int"),
+    (lambda: gen_random(6, Fraction(1), 3.0, seed=1), "max_weight 3.0 is not an int"),
+    (lambda: gen_random(6, Fraction(1), Fraction(5), seed=1), r"max_weight Fraction\(5, 1\) is not an int"),
+    (lambda: gen_random(6.0, Fraction(1), 5, seed=1), "n 6.0 is not an int"),
+    (lambda: gen_gap_family(True), "n True is not an int"),
+    (lambda: gen_gap_family(2.0), "n 2.0 is not an int"),
+    (lambda: gen_odd_cycle(True), "k True is not an int"),
+    (lambda: gen_odd_cycle(2.0), "k 2.0 is not an int"),
+    (lambda: gen_odd_cycle(2, weight=1.0), "weight 1.0 is not an int"),
 ])
 def test_generators_reject_bad_arguments(make, message):
     with pytest.raises(ValueError, match=message):

@@ -72,8 +72,6 @@ A stage thus costs its dual steps times its stored keys plus the
 entries of its popped rows above their bounds, however large `nr` is.
 """
 
-from __future__ import annotations
-
 
 def solve_max_weight_bipartite(
         nr: int,

@@ -30,8 +30,6 @@ which by LP duality proves the matching optimal against every
 competing matching.
 """
 
-from __future__ import annotations
-
 from operator import itemgetter
 from typing import NamedTuple
 

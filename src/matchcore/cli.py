@@ -14,8 +14,6 @@ exhaustive check past its own. All rational values cross this boundary
 as reduced-fraction strings.
 """
 
-from __future__ import annotations
-
 import argparse
 import functools
 import json

@@ -22,8 +22,6 @@ C. The cover is stored doubled, as ints on the doubled graph's
 half-unit scale.
 """
 
-from __future__ import annotations
-
 from itertools import chain
 from typing import NamedTuple
 

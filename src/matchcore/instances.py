@@ -30,12 +30,10 @@ line at a time. Which texts are accepted, and the line and text of
 each rejection, do not depend on the path a piece takes.
 """
 
-from __future__ import annotations
-
 import random
 from fractions import Fraction
 from itertools import chain, combinations, islice, product, repeat
-from operator import add, eq, gt, mul, sub
+from operator import add, eq, gt, lt, mul, sub
 from typing import Iterable, Iterator
 
 from .errors import BoundExceeded, InstanceFormatError
@@ -202,6 +200,11 @@ def parse_instance(text: str) -> GameInstance:
     with its line; the edge counts are compared once every line is
     read.
 
+    While the keys `u * n + v` of the pairs rise, no pair can repeat,
+    and `seen`, the set of keys the duplicate check needs, stays empty.
+    It is built from `edges` at the first piece of columns whose keys
+    do not rise, or at the first edge that the line reader yields.
+
     A header past `MAX_VERTICES` or `MAX_EDGES` raises `BoundExceeded`
     before any edge is read, and so does an edge line past the
     `MAX_EDGES`-th, so a parse never holds more than `MAX_EDGES + 1`
@@ -211,7 +214,7 @@ def parse_instance(text: str) -> GameInstance:
     n, m, header_line = next(records)
     _check_bounds(f"line {header_line}: header declares", n, m)
     edges: list[Edge] = []
-    seen: set[int] = set()
+    seen: set[int] = set()  # empty while the pairs of `edges` rise
     try:
         for batch in records:
             room = MAX_EDGES + 1 - len(edges)
@@ -219,7 +222,12 @@ def parse_instance(text: str) -> GameInstance:
                 if len(batch[0]) < room and _take_columns(n, *batch, edges, seen):
                     continue
                 batch = zip(*batch)
-            _normalized_edges(n, islice(batch, room), edges, seen)
+            batch = islice(batch, room)
+            first = next(batch, None)  # None if the lines hold no edge
+            if first is not None:
+                if not seen:  # the order proof ends at the line reader's first edge
+                    seen.update(u * n + v for (u, v, _) in edges)
+                _normalized_edges(n, chain((first,), batch), edges, seen)
             if len(edges) > MAX_EDGES:
                 break
     except _BadEdge as bad:
@@ -255,17 +263,26 @@ def _take_columns(n: int, us: list[int], vs: list[int], ws: list[int],
     whether they did.
 
     Each check runs on whole columns. Ids are already in range; a
-    negative weight, a self-loop or a pair already in `seen` (the pairs
-    of `edges`) or repeated in the columns leaves `edges` and `seen` as
-    they were, for the line-by-line check to name the first fault.
+    negative weight, a self-loop or a repeated pair leaves `edges` as
+    it was, for the line-by-line check to name the first fault. While
+    `seen` is empty the pairs of `edges` rise, and a piece whose keys
+    rise strictly from above the last edge's is taken with no set;
+    else `seen` is built from `edges` and must take every key.
     """
     if min(ws) < 0 or any(map(eq, us, vs)):
         return False
     if any(map(gt, us, vs)):  # reversed pairs, swapped in bulk
         us, vs = list(map(min, us, vs)), list(map(max, us, vs))
+    keys = list(map(add, map(mul, us, repeat(n)), vs))  # the keys `_normalized_edges` keeps
+    if not seen:  # every pair so far rises
+        last = edges[-1][0] * n + edges[-1][1] if edges else -1
+        if last < keys[0] and all(map(lt, keys, islice(keys, 1, None))):
+            edges.extend(zip(us, vs, ws))
+            return True
+        seen.update(u * n + v for (u, v, _) in edges)
     before = len(seen)
-    seen.update(map(add, map(mul, us, repeat(n)), vs))  # the keys `_normalized_edges` keeps
-    if len(seen) != before + len(us):  # a repeated pair: `seen` as it was
+    seen.update(keys)
+    if len(seen) != before + len(us):  # a repeated pair: `seen` keeps `edges`' keys only
         seen.clear()
         seen.update(u * n + v for (u, v, _) in edges)
         return False

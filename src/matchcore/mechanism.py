@@ -42,8 +42,6 @@ value, the audit's derived result holds the stored one's objects, and
 `ImputationResult.to_json_dict` makes one string per object.
 """
 
-from __future__ import annotations
-
 import functools
 import math
 from fractions import Fraction

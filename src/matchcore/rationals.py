@@ -11,8 +11,6 @@ strings: output is `str` of the exact value, which for an `int` or a
 list of them to a `FractionArray` of int numerators and denominators.
 """
 
-from __future__ import annotations
-
 import re
 from fractions import Fraction
 

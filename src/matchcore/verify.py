@@ -36,8 +36,6 @@ recursively with weight-bound pruning for a single coalition, while
 once by dynamic programming over vertex subsets.
 """
 
-from __future__ import annotations
-
 import functools
 import math
 from fractions import Fraction
@@ -412,6 +410,8 @@ def check_core(g: GameInstance, c: Sequence[Fraction], alpha: Fraction,
         raise ValueError(f"{alpha!r} is not an int or a Fraction")
     if any(x < 0 for x in c.nums):
         raise ValueError("imputation entries must be nonnegative")
+    if any(d < 1 for d in c.dens):
+        raise ValueError("imputation denominators must be positive")
     alpha = Fraction(alpha)
     if not (0 < alpha <= 1):
         raise ValueError("alpha must be in (0, 1]")

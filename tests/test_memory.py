@@ -8,23 +8,30 @@ cache. Each bound is a `tracemalloc` peak in bytes per edge, set
 between two measurements of this instance (Python 3.11): the code as
 it is, and the code with the per-edge copies listed below.
 
-| stage            | measured | bound | with the copies |
-|------------------|---------:|------:|----------------:|
-| `parse_instance` |      246 |   360 |             445 |
-| `double_graph`   |       44 |   100 |             165 |
-| `run_pipeline`   |       44 |   110 |             161 |
-| `audit_pipeline` |        3 |    10 |              18 |
+| stage                      | measured | bound | with the copies |
+|----------------------------|---------:|------:|----------------:|
+| `parse_instance`, in order |      124 |   180 |             246 |
+| `parse_instance`, shuffled |      247 |   360 |             445 |
+| `double_graph`             |       44 |   100 |             165 |
+| `run_pipeline`             |       44 |   110 |             161 |
+| `audit_pipeline`           |        3 |    10 |              18 |
 
-The copies: a list of every line of the text and one of every edge's
-line number, a second tuple per parsed edge, one `(neighbour, weight)`
-tuple per edge end in `double_graph`, and a list and a tuple of 2 x_e
-over all m edges in the audit's fold. What remains of the parse is one
-tuple per edge, its numbers and the set of vertex pairs the duplicate
-check keeps: the parser checks each piece of lines into the one list
-of edges that becomes the instance's tuple, and holds at most one
-piece's tokens and columns besides. Of `double_graph` remain its lists
-of rows, and they are also the peak of `run_pipeline`, whose trace
-keeps no fold. Of the audit remain the fold and the decomposition it
+The file lists its pairs in order; its shuffled twin holds the same
+lines in a seeded random order. The copies: for the parse in order,
+the set of vertex pairs that the shuffled parse keeps; for the
+shuffled parse, a list of every line of the text, one of every edge's
+line number and a second tuple per parsed edge (measured on the lines
+in order, whose parse then kept the set as well); one
+`(neighbour, weight)` tuple per edge end in `double_graph`; and a list
+and a tuple of 2 x_e over all m edges in the audit's fold. What
+remains of the parse in order is one tuple per edge and its numbers:
+the parser checks each piece of lines into the one list of edges that
+becomes the instance's tuple, proves the pairs distinct by their
+order, and holds at most one piece's tokens, columns and pair keys
+besides. The shuffled parse also keeps the set of vertex pairs that
+its duplicate check needs. Of `double_graph` remain its lists of
+rows, and they are also the peak of `run_pipeline`, whose trace keeps
+no fold. Of the audit remain the fold and the decomposition it
 derives from the certificate, lists and tuples of at most one entry
 per vertex.
 """
@@ -71,6 +78,16 @@ def test_parse_keeps_one_tuple_per_edge(dense):
     text, g, _ = dense
     parsed, per_edge = _peak_per_edge(g.edge_count, parse_instance, text)
     assert parsed == g
+    assert per_edge < 180
+
+
+def test_parse_of_shuffled_lines_keeps_a_set_of_pairs(dense):
+    text, g, _ = dense
+    header, *lines = text.splitlines()
+    random.Random(1).shuffle(lines)
+    shuffled = f"{header}\n" + "\n".join(lines) + "\n"
+    parsed, per_edge = _peak_per_edge(g.edge_count, parse_instance, shuffled)
+    assert sorted(parsed.edges) == list(g.edges)
     assert per_edge < 360
 
 

@@ -6,7 +6,9 @@ return the instance `oracles.reference_parse_instance` returns, or
 raise the same exception type with the same text. Small texts come
 from hypothesis; seeded texts over 65,536 characters span several
 pieces, with one fault planted in each, often next to where one piece
-ends and the next begins.
+ends and the next begins. The long texts list their pairs shuffled or
+in order; in order, the parser proves them distinct without a set
+until the order breaks.
 """
 
 import random
@@ -91,14 +93,15 @@ def test_small_texts_parse_as_before(text):
     _assert_same(text)
 
 
-def _canonical(n, m, rng):
-    """m distinct pairs of 1..n as `e U V W` lines, some reversed."""
+def _canonical(n, m, rng, ordered=False):
+    """m distinct pairs of 1..n as `e U V W` lines, some reversed;
+    shuffled, or sorted by pair if `ordered`."""
     pairs = set()
     while len(pairs) < m:
         u, v = rng.sample(range(1, n + 1), 2)
         pairs.add((min(u, v), max(u, v)))
     lines = []
-    for u, v in sorted(pairs, key=lambda _: rng.random()):
+    for u, v in sorted(pairs) if ordered else sorted(pairs, key=lambda _: rng.random()):
         if rng.random() < 0.05:
             u, v = v, u
         lines.append(f"e {u} {v} {rng.randint(0, 1 << rng.choice([4, 40, 70]))}")
@@ -120,15 +123,31 @@ def _piece_ends(lines: list[str]) -> list[int]:
 FAULTS = ["token", "digit", "plus", "underscore", "duplicate", "negative",
           "range", "self-loop", "too many", "too few", "before header", "comment",
           "tab", "blank", "crlf", "none"]
+# Faults of texts sorted by pair, each a duplicate edge: the last pair
+# of a piece repeated as the first line of the next; a piece that steps
+# back to a pair of the first piece, then rises again; the same after
+# a comment line, past at least two pieces.
+ORDERED_FAULTS = ["boundary repeat", "step back", "comment, step back"]
 
 
-def _long_text(seed: int, fault: str) -> str:
+def _long_text(seed: int, fault: str, ordered: bool = False) -> str:
     rng = random.Random(seed)
     n = rng.choice([200, 300, 5000])
-    lines = _canonical(n, rng.randint(9000, 12000), rng)
+    lines = _canonical(n, rng.randint(9000, 12000), rng, ordered)
     m = len(lines)
     head = f"# seed {seed}\np mg {n} {m}\n"
     ends = _piece_ends(lines)
+    if fault in ORDERED_FAULTS:
+        at = rng.choice(ends[:-1])  # the last line of a piece with one after it
+        if fault == "boundary repeat":
+            lines[at + 1] = lines[at]
+        else:
+            if fault == "comment, step back":
+                at = ends[1] + rng.randint(1, 20)
+                lines.insert(at, "# a comment after two pieces")
+            u, v = lines[rng.randrange(ends[0] + 1)].split()[1:3]
+            lines[at + rng.randint(2, 30)] = f"e {v} {u} 7"
+        return head + "\n".join(lines) + "\n"
     at = rng.choice(ends) + rng.choice([-1, 0, 1, 2]) if ends and rng.random() < 0.7 \
         else rng.randrange(len(lines))
     at = min(max(at, 0), len(lines) - 1)
@@ -169,14 +188,20 @@ def _long_text(seed: int, fault: str) -> str:
     return text if rng.random() < 0.8 else text[:-1]
 
 
-@pytest.mark.parametrize("fault", FAULTS)
+@pytest.mark.parametrize("fault, ordered", [
+    *(pytest.param(fault, False, id=fault) for fault in FAULTS),
+    *(pytest.param(fault, True, id=f"{fault}, sorted") for fault in FAULTS + ORDERED_FAULTS),
+])
 @pytest.mark.parametrize("seed", range(3))
-def test_long_texts_parse_as_before(seed, fault):
-    text = _long_text(seed * len(FAULTS) + FAULTS.index(fault), fault)
+def test_long_texts_parse_as_before(seed, fault, ordered):
+    kind = (FAULTS + ORDERED_FAULTS).index(fault)
+    text = _long_text(seed * len(FAULTS) + kind, fault, ordered)
     assert len(text) > 2 * instances._PIECE
     outcome = _assert_same(text)
     if fault in ("comment", "tab", "blank", "crlf", "none"):
         assert not isinstance(outcome, tuple)  # these texts are valid
+    elif fault in ORDERED_FAULTS:
+        assert "duplicate edge" in outcome[1]
 
 
 @pytest.mark.parametrize("bound", [1_000, 4_400, 5_000])

@@ -462,6 +462,8 @@ def test_check_core_reads_a_fraction_array_as_its_fractions():
     ([1, 1, -1], [3, 3, 3], Fraction(2, 3), "imputation entries must be nonnegative"),
     ([1, 1, 1], [3, 3, 3], 0.5, "0.5 is not an int or a Fraction"),
     ([1, 1, 1], [3, 3, 3], Fraction(3, 2), "alpha must be in (0, 1]"),
+    ([1, 1, 1], [-1, 1, 1], Fraction(2, 3), "imputation denominators must be positive"),
+    ([1, 1, 1], [0, 1, 1], Fraction(2, 3), "imputation denominators must be positive"),
 ])
 def test_check_core_checks_a_fraction_array(nums, dens, alpha, message):
     with pytest.raises(ValueError) as err:

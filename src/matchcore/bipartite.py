@@ -15,7 +15,7 @@ scale. That convention removes every fraction from the solver.
 The doubled graph is never listed edge by edge: left copy i' is
 adjacent to j'' exactly when i and j are neighbors, so the kernel's
 row i holds i's neighbours. `double_graph` fills the rows straight
-from the edge list, in one pass over the edges by falling weight that
+from the edge columns, in one pass over the edges by falling weight that
 leaves every row by falling weight, the order in which the kernel can
 stop reading a row once its weights are too small to matter.
 
@@ -71,15 +71,19 @@ class PrimalDualCertificate(NamedTuple):
 def double_graph(g: GameInstance) -> DoubledGraph:
     """Split every vertex into a left/right pair of half-weight copies.
 
-    One stable sort of the edges by falling weight, then one pass that
-    appends each edge to both its rows and stops at the first zero
-    weight. Every row comes out by falling weight without a per-row
-    sort.
+    One stable sort of the edge indices by falling weight, a C-level
+    gather of the edge columns in that order, then one pass that appends
+    each edge to both its rows and stops at the first zero weight. Every
+    row comes out by falling weight without a per-row sort.
     """
     n = g.vertex_count
     rights: list[list[int]] = [[] for _ in range(n)]
     weights: list[list[int]] = [[] for _ in range(n)]
-    for (u, v, w) in sorted(g.edges, key=itemgetter(2), reverse=True):
+    us, vs, ws = g.us, g.vs, g.ws
+    if len(ws) > 1:  # one edge is in order; `itemgetter` of one index gives no tuple
+        us, vs, ws = map(itemgetter(*sorted(range(len(ws)), key=ws.__getitem__, reverse=True)),
+                         (us, vs, ws))  # the sorted indices are freed before the rows grow
+    for (u, v, w) in zip(us, vs, ws):
         if not w:
             break  # the rest weigh 0 too
         rights[u].append(v)
@@ -135,7 +139,7 @@ def check_certificate(g: GameInstance, cert: PrimalDualCertificate) -> list[str]
     # Each matched pair is an edge copy at most once, in a simple graph.
     is_edge = [False] * n  # is_edge[i]: (i', match_l[i]'') is a doubled edge
     problems = []
-    for (i, j, w) in g.edges:  # the copies (i', j'') and (j', i''), in that order
+    for (i, j, w) in zip(g.us, g.vs, g.ws):  # the copies (i', j'') and (j', i''), in that order
         reduced = u[i] + v[j] - w
         if reduced < 0:
             problems.append(f"dual infeasible on edge ({i}, {n + j}): short by {-reduced}")

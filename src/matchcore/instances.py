@@ -26,8 +26,9 @@ about 64 Ki characters. A piece made only of canonical edge lines
 (`e U V W` in ASCII, each ending in "\n", as `serialize_instance`
 writes them) is read and checked as whole columns; any other piece,
 and any piece whose columns fail a check, is read and checked one
-line at a time. Which texts are accepted, and the line and text of
-each rejection, do not depend on the path a piece takes.
+line at a time; either path extends the instance's edge columns. Which
+texts are accepted, and the line and text of each rejection, do not
+depend on the path a piece takes.
 """
 
 import random
@@ -85,20 +86,20 @@ class _BadEdge(ValueError):
         self.first = first
 
 
-def _normalized_edges(n: int, edges, normalized: list[Edge], seen: set[int]) -> None:
-    """Check every edge in input order and append it to `normalized`
-    with `u < v`; `seen` holds `u * n + v` of every pair in `normalized`.
+def _normalized_edges(n: int, edges, cols: tuple, seen: set[int]) -> None:
+    """Check every edge in input order and append it to `cols`, `(us, vs,
+    ws)`, with `u < v`; `seen` holds `u * n + v` of every pair in `cols`,
+    or is empty while they rise, until the first edge checked builds it.
 
     The one place where edges are checked one at a time; raises
     `_BadEdge` at the first edge that fails, its index counted from the
-    start of `normalized`: a non-`int` endpoint or weight, a negative
+    start of `cols`: a non-`int` endpoint or weight, a negative
     weight, an endpoint outside `range(n)`, a self-loop or a repeated
     vertex pair. Each edge is checked as soon as `edges` yields it, so a
-    generator's later items are never read past a bad one. An edge that
-    already is a plain `tuple` with `u < v` is stored as given, so a
-    parsed instance holds one tuple per edge.
+    generator's later items are never read past a bad one.
     """
-    for idx, edge in enumerate(edges, start=len(normalized)):
+    us, vs, ws = cols
+    for idx, edge in enumerate(edges, start=len(us)):
         u, v, w = edge
         # `type(x) is int` also rules out `bool`, an `int` subclass
         if type(u) is not int or type(v) is not int:
@@ -114,12 +115,15 @@ def _normalized_edges(n: int, edges, normalized: list[Edge], seen: set[int]) -> 
         if u > v:
             u, v = v, u
         key = u * n + v  # one int per pair, as 0 <= u < v < n
+        if not seen:
+            seen.update(map(add, map(mul, us, repeat(n)), vs))
         if key in seen:
-            first = next(i for i, (a, b, _) in enumerate(normalized) if a == u and b == v)
+            first = next(i for i, (a, b) in enumerate(zip(us, vs)) if a == u and b == v)
             raise _BadEdge(idx, "duplicate", f"duplicate edge ({u}, {v})", edge, first)
         seen.add(key)
-        # a reversed edge, a list or a tuple subclass becomes a plain tuple
-        normalized.append(edge if type(edge) is tuple and edge[0] == u else (u, v, w))
+        us.append(u)
+        vs.append(v)
+        ws.append(w)
 
 
 class GameInstance:
@@ -128,21 +132,33 @@ class GameInstance:
     The vertex count, endpoints and weights must be `int`s; anything
     else (a float, a `bool`, a `Fraction`) is rejected rather than
     rounded. Vertex ids are 0-based and dense in `range(vertex_count)`.
-    Edges are stored with endpoints normalized to `u < v`. The
-    attributes are read-only, so an instance is safe to share between
-    threads; `name` takes no part in `==` or the hash.
+    Edge k is held in three columns, as its ends `us[k] < vs[k]` and its
+    weight `ws[k]`, plain lists that are the instance's own: read them,
+    never change them. `edges` builds the `(u, v, w)` tuples on each
+    call. The attributes are read-only, so an instance is safe to share
+    between threads; `name` takes no part in `==` or the hash.
+
+    A tuple or list of plain tuples is checked as columns, like parsed
+    lines (`_take_tuples`); other edges one at a time (`_normalized_edges`).
     """
 
-    __slots__ = ("vertex_count", "edges", "name")
+    __slots__ = ("vertex_count", "us", "vs", "ws", "name")
 
     def __init__(self, vertex_count: int, edges: Iterable[Edge], name: str | None = None):
         if type(vertex_count) is not int:
             raise ValueError(f"vertex_count is not an int: {vertex_count!r}")
         if vertex_count < 0:
             raise ValueError("vertex_count must be nonnegative")
-        normalized: list[Edge] = []
-        _normalized_edges(vertex_count, edges, normalized, set())
-        _fill(self, vertex_count, tuple(normalized), name)
+        cols: tuple[list[int], list[int], list[int]] = ([], [], [])  # us, vs, ws
+        seen: set[int] = set()  # empty while the pairs of `cols` rise
+        if type(edges) in (tuple, list):
+            for start in range(0, len(edges), _EDGE_PIECE):
+                piece = edges[start:start + _EDGE_PIECE]
+                if not _take_tuples(vertex_count, piece, cols, seen):
+                    _normalized_edges(vertex_count, piece, cols, seen)
+        else:
+            _normalized_edges(vertex_count, edges, cols, seen)
+        _fill(self, vertex_count, *cols, name)
 
     def __setattr__(self, attr, value):
         raise AttributeError(f"cannot assign to field {attr!r}")
@@ -156,26 +172,41 @@ class GameInstance:
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        return self.vertex_count == other.vertex_count and self.edges == other.edges
+        return (self.vertex_count == other.vertex_count and self.us == other.us
+                and self.vs == other.vs and self.ws == other.ws)
 
     def __hash__(self):
-        return hash((self.vertex_count, self.edges))
+        return hash((self.vertex_count, tuple(self.us), tuple(self.vs), tuple(self.ws)))
 
     def __repr__(self):
         return (f"GameInstance(vertex_count={self.vertex_count!r}, "
                 f"edges={self.edges!r}, name={self.name!r})")
 
     @property
+    def edges(self) -> tuple[Edge, ...]:
+        return tuple(zip(self.us, self.vs, self.ws))
+
+    @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return len(self.us)
 
 
-def _fill(g: GameInstance, vertex_count: int, edges: tuple[Edge, ...], name) -> GameInstance:
-    """Set the read-only fields of `g`, whose edges are already checked."""
-    init = object.__setattr__
-    init(g, "vertex_count", vertex_count)
-    init(g, "edges", edges)
-    init(g, "name", name)
+_EDGE_PIECE = 1 << 12  # edges `GameInstance` checks as columns at a time
+
+
+def _take_tuples(n: int, piece, cols, seen: set[int]) -> bool:
+    """`_take_columns` on a piece of plain `(u, v, w)` tuples of ints, ends in range; else False."""
+    if set(map(type, piece)) != {tuple} or set(map(len, piece)) != {3}:
+        return False
+    us, vs, ws = zip(*piece)
+    return (set(map(type, chain(us, vs, ws))) == {int} and min(us) >= 0 and min(vs) >= 0
+            and max(us) < n and max(vs) < n and _take_columns(n, us, vs, ws, cols, seen))
+
+
+def _fill(g: GameInstance, *fields) -> GameInstance:
+    """Set the read-only fields of `g`, in `__slots__` order; its columns are checked."""
+    for attr, value in zip(GameInstance.__slots__, fields):
+        object.__setattr__(g, attr, value)
     return g
 
 
@@ -190,7 +221,8 @@ def parse_instance(text: str) -> GameInstance:
     of about `_PIECE` characters. A piece made only of canonical edge
     lines (`e U V W` in ASCII with "\\n" line ends, as
     `serialize_instance` writes them) arrives as three columns that
-    are checked whole (`_take_columns`). Any other piece is read one
+    are checked whole and extend the instance's columns
+    (`_take_columns`). Any other piece is read one
     line at a time by `_line_records`, the header's reader too; its
     edges, and those of any columns that fail a check, are checked one
     at a time, in file order, by `_normalized_edges`, the only code
@@ -202,8 +234,8 @@ def parse_instance(text: str) -> GameInstance:
 
     While the keys `u * n + v` of the pairs rise, no pair can repeat,
     and `seen`, the set of keys the duplicate check needs, stays empty.
-    It is built from `edges` at the first piece of columns whose keys
-    do not rise, or at the first edge that the line reader yields.
+    It is built from the columns at the first piece of columns whose
+    keys do not rise, or at the first edge that the line reader yields.
 
     A header past `MAX_VERTICES` or `MAX_EDGES` raises `BoundExceeded`
     before any edge is read, and so does an edge line past the
@@ -213,22 +245,17 @@ def parse_instance(text: str) -> GameInstance:
     records = _records(text)
     n, m, header_line = next(records)
     _check_bounds(f"line {header_line}: header declares", n, m)
-    edges: list[Edge] = []
-    seen: set[int] = set()  # empty while the pairs of `edges` rise
+    cols: tuple[list[int], list[int], list[int]] = ([], [], [])
+    seen: set[int] = set()  # empty while the pairs of `cols` rise
     try:
         for batch in records:
-            room = MAX_EDGES + 1 - len(edges)
+            room = MAX_EDGES + 1 - len(cols[0])
             if type(batch) is tuple:  # the columns of a piece of canonical lines
-                if len(batch[0]) < room and _take_columns(n, *batch, edges, seen):
+                if len(batch[0]) < room and _take_columns(n, *batch, cols, seen):
                     continue
                 batch = zip(*batch)
-            batch = islice(batch, room)
-            first = next(batch, None)  # None if the lines hold no edge
-            if first is not None:
-                if not seen:  # the order proof ends at the line reader's first edge
-                    seen.update(u * n + v for (u, v, _) in edges)
-                _normalized_edges(n, chain((first,), batch), edges, seen)
-            if len(edges) > MAX_EDGES:
+            _normalized_edges(n, islice(batch, room), cols, seen)
+            if len(cols[0]) > MAX_EDGES:
                 break
     except _BadEdge as bad:
         u, v, w = bad.edge
@@ -243,7 +270,7 @@ def parse_instance(text: str) -> GameInstance:
             reason = (f"duplicate edge ({u + 1}, {v + 1}), "
                       f"first seen at line {_edge_line(text, bad.first)[0]}")
         raise InstanceFormatError(lineno, reason) from None
-    count = len(edges)
+    count = len(cols[0])
     if count > MAX_EDGES:
         raise BoundExceeded(f"line {_edge_line(text, MAX_EDGES)[0]}: more than "
                             f"{MAX_EDGES} edge lines, above the bound")
@@ -253,40 +280,35 @@ def parse_instance(text: str) -> GameInstance:
     if count < m:
         raise InstanceFormatError(
             header_line, f"header declares {m} edges but {count} found")
-    return _fill(GameInstance.__new__(GameInstance), n, tuple(edges), None)
+    return _fill(GameInstance.__new__(GameInstance), n, *cols, None)
 
 
-def _take_columns(n: int, us: list[int], vs: list[int], ws: list[int],
-                  edges: list[Edge], seen: set[int]) -> bool:
-    """Append the edges of columns from `_columns` to `edges`, with
-    `u < v`, if they pass every check of `_normalized_edges`; tell
-    whether they did.
+def _take_columns(n: int, us, vs, ws, cols: tuple, seen: set[int]) -> bool:
+    """Extend `cols` by columns of ints, ends in `range(n)`, with `u < v`,
+    if they pass every check of `_normalized_edges`; tell whether they did.
 
-    Each check runs on whole columns. Ids are already in range; a
-    negative weight, a self-loop or a repeated pair leaves `edges` as
-    it was, for the line-by-line check to name the first fault. While
-    `seen` is empty the pairs of `edges` rise, and a piece whose keys
-    rise strictly from above the last edge's is taken with no set;
-    else `seen` is built from `edges` and must take every key.
+    Each check runs on whole columns. A negative weight, a self-loop or
+    a repeated pair leaves `cols` as it was, for the one-at-a-time check
+    to name the first fault. While `seen` is empty the pairs of `cols`
+    rise, and a piece whose keys rise strictly from above the last
+    pair's is taken with no set; else `seen` is built from `cols` and
+    must take every key.
     """
     if min(ws) < 0 or any(map(eq, us, vs)):
         return False
     if any(map(gt, us, vs)):  # reversed pairs, swapped in bulk
         us, vs = list(map(min, us, vs)), list(map(max, us, vs))
     keys = list(map(add, map(mul, us, repeat(n)), vs))  # the keys `_normalized_edges` keeps
-    if not seen:  # every pair so far rises
-        last = edges[-1][0] * n + edges[-1][1] if edges else -1
-        if last < keys[0] and all(map(lt, keys, islice(keys, 1, None))):
-            edges.extend(zip(us, vs, ws))
-            return True
-        seen.update(u * n + v for (u, v, _) in edges)
-    before = len(seen)
-    seen.update(keys)
-    if len(seen) != before + len(us):  # a repeated pair: `seen` keeps `edges`' keys only
-        seen.clear()
-        seen.update(u * n + v for (u, v, _) in edges)
-        return False
-    edges.extend(zip(us, vs, ws))
+    last = cols[0][-1] * n + cols[1][-1] if cols[0] else -1
+    if seen or not (last < keys[0] and all(map(lt, keys, islice(keys, 1, None)))):
+        if not seen:  # the first pair out of order ends the order proof
+            seen.update(map(add, map(mul, cols[0], repeat(n)), cols[1]))
+        fresh = set(keys)
+        if len(fresh) != len(keys) or not seen.isdisjoint(fresh):  # a repeated pair
+            return False
+        seen.update(fresh)
+    for col, new in zip(cols, (us, vs, ws)):
+        col.extend(new)
     return True
 
 
@@ -468,7 +490,7 @@ def serialize_instance(g: GameInstance) -> str:
     """
     lines = [f"# {piece}" for piece in (g.name or "").splitlines()]
     lines.append(f"p mg {g.vertex_count} {g.edge_count}")
-    for (u, v, w) in g.edges:
+    for (u, v, w) in zip(g.us, g.vs, g.ws):
         lines.append(f"e {u + 1} {v + 1} {w}")
     return "\n".join(lines) + "\n"
 

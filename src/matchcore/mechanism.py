@@ -240,11 +240,11 @@ def check_payout(folded, pay, scale: int, matching, matching_weight: int) -> lis
     """
     problems = []
     total = 0
-    used = set()
+    used = [False] * len(folded.match)
     for (a, b) in matching:
-        if a in used or b in used:
+        if used[a] or used[b]:
             problems.append(f"output edges are not a matching at ({a}, {b})")
-        used.update((a, b))
+        used[a] = used[b] = True
         if folded.match[a] == b:
             total += folded.weight[a]
         elif folded.match[b] == a:

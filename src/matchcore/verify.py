@@ -142,7 +142,7 @@ def worth_bruteforce(g: GameInstance, coalition: Iterable[int] | None = None,
     floats, which would match vertices by value).
     """
     if coalition is None:
-        inside = iter(g.edges)
+        inside = zip(g.us, g.vs, g.ws)
     else:
         given = tuple(coalition)
         for i in given:  # before any set: {1, True} == {1}
@@ -151,7 +151,7 @@ def worth_bruteforce(g: GameInstance, coalition: Iterable[int] | None = None,
             if not (0 <= i < g.vertex_count):
                 raise ValueError(f"vertex {i} outside the instance")
         members = set(given)
-        inside = ((u, v, w) for (u, v, w) in g.edges if u in members and v in members)
+        inside = (e for e in zip(g.us, g.vs, g.ws) if e[0] in members and e[1] in members)
     sub = _positive_edges(inside, max_edges)
     if sub is None:  # `inside` is left past the edge over the bound
         count = max(max_edges + 1, 0) + sum(1 for e in inside if e[2])
@@ -224,7 +224,7 @@ def coalition_worth_table(g: GameInstance) -> list[int]:
     """
     n = g.vertex_count
     _check_size(n)
-    nb = _field_bytes(sum(w for (_, _, w) in g.edges))
+    nb = _field_bytes(sum(g.ws))
     store = _worth_store(_lower_neighbours(g, 1), nb)
     return [int.from_bytes(store[i:i + nb], "little") for i in range(0, len(store), nb)]
 
@@ -261,7 +261,7 @@ def _read(store: bytes, nb: int, start: int, size: int) -> int:
 def _lower_neighbours(g: GameInstance, k: int) -> list[list[tuple[int, int]]]:
     """Per vertex v, its neighbours u < v with k times the edge's weight."""
     lower: list[list[tuple[int, int]]] = [[] for _ in range(g.vertex_count)]
-    for (u, v, w) in g.edges:  # normalized: u < v
+    for (u, v, w) in zip(g.us, g.vs, g.ws):  # normalized: u < v
         lower[v].append((u, k * w))
     return lower
 
@@ -435,7 +435,7 @@ def check_core(g: GameInstance, c: Sequence[Fraction], alpha: Fraction,
     elif mode == "edges":
         violations, tight, worst = _edge_pass(g, ci, alpha, scale)
         checked = g.edge_count
-        grand = None if _positive_edges(g.edges) is None else worth_bruteforce(g)
+        grand = None if _positive_edges(zip(g.us, g.vs, g.ws)) is None else worth_bruteforce(g)
     else:
         raise ValueError(f"unknown mode: {mode!r}")
     return CoalitionReport(
@@ -461,7 +461,7 @@ def _exhaustive(g: GameInstance, bci: list[int], k: int, den: int) -> tuple[
     n = g.vertex_count
     if n == 0:  # the empty coalition: worth 0, paid 0
         return (), (), 0
-    nb = _field_bytes(k * sum(w for (_, _, w) in g.edges), sum(bci))
+    nb = _field_bytes(k * sum(g.ws), sum(bci))
     bits = 8 * nb
     lower = _lower_neighbours(g, k)
     top = n - 1
@@ -522,7 +522,7 @@ def _edge_pass(g: GameInstance, ci: list[int], alpha: Fraction, scale: int) -> t
     violations = []
     tight = []
     worst_num, worst_den = 1, 0  # 1/0 stands above every ratio
-    for (i, j, worth) in g.edges:
+    for (i, j, worth) in zip(g.us, g.vs, g.ws):
         x = ci[i] + ci[j]
         lhs, rhs = b * x, a_scale * worth
         if lhs < rhs:
@@ -545,7 +545,7 @@ def integrality_gap(g: GameInstance, max_edges: int = DEFAULT_MAX_EDGES) -> GapR
     and nu enumerated from a checked matching's weight up to floor(tau)
     (`_integral_optimum`). The core is nonempty exactly if nu = tau.
     """
-    positive = _positive_edges(g.edges, max_edges)
+    positive = _positive_edges(zip(g.us, g.vs, g.ws), max_edges)
     if positive is None:
         return GapReport(None, Fraction(solve_bipartite(double_graph(g)).total_dual(), 2),
                          None, None)
@@ -566,7 +566,7 @@ def _integral_optimum(g: GameInstance, positive: list[tuple[int, int, int]],
     the weight in g of `matching`, once its pairs are checked to be
     disjoint edges (u, v), u < v, of g, up to `stop`, floor(tau)."""
     pairs = set(matching)
-    weights = [w for (u, v, w) in g.edges if (u, v) in pairs]
+    weights = [w for (u, v, w) in zip(g.us, g.vs, g.ws) if (u, v) in pairs]
     if len(weights) != len(matching) or len({x for p in pairs for x in p}) != 2 * len(pairs):
         raise InvariantViolation(f"backing matching {matching} is not a matching of g")
     return _max_matching_recursive(positive, sum(weights), stop)
@@ -591,7 +591,7 @@ def odd_girth(g: GameInstance) -> int | None:
     """
     n = g.vertex_count
     adj: list[list[int]] = [[] for _ in range(n)]
-    for (u, v, _) in g.edges:
+    for (u, v) in zip(g.us, g.vs):
         adj[u].append(v)
         adj[v].append(u)
     # One level array serves every search. -1 marks a vertex no search

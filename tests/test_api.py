@@ -1,15 +1,18 @@
 """The package's public names: all resolve, and removed ones stay gone."""
 
 import copy
+import json
 import pickle
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import matchcore
-from matchcore import GameInstance, halfint, mechanism, rationals
+from matchcore import GameInstance, gen_random, halfint, mechanism, rationals
+from matchcore.cli import main
 
 
 def test_every_exported_name_resolves():
@@ -47,6 +50,53 @@ def test_fold_keeps_no_per_edge_entries():
 def test_instance_has_no_adjacency_lists():
     # `double_graph` fills its rows straight from the edge list
     assert not hasattr(GameInstance, "adjacency")
+
+
+@pytest.fixture
+def files(tmp_path):
+    """An instance whose payout scales an odd cycle (factor 2/3), with
+    20 positive edges, so `gap` enumerates; the instance, its file and
+    the path for its payout."""
+    g = gen_random(10, Fraction(1, 2), 9, seed=4)
+    path = tmp_path / "g.mg"
+    path.write_text(matchcore.serialize_instance(g))
+    return g, str(path), str(tmp_path / "g.json")
+
+
+@pytest.mark.parametrize("operation", [
+    "solve", "verify edges", "verify exhaustive", "gap", "guaranteed_alpha",
+    "serialize_instance",
+])
+def test_shipped_code_reads_the_columns_not_the_edges_view(monkeypatch, capsys, files, operation):
+    # `edges` builds a tuple per edge on each call; it is there for callers
+    g, path, payout = files
+    assert main(["solve", path, "--json", "--check"]) == 0
+    solved = capsys.readouterr().out
+    with open(payout, "w") as fh:
+        fh.write(solved)
+    alpha = json.loads(solved)["factor_guarantee"]
+    assert Fraction(alpha) < 1
+
+    def no_view(self):
+        raise AssertionError("the edges view was read")
+
+    monkeypatch.setattr(GameInstance, "edges", property(no_view))
+    with pytest.raises(AssertionError, match="the edges view was read"):
+        g.edges
+    if operation == "solve":
+        assert main(["solve", path, "--json", "--check"]) == 0
+        assert capsys.readouterr().out == solved
+    elif operation.startswith("verify"):
+        mode = operation.split()[1]
+        assert main(["verify", path, payout, "--alpha", alpha, "--mode", mode]) == 0
+    elif operation == "gap":
+        assert main(["gap", path]) == 0
+        assert "core" in capsys.readouterr().out
+    elif operation == "guaranteed_alpha":
+        assert matchcore.guaranteed_alpha(g) == Fraction(2, 3)
+    else:
+        with open(path) as fh:
+            assert matchcore.serialize_instance(g) == fh.read()
 
 
 def test_import_loads_no_dataclasses_or_inspect():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from matchcore import instances
 from matchcore.errors import InstanceFormatError
 from matchcore.instances import (
     GameInstance,
@@ -225,8 +226,10 @@ def test_instance_stores_plain_tuples_with_u_below_v():
         assert g.edges == plain
         assert g == GameInstance(3, plain)
         assert all(type(e) is tuple and e[0] < e[1] for e in g.edges)
-    # a plain tuple that needs no change is stored as given, not copied
-    assert all(a is b for a, b in zip(GameInstance(3, plain).edges, plain))
+        # held as three plain lists of plain ints, not as the edges given
+        assert (g.us, g.vs, g.ws) == ([0, 1, 0], [1, 2, 2], [5, 7, 0])
+        assert {type(x) for col in (g.us, g.vs, g.ws) for x in col} == {int}
+        assert type(g.us) is type(g.vs) is type(g.ws) is list
 
 
 def test_serialize_empty():
@@ -281,6 +284,51 @@ def test_instance_validation():
         GameInstance(2, ((0, 2, 1),))
     with pytest.raises(ValueError, match="vertex_count must be nonnegative"):
         GameInstance(-1, ())
+
+
+def test_instance_reads_an_iterator_no_further_than_a_bad_edge():
+    read = []
+
+    def edges():
+        for e in [(0, 1, 5), (1, 1, 2), (1, 2, 3)]:
+            read.append(e)
+            yield e
+
+    with pytest.raises(ValueError, match="^self-loop at vertex 1$"):
+        GameInstance(3, edges())
+    assert read == [(0, 1, 5), (1, 1, 2)]
+    assert GameInstance(3, iter([(1, 0, 5), (1, 2, 3)])) == GameInstance(3, ((0, 1, 5), (1, 2, 3)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_instance_checks_columns_as_it_checks_each_edge(data):
+    # a tuple or list is checked in pieces of columns, an iterator one
+    # edge at a time: the same instance, or the same first fault
+    n = data.draw(st.integers(1, 7))
+    end = st.integers(0, n - 1)
+    edges = data.draw(st.lists(st.tuples(end, end, st.integers(0, 9)), max_size=12))
+    if data.draw(st.booleans()):
+        edges.sort()  # pairs in order, with self-loops, repeats and reversed pairs
+    for _ in range(data.draw(st.integers(0, 2))):
+        u, v, w = data.draw(st.tuples(end, end, st.integers(0, 9)))
+        odd = data.draw(st.sampled_from([
+            (n, v, w), (u, n, w), (-1, v, w), (u, -1, w), (u, v, -1), (True, v, w), (u, 0.0, w),
+            (u, v, 1.5), (u, v, Fraction(w)), [u, v, w]]))
+        edges.insert(data.draw(st.integers(0, len(edges))), odd)
+    given_as = data.draw(st.sampled_from([tuple, list]))
+
+    def outcome(edges):
+        try:
+            return GameInstance(n, edges)
+        except ValueError as exc:
+            return str(exc)
+
+    instances._EDGE_PIECE, piece = data.draw(st.integers(1, 5)), instances._EDGE_PIECE
+    try:
+        assert outcome(given_as(edges)) == outcome(iter(edges))
+    finally:
+        instances._EDGE_PIECE = piece
 
 
 def test_instance_equality_with_other_types():

@@ -4,40 +4,47 @@ parser's and the generators' refusals.
 The instance has the shape of the benchmark's largest `dense` file:
 G(300, 1/2) from a fixed seed, 22,569 edges with weights in
 [2^58, 2^60], so every weight is a 36-byte int outside the small-int
-cache. Each bound is a `tracemalloc` peak in bytes per edge, set
-between two measurements of this instance (Python 3.11): the code as
-it is, and the code with the per-edge copies listed below.
+cache. Each bound is a `tracemalloc` peak in bytes per edge, or what
+the parsed instance holds, set between two measurements of this
+instance (Python 3.11): the code as it is, and the code with the
+per-edge copies listed below.
 
-| stage                      | measured | bound | with the copies |
-|----------------------------|---------:|------:|----------------:|
-| `parse_instance`, in order |      124 |   180 |             246 |
-| `parse_instance`, shuffled |      247 |   360 |             445 |
-| `double_graph`             |       44 |   100 |             165 |
-| `run_pipeline`             |       44 |   110 |             161 |
-| `audit_pipeline`           |        3 |    10 |              18 |
+| stage                          | measured | bound | with the copies |
+|--------------------------------|---------:|------:|----------------:|
+| `parse_instance`, in order     |       82 |   100 |             124 |
+| held after that parse          |       60 |    70 |             105 |
+| `parse_instance`, shuffled     |      165 |   360 |             445 |
+| `GameInstance`, ordered tuples |       35 |    60 |             153 |
+| `double_graph`                 |       65 |   100 |             189 |
+| `run_pipeline`                 |       65 |   110 |             190 |
+| `audit_pipeline`               |        3 |    10 |              18 |
 
 The file lists its pairs in order; its shuffled twin holds the same
-lines in a seeded random order. The copies: for the parse in order,
-the set of vertex pairs that the shuffled parse keeps; for the
-shuffled parse, a list of every line of the text, one of every edge's
-line number and a second tuple per parsed edge (measured on the lines
-in order, whose parse then kept the set as well); one
-`(neighbour, weight)` tuple per edge end in `double_graph`; and a list
-and a tuple of 2 x_e over all m edges in the audit's fold. What
-remains of the parse in order is one tuple per edge and its numbers:
-the parser checks each piece of lines into the one list of edges that
-becomes the instance's tuple, proves the pairs distinct by their
-order, and holds at most one piece's tokens, columns and pair keys
-besides. The shuffled parse also keeps the set of vertex pairs that
-its duplicate check needs. Of `double_graph` remain its lists of
-rows, and they are also the peak of `run_pipeline`, whose trace keeps
-no fold. Of the audit remain the fold and the decomposition it
-derives from the certificate, lists and tuples of at most one entry
-per vertex.
+lines in a seeded random order. The copies: for the parse in order and
+what it holds, one `(u, v, w)` tuple per edge, as the instance was
+once stored; for the shuffled parse, a list of every line of the text,
+one of every edge's line number and a second tuple per parsed edge
+(measured when edges were stored as tuples); for `GameInstance` given
+the tuples of `gen_random`'s G(300, 1/2) in pair order, the set of
+vertex pairs that its duplicate check kept before it checked ordered
+pieces as columns; one `(neighbour, weight)` tuple per edge end in
+`double_graph`; and a list and a tuple of 2 x_e over all m edges in the
+audit's fold. What remains of the parse in order is the instance's
+three columns of ends and weights, and the weights' ints: the parser
+checks each piece of lines into those columns, proves the pairs
+distinct by their order, and holds at most one piece's tokens, columns
+and pair keys besides. The shuffled parse also keeps the set of vertex
+pairs that its duplicate check needs. Of `double_graph` remain its
+lists of rows, and at its peak the index of every edge, sorted by
+weight, and the columns gathered in that order; that is also the peak
+of `run_pipeline`, whose trace keeps no fold. Of the audit remain the
+fold and the decomposition it derives from the certificate, lists and
+tuples of at most one entry per vertex.
 """
 
 import random
 import tracemalloc
+from fractions import Fraction
 from itertools import islice
 
 import pytest
@@ -46,7 +53,7 @@ from matchcore import instances
 from matchcore.bipartite import double_graph
 from matchcore.cli import main
 from matchcore.errors import BoundExceeded, InstanceFormatError
-from matchcore.instances import gen_gap_family, gen_random, parse_instance
+from matchcore.instances import GameInstance, gen_gap_family, gen_random, parse_instance
 from matchcore.mechanism import audit_pipeline, run_pipeline
 
 
@@ -74,11 +81,31 @@ def _peak_per_edge(m: int, call, *args):
     return result, peak / m
 
 
-def test_parse_keeps_one_tuple_per_edge(dense):
+def test_parse_keeps_three_columns(dense):
     text, g, _ = dense
     parsed, per_edge = _peak_per_edge(g.edge_count, parse_instance, text)
     assert parsed == g
-    assert per_edge < 180
+    assert per_edge < 100
+
+
+def test_parsed_instance_holds_three_columns(dense):
+    text, g, _ = dense
+    tracemalloc.start()
+    try:
+        parsed = parse_instance(text)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert parsed == g
+    assert held / g.edge_count < 70
+
+
+def test_instance_from_ordered_tuples_keeps_no_set_of_pairs():
+    g = gen_random(300, Fraction(1, 2), 2**60, seed=5)
+    edges = g.edges  # in pair order, as every generator lists them
+    again, per_edge = _peak_per_edge(len(edges), GameInstance, 300, edges)
+    assert again == g
+    assert per_edge <= 60
 
 
 def test_parse_of_shuffled_lines_keeps_a_set_of_pairs(dense):

@@ -89,16 +89,20 @@ class _BadEdge(ValueError):
 def _normalized_edges(n: int, edges, cols: tuple, seen: set[int]) -> None:
     """Check every edge in input order and append it to `cols`, `(us, vs,
     ws)`, with `u < v`; `seen` holds `u * n + v` of every pair in `cols`,
-    or is empty while they rise, until the first edge checked builds it.
+    or is empty while those keys rise.
 
     The one place where edges are checked one at a time; raises
     `_BadEdge` at the first edge that fails, its index counted from the
     start of `cols`: a non-`int` endpoint or weight, a negative
     weight, an endpoint outside `range(n)`, a self-loop or a repeated
     vertex pair. Each edge is checked as soon as `edges` yields it, so a
-    generator's later items are never read past a bad one.
+    generator's later items are never read past a bad one. While the
+    keys rise no pair can repeat, so edges in pair order, as every
+    generator lists them, build no set; the first key that does not
+    rise builds `seen` from `cols`.
     """
     us, vs, ws = cols
+    last = us[-1] * n + vs[-1] if us else -1  # read only while `seen` is empty
     for idx, edge in enumerate(edges, start=len(us)):
         u, v, w = edge
         # `type(x) is int` also rules out `bool`, an `int` subclass
@@ -115,12 +119,14 @@ def _normalized_edges(n: int, edges, cols: tuple, seen: set[int]) -> None:
         if u > v:
             u, v = v, u
         key = u * n + v  # one int per pair, as 0 <= u < v < n
-        if not seen:
-            seen.update(map(add, map(mul, us, repeat(n)), vs))
-        if key in seen:
-            first = next(i for i, (a, b) in enumerate(zip(us, vs)) if a == u and b == v)
-            raise _BadEdge(idx, "duplicate", f"duplicate edge ({u}, {v})", edge, first)
-        seen.add(key)
+        if seen or key <= last:
+            if not seen:  # the first pair out of order ends the order proof
+                seen.update(map(add, map(mul, us, repeat(n)), vs))
+            if key in seen:
+                first = next(i for i, (a, b) in enumerate(zip(us, vs)) if a == u and b == v)
+                raise _BadEdge(idx, "duplicate", f"duplicate edge ({u}, {v})", edge, first)
+            seen.add(key)
+        last = key
         us.append(u)
         vs.append(v)
         ws.append(w)
@@ -133,13 +139,10 @@ class GameInstance:
     else (a float, a `bool`, a `Fraction`) is rejected rather than
     rounded. Vertex ids are 0-based and dense in `range(vertex_count)`.
     Edge k is held in three columns, as its ends `us[k] < vs[k]` and its
-    weight `ws[k]`, plain lists that are the instance's own: read them,
-    never change them. `edges` builds the `(u, v, w)` tuples on each
-    call. The attributes are read-only, so an instance is safe to share
-    between threads; `name` takes no part in `==` or the hash.
-
-    A tuple or list of plain tuples is checked as columns, like parsed
-    lines (`_take_tuples`); other edges one at a time (`_normalized_edges`).
+    weight `ws[k]`, each a tuple; `edges` builds the `(u, v, w)` tuples
+    on each call. The attributes and the columns are read-only, so an
+    instance is safe to share between threads; `name` takes no part in
+    `==` or the hash.
     """
 
     __slots__ = ("vertex_count", "us", "vs", "ws", "name")
@@ -150,15 +153,8 @@ class GameInstance:
         if vertex_count < 0:
             raise ValueError("vertex_count must be nonnegative")
         cols: tuple[list[int], list[int], list[int]] = ([], [], [])  # us, vs, ws
-        seen: set[int] = set()  # empty while the pairs of `cols` rise
-        if type(edges) in (tuple, list):
-            for start in range(0, len(edges), _EDGE_PIECE):
-                piece = edges[start:start + _EDGE_PIECE]
-                if not _take_tuples(vertex_count, piece, cols, seen):
-                    _normalized_edges(vertex_count, piece, cols, seen)
-        else:
-            _normalized_edges(vertex_count, edges, cols, seen)
-        _fill(self, vertex_count, *cols, name)
+        _normalized_edges(vertex_count, edges, cols, set())
+        _fill(self, vertex_count, cols, name)
 
     def __setattr__(self, attr, value):
         raise AttributeError(f"cannot assign to field {attr!r}")
@@ -176,7 +172,7 @@ class GameInstance:
                 and self.vs == other.vs and self.ws == other.ws)
 
     def __hash__(self):
-        return hash((self.vertex_count, tuple(self.us), tuple(self.vs), tuple(self.ws)))
+        return hash((self.vertex_count, self.us, self.vs, self.ws))
 
     def __repr__(self):
         return (f"GameInstance(vertex_count={self.vertex_count!r}, "
@@ -191,22 +187,14 @@ class GameInstance:
         return len(self.us)
 
 
-_EDGE_PIECE = 1 << 12  # edges `GameInstance` checks as columns at a time
-
-
-def _take_tuples(n: int, piece, cols, seen: set[int]) -> bool:
-    """`_take_columns` on a piece of plain `(u, v, w)` tuples of ints, ends in range; else False."""
-    if set(map(type, piece)) != {tuple} or set(map(len, piece)) != {3}:
-        return False
-    us, vs, ws = zip(*piece)
-    return (set(map(type, chain(us, vs, ws))) == {int} and min(us) >= 0 and min(vs) >= 0
-            and max(us) < n and max(vs) < n and _take_columns(n, us, vs, ws, cols, seen))
-
-
-def _fill(g: GameInstance, *fields) -> GameInstance:
-    """Set the read-only fields of `g`, in `__slots__` order; its columns are checked."""
-    for attr, value in zip(GameInstance.__slots__, fields):
-        object.__setattr__(g, attr, value)
+def _fill(g: GameInstance, n: int, cols: tuple, name: str | None) -> GameInstance:
+    """Set the read-only fields of `g`; its columns `cols`, checked, become
+    tuples one at a time, each list emptied once it is copied."""
+    object.__setattr__(g, "vertex_count", n)
+    for attr, col in zip(("us", "vs", "ws"), cols):
+        object.__setattr__(g, attr, tuple(col))
+        col.clear()
+    object.__setattr__(g, "name", name)
     return g
 
 
@@ -234,8 +222,8 @@ def parse_instance(text: str) -> GameInstance:
 
     While the keys `u * n + v` of the pairs rise, no pair can repeat,
     and `seen`, the set of keys the duplicate check needs, stays empty.
-    It is built from the columns at the first piece of columns whose
-    keys do not rise, or at the first edge that the line reader yields.
+    It is built from the columns at the first piece of columns, or the
+    first edge from the line reader, whose keys do not rise.
 
     A header past `MAX_VERTICES` or `MAX_EDGES` raises `BoundExceeded`
     before any edge is read, and so does an edge line past the
@@ -280,7 +268,7 @@ def parse_instance(text: str) -> GameInstance:
     if count < m:
         raise InstanceFormatError(
             header_line, f"header declares {m} edges but {count} found")
-    return _fill(GameInstance.__new__(GameInstance), n, *cols, None)
+    return _fill(GameInstance.__new__(GameInstance), n, cols, None)
 
 
 def _take_columns(n: int, us, vs, ws, cols: tuple, seen: set[int]) -> bool:

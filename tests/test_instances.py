@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from matchcore import instances
 from matchcore.errors import InstanceFormatError
 from matchcore.instances import (
     GameInstance,
@@ -226,10 +225,21 @@ def test_instance_stores_plain_tuples_with_u_below_v():
         assert g.edges == plain
         assert g == GameInstance(3, plain)
         assert all(type(e) is tuple and e[0] < e[1] for e in g.edges)
-        # held as three plain lists of plain ints, not as the edges given
-        assert (g.us, g.vs, g.ws) == ([0, 1, 0], [1, 2, 2], [5, 7, 0])
+        # held as three tuples of plain ints, not as the edges given
+        assert (g.us, g.vs, g.ws) == ((0, 1, 0), (1, 2, 2), (5, 7, 0))
         assert {type(x) for col in (g.us, g.vs, g.ws) for x in col} == {int}
-        assert type(g.us) is type(g.vs) is type(g.ws) is list
+        assert type(g.us) is type(g.vs) is type(g.ws) is tuple
+
+
+def test_instance_columns_cannot_be_changed():
+    g = GameInstance(3, ((0, 1, 5), (1, 2, 7)))
+    for col, value in (("us", 2), ("vs", 0), ("ws", -4)):
+        with pytest.raises(TypeError):
+            getattr(g, col)[0] = value
+        with pytest.raises(AttributeError):
+            setattr(g, col, [value])
+    assert g.edges == ((0, 1, 5), (1, 2, 7))
+    assert hash(g) == hash(GameInstance(3, ((0, 1, 5), (1, 2, 7))))
 
 
 def test_serialize_empty():
@@ -300,11 +310,35 @@ def test_instance_reads_an_iterator_no_further_than_a_bad_edge():
     assert GameInstance(3, iter([(1, 0, 5), (1, 2, 3)])) == GameInstance(3, ((0, 1, 5), (1, 2, 3)))
 
 
+def _checked_with_a_set(n, edges):
+    """The constructor's checks in input order, with a set of the pairs
+    from the first edge on: the edges `GameInstance` holds, or the text
+    of the first fault."""
+    seen, kept = set(), []
+    for (u, v, w) in edges:
+        if type(u) is not int or type(v) is not int:
+            return f"an endpoint of edge ({u!r}, {v!r}) is not an int"
+        if type(w) is not int:
+            return f"weight {w!r} on edge ({u}, {v}) is not an int"
+        if w < 0:
+            return f"negative weight on edge ({u}, {v})"
+        if not (0 <= u < n and 0 <= v < n):
+            return f"edge ({u}, {v}) out of range"
+        if u == v:
+            return f"self-loop at vertex {u}"
+        pair = (min(u, v), max(u, v))
+        if pair in seen:
+            return f"duplicate edge {pair}"
+        seen.add(pair)
+        kept.append((*pair, w))
+    return tuple(kept)
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.data())
-def test_instance_checks_columns_as_it_checks_each_edge(data):
-    # a tuple or list is checked in pieces of columns, an iterator one
-    # edge at a time: the same instance, or the same first fault
+def test_instance_proves_ordered_pairs_distinct_as_a_set_does(data):
+    # edges given as a tuple, a list or an iterator, in pair order or
+    # not: the same edges, or the same first fault, as a set of pairs
     n = data.draw(st.integers(1, 7))
     end = st.integers(0, n - 1)
     edges = data.draw(st.lists(st.tuples(end, end, st.integers(0, 9)), max_size=12))
@@ -316,19 +350,12 @@ def test_instance_checks_columns_as_it_checks_each_edge(data):
             (n, v, w), (u, n, w), (-1, v, w), (u, -1, w), (u, v, -1), (True, v, w), (u, 0.0, w),
             (u, v, 1.5), (u, v, Fraction(w)), [u, v, w]]))
         edges.insert(data.draw(st.integers(0, len(edges))), odd)
-    given_as = data.draw(st.sampled_from([tuple, list]))
-
-    def outcome(edges):
-        try:
-            return GameInstance(n, edges)
-        except ValueError as exc:
-            return str(exc)
-
-    instances._EDGE_PIECE, piece = data.draw(st.integers(1, 5)), instances._EDGE_PIECE
+    given_as = data.draw(st.sampled_from([tuple, list, iter]))
     try:
-        assert outcome(given_as(edges)) == outcome(iter(edges))
-    finally:
-        instances._EDGE_PIECE = piece
+        outcome = GameInstance(n, given_as(edges)).edges
+    except ValueError as exc:
+        outcome = str(exc)
+    assert outcome == _checked_with_a_set(n, edges)
 
 
 def test_instance_equality_with_other_types():

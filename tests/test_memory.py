@@ -12,9 +12,9 @@ per-edge copies listed below.
 | stage                          | measured | bound | with the copies |
 |--------------------------------|---------:|------:|----------------:|
 | `parse_instance`, in order     |       82 |   100 |             124 |
-| held after that parse          |       60 |    70 |             105 |
+| held after that parse          |       57 |    70 |             105 |
 | `parse_instance`, shuffled     |      165 |   360 |             445 |
-| `GameInstance`, ordered tuples |       35 |    60 |             153 |
+| `GameInstance`, ordered tuples |       34 |    60 |             153 |
 | `double_graph`                 |       65 |   100 |             189 |
 | `run_pipeline`                 |       65 |   110 |             190 |
 | `audit_pipeline`               |        3 |    10 |              18 |
@@ -26,12 +26,13 @@ once stored; for the shuffled parse, a list of every line of the text,
 one of every edge's line number and a second tuple per parsed edge
 (measured when edges were stored as tuples); for `GameInstance` given
 the tuples of `gen_random`'s G(300, 1/2) in pair order, the set of
-vertex pairs that its duplicate check kept before it checked ordered
-pieces as columns; one `(neighbour, weight)` tuple per edge end in
+vertex pairs that its duplicate check kept before it proved ordered
+pairs distinct by their order; one `(neighbour, weight)` tuple per edge end in
 `double_graph`; and a list and a tuple of 2 x_e over all m edges in the
 audit's fold. What remains of the parse in order is the instance's
 three columns of ends and weights, and the weights' ints: the parser
-checks each piece of lines into those columns, proves the pairs
+checks each piece of lines into three lists, which become the
+instance's tuples one at a time at the end, proves the pairs
 distinct by their order, and holds at most one piece's tokens, columns
 and pair keys besides. The shuffled parse also keeps the set of vertex
 pairs that its duplicate check needs. Of `double_graph` remain its

@@ -126,8 +126,9 @@ FAULTS = ["token", "digit", "plus", "underscore", "duplicate", "negative",
 # Faults of texts sorted by pair, each a duplicate edge: the last pair
 # of a piece repeated as the first line of the next; a piece that steps
 # back to a pair of the first piece, then rises again; the same after
-# a comment line, past at least two pieces.
-ORDERED_FAULTS = ["boundary repeat", "step back", "comment, step back"]
+# a comment line, past at least two pieces; a comment line that opens
+# the second piece, then the first piece's last pair again.
+ORDERED_FAULTS = ["boundary repeat", "step back", "comment, step back", "comment, repeat"]
 
 
 def _long_text(seed: int, fault: str, ordered: bool = False) -> str:
@@ -141,6 +142,9 @@ def _long_text(seed: int, fault: str, ordered: bool = False) -> str:
         at = rng.choice(ends[:-1])  # the last line of a piece with one after it
         if fault == "boundary repeat":
             lines[at + 1] = lines[at]
+        elif fault == "comment, repeat":  # read one line at a time from the comment
+            lines[ends[0] + 1] = lines[ends[0]]
+            lines.insert(ends[0] + 1, "# a comment opens the second piece")
         else:
             if fault == "comment, step back":
                 at = ends[1] + rng.randint(1, 20)

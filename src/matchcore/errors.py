@@ -21,9 +21,9 @@ class InvariantViolation(MatchcoreError):
     """An internal exactness invariant failed.
 
     These checks guard identities that hold for every optimal solution
-    (strong duality, equal-weight alternating matchings, per-cycle cover
-    identities). A violation always indicates a bug upstream, never bad
-    user input, so it is raised as a hard failure.
+    (strong duality, per-cycle cover identities, the payouts' budget).
+    A violation always indicates a bug upstream, never bad user input,
+    so it is raised as a hard failure.
     """
 
 
@@ -32,6 +32,7 @@ class BoundExceeded(MatchcoreError):
 
     `parse_instance` and the generators refuse an instance past
     `instances.MAX_VERTICES` or `instances.MAX_EDGES` before building
-    it. The exhaustive oracles are exponential by design and refuse
-    past their bounds rather than silently approximate.
+    it, and `GameInstance` a vertex count past `MAX_VERTICES`. The
+    exhaustive oracles are exponential by design and refuse past their
+    bounds rather than silently approximate.
     """

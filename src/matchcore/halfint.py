@@ -10,23 +10,22 @@ Each matched copy i' - j'' adds 1/2 to x_ij. The fold keeps these pairs,
 and nothing after it reads the instance's edge list.
 
 Edges at value 1/2 form disjoint paths and cycles. Each path or even
-cycle is a 50/50 blend of its two alternating matchings, which must be
-of equal weight at an optimum. `decompose_components` takes the mutual
-pairs, the edges at x = 1, in one pass, then walks the half-edges
-once: it replaces each such blend with one of its matchings and
-records the rest, vertex-disjoint odd cycles, in the same pass.
-Every odd cycle C satisfies two exact identities used downstream: its
-edge weight w_C equals twice its cover value v_C, and the cover on C is
-uniquely determined, vertex by vertex, by the alternating matchings of
-C. The cover is stored doubled, as ints on the doubled graph's
-half-unit scale.
+cycle is a 50/50 blend of its two alternating matchings, which weigh
+the same at an optimum. `decompose_components` takes the mutual pairs,
+the edges at x = 1, in one pass, then walks the half-edges once: it
+replaces each such blend with one of its matchings and records the
+rest, vertex-disjoint odd cycles, in the same pass; the certificate
+proves what it takes on trust. Every odd cycle C satisfies two exact
+identities used downstream: its edge weight w_C equals twice its cover
+value v_C, and the cover on C is uniquely determined, vertex by vertex,
+by the alternating matchings of C. The cover is stored doubled, as
+ints on the doubled graph's half-unit scale.
 """
 
 from itertools import chain
 from typing import NamedTuple
 
 from .bipartite import PrimalDualCertificate
-from .errors import InvariantViolation
 
 
 class HalfIntegralSolution(NamedTuple):
@@ -89,22 +88,27 @@ def decompose_components(s: HalfIntegralSolution) -> FractionalComponents:
     one in, and the pairs form vertex-disjoint runs and cycles: no
     vertex has three half-edges or lies on two components. A mutual pair
     is a 2-cycle of two halves and resolves to its edge like any even
-    cycle: one pass takes each pair of equal halves and marks its ends
-    seen. One walker takes the rest, a pair of unequal halves too, so
-    faults come in walk order. It follows the injection forward, or
-    backward through its inverse, marking each vertex seen. Runs go
-    first, each from its lowest-id end; then each cycle from its
-    lowest-id vertex toward that vertex's lower-id neighbor. A run or an
-    even cycle becomes its first alternating matching in walk order,
-    which keeps the matching weight (its two matchings weigh the same);
-    an odd cycle is reported in that order and checked against the exact
-    identity w_C = 2 v_C.
+    cycle: one pass takes every such pair and marks its ends seen. One
+    walker takes the rest. It follows the injection forward, or backward
+    through its inverse, marking each vertex seen. Runs go first, each
+    from its lowest-id end; then each cycle from its lowest-id vertex
+    toward that vertex's lower-id neighbor. A run or an even cycle
+    becomes its first alternating matching in walk order, and an odd
+    cycle is reported in that order.
+
+    `s` must be the fold of a certificate that passed `check_certificate`,
+    which proves what the walk takes on trust. Both copies of a mutual
+    pair are tight on one edge, so its two halves weigh the same. The
+    fold is optimal, so the cover is tight on every half-edge and is 0
+    at a run's ends; the alternating sum of a run's or an even cycle's
+    weights telescopes to 0, so its two alternating matchings weigh the
+    same. `check_cycle`'s per-vertex identities sum to w_C = 2 v_C, the
+    sum of `v2` on an odd cycle, so every run still asserts it.
     """
     match, weight = s.match, s.weight
     n = len(match)
-    # mutual pairs of equal halves, at x = 1; the walker takes the rest
-    integral = [(i, j, weight[j]) for i, j in enumerate(match)
-                if i < j and match[j] == i and weight[i] == weight[j]]
+    # mutual pairs, at x = 1; the walker takes the rest
+    integral = [(i, j, weight[j]) for i, j in enumerate(match) if i < j and match[j] == i]
     seen = [False] * n
     for i, j, _ in integral:
         seen[i] = seen[j] = True
@@ -132,17 +136,8 @@ def decompose_components(s: HalfIntegralSolution) -> FractionalComponents:
         if len(weights) == len(verts) and len(verts) % 2:
             cycles.append(OddCycle(tuple(verts), len(verts) // 2, tuple(weights), sum(weights)))
             continue
-        keep, drop = sum(weights[0::2]), sum(weights[1::2])
-        if keep != drop:
-            raise InvariantViolation(
-                f"alternating matchings differ in weight ({keep} vs {drop}); "
-                "the half-integral solution was not optimal")
         for t in range(0, len(weights), 2):
             i, j = verts[t], verts[(t + 1) % len(verts)]
             integral.append((min(i, j), max(i, j), weights[t]))
-
-    for cyc in cycles:
-        if cyc.w_C != sum(s.v2[i] for i in cyc.vertices):
-            raise InvariantViolation(f"cycle weight {cyc.w_C} != twice its cover")
     integral.sort()
     return FractionalComponents(tuple(cycles), tuple(integral))

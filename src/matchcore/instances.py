@@ -43,7 +43,8 @@ Edge = tuple[int, int, int]
 
 # The largest instance `parse_instance` accepts and the generators
 # build; past either bound they raise BoundExceeded, having read or
-# drawn at most MAX_EDGES + 1 edges.
+# drawn at most MAX_EDGES + 1 edges. `GameInstance` refuses a vertex
+# count past MAX_VERTICES too.
 MAX_VERTICES = 1_000_000
 MAX_EDGES = 4_000_000
 
@@ -137,12 +138,13 @@ class GameInstance:
 
     The vertex count, endpoints and weights must be `int`s; anything
     else (a float, a `bool`, a `Fraction`) is rejected rather than
-    rounded. Vertex ids are 0-based and dense in `range(vertex_count)`.
-    Edge k is held in three columns, as its ends `us[k] < vs[k]` and its
-    weight `ws[k]`, each a tuple; `edges` builds the `(u, v, w)` tuples
-    on each call. The attributes and the columns are read-only, so an
-    instance is safe to share between threads; `name` takes no part in
-    `==` or the hash.
+    rounded. Vertex ids are 0-based and dense in `range(vertex_count)`;
+    a `vertex_count` past `MAX_VERTICES` raises `BoundExceeded`, and the
+    edges are not bounded here. Edge k is held in three columns, as its
+    ends `us[k] < vs[k]` and its weight `ws[k]`, each a tuple; `edges`
+    builds the `(u, v, w)` tuples on each call. The attributes and the
+    columns are read-only, so an instance is safe to share between
+    threads; `name` takes no part in `==` or the hash.
     """
 
     __slots__ = ("vertex_count", "us", "vs", "ws", "name")
@@ -152,6 +154,8 @@ class GameInstance:
             raise ValueError(f"vertex_count is not an int: {vertex_count!r}")
         if vertex_count < 0:
             raise ValueError("vertex_count must be nonnegative")
+        if vertex_count > MAX_VERTICES:
+            raise BoundExceeded(f"vertex_count {vertex_count} is above the bound of {MAX_VERTICES}")
         cols: tuple[list[int], list[int], list[int]] = ([], [], [])  # us, vs, ws
         _normalized_edges(vertex_count, edges, cols, set())
         _fill(self, vertex_count, cols, name)
@@ -305,36 +309,33 @@ def _records(text: str) -> Iterator:
     the edge lines after it in file order, in batches of 0-based
     `(u, v, w)`.
 
-    Up to the header the text is read one "\\n"-ended chunk at a time,
-    and after it in pieces of about `_PIECE` characters, each ending
-    just after a "\\n". Every line of a chunk, and of a piece that
-    `_columns` does not take, is read by `_line_records`; the lines of
-    the header's chunk after the header become the first batch. A piece
-    that `_columns` takes becomes one batch: the tuple of its three
-    columns. A line that breaks the syntax raises `InstanceFormatError`
+    `_pieces` cuts the text: up to the header one "\\n"-ended chunk at
+    a time, and after it in pieces of about `_PIECE` characters, each
+    ending just after a "\\n". Every line of a chunk, and of a piece
+    that `_columns` does not take, is read by `_line_records`; the lines
+    of the header's chunk after the header become the first batch. A
+    piece that `_columns` takes becomes one batch: the tuple of its
+    three columns. A line that breaks the syntax raises `InstanceFormatError`
     only when the reader gets to it, so every edge before it has
     already been checked. Vertex ids are read through a table from
     their strings once the lines read number at least twice the
     vertices, so the table never outweighs them.
     """
-    lineno, start, header = 0, 0, None
-    while header is None:
-        if start == len(text):
-            raise InstanceFormatError(1, "missing header")
-        end = _piece_end(text, start, 0)
-        lines = text[start:end].splitlines()
+    lineno, start = 0, 0
+    for chunk in _pieces(text, 0, 0):
+        start += len(chunk)
+        lines = chunk.splitlines()
         records = _line_records(lines, lineno, header=True)
-        header = next(records, None)
         lineno += len(lines)
-        start = end
+        if (header := next(records, None)) is not None:
+            break
+    else:
+        raise InstanceFormatError(1, "missing header")
     yield header
     yield records  # the lines after the header in its chunk
     n = header[0]
     ids = None
-    while start < len(text):
-        end = _piece_end(text, start, _PIECE)
-        piece = text[start:end]
-        start = end
+    for piece in _pieces(text, start, _PIECE):
         lines = piece.count("\n")
         if ids is None and 2 * n <= lineno + lines:
             ids = {str(i + 1): i for i in range(n)}
@@ -432,28 +433,17 @@ def _line_records(lines: list[str], lineno: int, header: bool) -> Iterator:
 _PIECE = 1 << 16  # characters of text read at a time past the header
 
 
-def _piece_end(text: str, start: int, least: int) -> int:
-    """Where the piece of `text` from `start` ends: just past the first
-    "\\n" at least `least` characters on, or at the end of the text.
+def _pieces(text: str, start: int, least: int) -> Iterator[str]:
+    """The pieces of `text` from `start` on, each ending just past the
+    first "\\n" at least `least` characters on, or at the end of the text.
 
-    No line break, "\\r\\n" included, straddles two such pieces, so
-    their lines and numbering are exactly those of `text.splitlines()`.
+    No line break, "\\r\\n" included, straddles two pieces, so their
+    lines and numbering are exactly those of `text.splitlines()`.
     """
-    end = text.find("\n", start + least)
-    return len(text) if end < 0 else end + 1
-
-
-def _lines(text: str) -> Iterator[str]:
-    """The lines of `text`, as `text.splitlines()` gives them, without a
-    list of them all: the text is split one piece at a time."""
-    def pieces() -> Iterator[str]:
-        start = 0
-        while start < len(text):
-            end = _piece_end(text, start, _PIECE)
-            yield text[start:end]
-            start = end
-
-    return chain.from_iterable(map(str.splitlines, pieces()))
+    while start < len(text):
+        end = text.find("\n", start + least) + 1 or len(text)  # 0: no "\n" left
+        yield text[start:end]
+        start = end
 
 
 def _edge_line(text: str, index: int) -> tuple[int, str]:
@@ -461,9 +451,11 @@ def _edge_line(text: str, index: int) -> tuple[int, str]:
     file whose lines up to that one parse.
 
     The parse keeps no line number per edge; only its error paths need
-    one, and they read the text again up to the edge.
+    one, and they read the text again up to the edge, one piece at a
+    time, without a list of all its lines.
     """
-    edge_lines = ((lineno, raw) for lineno, raw in enumerate(_lines(text), start=1)
+    lines = chain.from_iterable(map(str.splitlines, _pieces(text, 0, _PIECE)))
+    edge_lines = ((lineno, raw) for lineno, raw in enumerate(lines, start=1)
                   if raw.split(maxsplit=1)[:1] == ["e"])
     lineno, raw = next(islice(edge_lines, index, None))
     return lineno, raw.strip()

@@ -43,7 +43,7 @@ from itertools import chain, islice
 from operator import itemgetter
 from typing import Iterable, NamedTuple, Sequence
 
-from .bipartite import check_certificate, double_graph, solve_bipartite
+from .bipartite import check_certificate
 from .errors import BoundExceeded, InvariantViolation
 from .instances import GameInstance
 from .mechanism import run_pipeline
@@ -539,20 +539,19 @@ def _edge_pass(g: GameInstance, ci: list[int], alpha: Fraction, scale: int) -> t
 def integrality_gap(g: GameInstance, max_edges: int = DEFAULT_MAX_EDGES) -> GapReport:
     """Integral optimum nu against the fractional optimum tau.
 
-    tau comes from the doubled-graph solve, at any size. nu is refused
+    tau comes from one run of the pipeline, at any size. nu is refused
     past `max_edges` positive edges, leaving emptiness unknown; else its
     certificate is checked here, its feasible dual bounding nu by tau,
     and nu enumerated from a checked matching's weight up to floor(tau)
     (`_integral_optimum`). The core is nonempty exactly if nu = tau.
     """
+    trace = run_pipeline(g)
+    opt_f = Fraction(trace.certificate.total_dual(), 2)  # tau, by strong duality
     positive = _positive_edges(zip(g.us, g.vs, g.ws), max_edges)
     if positive is None:
-        return GapReport(None, Fraction(solve_bipartite(double_graph(g)).total_dual(), 2),
-                         None, None)
-    trace = run_pipeline(g)
+        return GapReport(None, opt_f, None, None)
     if problems := check_certificate(g, trace.certificate):
         raise InvariantViolation(f"certificate of tau is invalid: {problems[0]}")
-    opt_f = Fraction(trace.certificate.total_dual(), 2)  # strong duality, checked
     opt_i = _integral_optimum(g, positive, trace.result.matching, math.floor(opt_f))
     if opt_i > opt_f or 3 * opt_i < 2 * opt_f:
         raise InvariantViolation(

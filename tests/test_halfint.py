@@ -13,7 +13,7 @@ from matchcore.halfint import (
     fold_solution,
 )
 from matchcore.instances import GameInstance, gen_gap_family, gen_odd_cycle, gen_random, parse_instance
-from matchcore.mechanism import audit_pipeline, run_pipeline
+from matchcore.mechanism import analyze_cycle, audit_pipeline, run_pipeline
 
 from oracles import (
     ReferenceHalfIntegralSolution,
@@ -73,14 +73,11 @@ def test_audit_rejects_the_fold_of_a_broken_certificate():
 
 
 SQUARE = parse_instance("p mg 4 4\ne 1 2 1\ne 2 3 1\ne 3 4 1\ne 1 4 1\n")
-UNEQUAL = parse_instance("p mg 3 2\ne 1 2 2\ne 2 3 1\n")
 # each half-edge as one-way pairs i -> match[i], in either direction
 PATH_FOLDS = [HalfIntegralSolution((1, 2, -1), (1, 1, 0), (0, 2, 0)),
               HalfIntegralSolution((-1, 0, 1), (0, 1, 1), (0, 2, 0))]
 SQUARE_FOLDS = [HalfIntegralSolution((1, 2, 3, 0), (1,) * 4, (1,) * 4),
                 HalfIntegralSolution((3, 0, 1, 2), (1,) * 4, (1,) * 4)]
-UNEQUAL_FOLD = HalfIntegralSolution((1, 2, -1), (2, 1, 0), (2, 2, 0))
-LONE_FOLD = HalfIntegralSolution((1, -1), (5, 0), (5, 5))  # EDGE5 at x = 1/2
 
 
 def test_normalize_path_keeps_low_endpoint_edge():
@@ -95,16 +92,6 @@ def test_normalize_even_cycle_picks_opposite_edges():
         comps = decompose_components(s)
         assert comps.integral == ((0, 1, 1), (2, 3, 1))
         assert comps.odd_cycles == ()
-
-
-def test_normalize_unequal_path_is_hard_failure():
-    with pytest.raises(InvariantViolation, match="differ in weight"):
-        decompose_components(UNEQUAL_FOLD)
-
-
-def test_normalize_lone_half_edge_is_hard_failure():
-    with pytest.raises(InvariantViolation):
-        decompose_components(LONE_FOLD)
 
 
 def test_decompose_k3():
@@ -196,7 +183,6 @@ def reference_cases():
             # a cover moved at vertex 0: w_C = 2 v_C fails if 0 is on a cycle
             cases.append((g, s._replace(v2=(s.v2[0] + 2,) + s.v2[1:])))
     cases += [(PATH3, s) for s in PATH_FOLDS] + [(SQUARE, s) for s in SQUARE_FOLDS]
-    cases += [(UNEQUAL, UNEQUAL_FOLD), (EDGE5, LONE_FOLD)]
     cases += [mixed_components(seed) for seed in range(300)]
     return cases
 
@@ -261,96 +247,63 @@ def mixed_components(seed):
 
 def test_decompose_matches_two_walk_reference():
     # the reference walks the x2 that the fold's pairs give over the
-    # edge list, and reports integral edges by edge index
-    raised = 0
+    # edge list, and reports integral edges by edge index. It keeps the
+    # checks that a checked certificate makes needless, so it refuses
+    # some of the raw solutions, which are not certified folds; on those
+    # with a moved cover on a cycle, `check_cycle` must fail
+    moved = 0
     for g, s in reference_cases():
+        comps = decompose_components(s)
         try:
             want_cycles, want_edges = reference_decompose_components(
                 g, reference_normalize(g, ReferenceHalfIntegralSolution(fold_x2(g, s), s.v2, False)))
         except InvariantViolation as err:
-            with pytest.raises(InvariantViolation) as got:
-                decompose_components(s)
-            assert str(got.value) == str(err)
-            raised += 1
+            if "twice its cover" in str(err):
+                with pytest.raises(InvariantViolation, match=r"^cycle cover at vertex "):
+                    for cycle in comps.odd_cycles:
+                        analyze_cycle(cycle, s.v2)
+                moved += 1
             continue
-        comps = decompose_components(s)
         assert comps.integral == tuple(sorted(g.edges[e] for e in want_edges))
         assert comps.odd_cycles == want_cycles
-    assert raised > 0
+    assert moved > 0
 
 
-def hand_made(n, halves):
-    """A raw solution from its halves {i: (match[i], weight[i])}, and an
-    instance with one edge per pair, at the weight of its first half."""
-    match, weight, edges = [-1] * n, [0] * n, {}
-    for i, (j, w) in halves.items():
-        match[i], weight[i] = j, w
-        edges.setdefault((min(i, j), max(i, j)), w)
-    g = GameInstance(n, [(u, v, w) for (u, v), w in edges.items()])
-    return g, HalfIntegralSolution(tuple(match), tuple(weight), (0,) * n)
+def certified_graphs():
+    """Graphs whose kernel folds have half-edges: weights in 0..3 tie
+    often enough to give runs and even cycles, and the odd-cycle and
+    gap families give odd cycles."""
+    rng = random.Random(32)
+    graphs = [gen_random(3 + seed % 12, Fraction(1 + seed % 3, 4), 3, seed=seed)
+              for seed in range(100)]
+    for seed in range(200):
+        n = 3 + seed % 10
+        p = rng.choice((0.3, 0.5, 0.8))
+        graphs.append(GameInstance(n, tuple((u, v, rng.randrange(4)) for u in range(n)
+                                            for v in range(u + 1, n) if rng.random() < p)))
+    graphs += [gen_odd_cycle(k, weight) for k in range(1, 8) for weight in (0, 1, 3)]
+    return graphs + [gen_gap_family(k, connected=c) for k in range(1, 4) for c in (False, True)]
 
 
-def reference_fault(g, s):
-    """The first message of the route that
-    `test_decompose_matches_two_walk_reference` compares with, or None."""
-    try:
-        reference_decompose_components(
-            g, reference_normalize(g, ReferenceHalfIntegralSolution(fold_x2(g, s), s.v2, False)))
-    except InvariantViolation as err:
-        return str(err)
-    return None
-
-
-def first_fault(s):
-    with pytest.raises(InvariantViolation) as got:
-        decompose_components(s)
-    return str(got.value)
-
-
-def pair_fault(keep, drop):
-    return (f"alternating matchings differ in weight ({keep} vs {drop}); "
-            "the half-integral solution was not optimal")
-
-
-# a mutual pair 3 <-> 6 whose halves weigh 4 and 7, beside a good pair 0 <-> 5
-BAD_PAIR = {3: (6, 4), 6: (3, 7), 0: (5, 2), 5: (0, 2)}
-
-
-def test_a_lone_pair_of_unequal_halves_is_a_fault():
-    # the reference reads one weight per edge, so it sees the pair as an
-    # edge at x = 1; the walker reports it as a 2-cycle from its lower id
-    g, s = hand_made(8, BAD_PAIR)
-    assert reference_fault(g, s) is None
-    assert first_fault(s) == pair_fault(7, 4)
-    g, s = hand_made(8, {**BAD_PAIR, 3: (6, 7), 6: (3, 4)})
-    assert first_fault(s) == pair_fault(4, 7)
-
-
-@pytest.mark.parametrize("run", [
-    {1: (2, 1), 2: (4, 2)},  # 1 -> 2 -> 4, its lowest id below the pair's
-    {7: (4, 2), 4: (2, 1)},  # 7 -> 4 -> 2, walked backward from 2
-    {7: (9, 3), 9: (8, 1)},  # every id above the pair's
-])
-def test_a_run_fault_comes_before_a_pair_fault(run):
-    g, s = hand_made(10, {**BAD_PAIR, **run})
-    want = reference_fault(g, s)
-    assert want is not None and "differ in weight" in want
-    assert first_fault(s) == want
-
-
-def test_a_cycle_fault_with_a_lower_start_comes_before_a_pair_fault():
-    # the even cycle 1 -> 2 -> 7 -> 4 -> 1 weighs 1 + 5 against 1 + 2
-    cycle = {1: (2, 1), 2: (7, 1), 7: (4, 5), 4: (1, 2)}
-    g, s = hand_made(8, {**BAD_PAIR, **cycle})
-    want = reference_fault(g, s)
-    assert want == pair_fault(6, 3)
-    assert first_fault(s) == want
-    # the same cycle on 4 -> 7 -> 9 -> 8: with its start above the
-    # pair's, the pair's fault comes first in the walk; the reference,
-    # which reads one weight per edge, sees only the cycle's
-    g, s = hand_made(10, {**BAD_PAIR, 4: (7, 1), 7: (9, 1), 9: (8, 5), 8: (4, 2)})
-    assert reference_fault(g, s) == pair_fault(6, 3)
-    assert first_fault(s) == pair_fault(7, 4)
+def test_certified_folds_pass_the_checks_that_decompose_trusts():
+    # `decompose_components` trusts the certificate for three facts:
+    # the two halves of a mutual pair weigh the same, the alternating
+    # matchings of a run or an even cycle weigh the same, and w_C = 2 v_C
+    # on an odd cycle. The first is checked here against the instance's
+    # edge weight, the others by the reference, which raises on a fault.
+    resolved = odd = 0
+    for g in certified_graphs():
+        s = pipeline_fold(g)
+        weights = {(u, v): w for (u, v, w) in g.edges}
+        for i, j in enumerate(s.match):
+            if j >= 0 and s.match[j] == i:
+                assert s.weight[i] == s.weight[j] == weights[min(i, j), max(i, j)]
+        x2 = fold_x2(g, s)
+        normal = reference_normalize(g, ReferenceHalfIntegralSolution(x2, s.v2, False))
+        cycles, _ = reference_decompose_components(g, normal)
+        resolved += normal.x2 != x2  # a run or an even cycle was resolved
+        odd += bool(cycles)
+    assert resolved >= 10 and odd >= 10
 
 
 def test_cover_feasible_and_strong_duality():

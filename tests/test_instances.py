@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from matchcore.errors import InstanceFormatError
+from matchcore.errors import BoundExceeded, InstanceFormatError
 from matchcore.instances import (
+    MAX_VERTICES,
     GameInstance,
     gen_gap_family,
     gen_odd_cycle,
@@ -294,6 +295,19 @@ def test_instance_validation():
         GameInstance(2, ((0, 2, 1),))
     with pytest.raises(ValueError, match="vertex_count must be nonnegative"):
         GameInstance(-1, ())
+
+
+def test_instance_refuses_a_vertex_count_past_the_bound():
+    # refused before an edge is read, as the parser refuses the header;
+    # at the bound the instance round-trips through the parser. Neither
+    # is solved: the kernel would allocate rows for every vertex.
+    edges = iter([(0, 1, 1)])
+    with pytest.raises(BoundExceeded, match=f"^vertex_count {MAX_VERTICES + 1} is above "
+                                            f"the bound of {MAX_VERTICES}$"):
+        GameInstance(MAX_VERTICES + 1, edges)
+    assert next(edges) == (0, 1, 1)
+    g = GameInstance(MAX_VERTICES, [(0, 1, 1), (MAX_VERTICES - 2, MAX_VERTICES - 1, 7)])
+    assert parse_instance(serialize_instance(g)) == g
 
 
 def test_instance_reads_an_iterator_no_further_than_a_bad_edge():

@@ -127,12 +127,14 @@ def decompose_components(s: HalfIntegralSolution) -> FractionalComponents:
         step = match if forward else pred
         seen[a] = True
         verts, weights = [a], []
-        while (nxt := step[verts[-1]]) >= 0:
-            weights.append(weight[verts[-1]] if forward else weight[nxt])
+        cur = a
+        while (nxt := step[cur]) >= 0:
+            weights.append(weight[cur if forward else nxt])
             if seen[nxt]:  # back at a: the cycle closed
                 break
             seen[nxt] = True
             verts.append(nxt)
+            cur = nxt
         if len(weights) == len(verts) and len(verts) % 2:
             cycles.append(OddCycle(tuple(verts), len(verts) // 2, tuple(weights), sum(weights)))
             continue

@@ -21,30 +21,33 @@ the pieces together:
 - therefore sum of c over a cycle is at most w(M'), and globally
   sum(c) <= w(T) <= worth of the grand coalition.
 
-The 2k+1 matching weights follow from the cycle's edge weights by a
-two-step recurrence, and only the heaviest matching is built edge by
-edge, so a cycle of length L costs O(L).
+One pass per cycle, `analyze_cycle`, weighs the 2k+1 matchings from the
+cycle's edge weights by a two-step recurrence, tests each vertex's
+identity as it goes and keeps the heaviest; only that one is built edge
+by edge, so a cycle of length L costs O(L).
 
 Every identity is asserted exactly on every run, each by one checker
-that returns its problems as a list: `check_certificate` for the
-kernel (it also certifies the fold, see `fold_solution`), `check_cycle`
-per odd cycle and `check_payout` for the backing matching. A live run
-raises InvariantViolation on a checker's first problem: the upstream
-solution was not optimal. A run keeps only what it cannot derive: the
-instance, the certificate and the result. `audit_pipeline` checks a
-finished trace's certificate, derives the result from it again and
-reports where the stored result differs. The checks compare integers
-only: the doubled cover v2, each factor as the pair (2k, 2k+1) read off
-the cycle lengths, and the payouts as numerators over one scale. Every
-`Fraction` of a result comes from one bounded memo, `_fraction`, asked
-once per distinct value, so a result holds one object per distinct
-value, the audit's derived result holds the stored one's objects, and
+that returns its problems as a list: `check_certificate` for the kernel
+(it also certifies the fold, see `fold_solution`), `check_cycle` per odd
+cycle (whose identities the cycle pass tests, calling it only to name a
+fault) and `check_payout` for the backing matching. A live run raises
+InvariantViolation on a checker's first problem: the upstream solution
+was not optimal. A run keeps only what it cannot derive: the instance,
+the certificate and the result. `audit_pipeline` checks a finished
+trace's certificate, derives the result from it again and reports where
+the stored result differs. The checks compare integers only: the doubled
+cover v2, each factor as the pair (2k, 2k+1) read off the cycle lengths,
+and the payouts as numerators over one scale. Every `Fraction` of a
+result comes from one bounded memo, `_fraction`, asked once per distinct
+value, so a result holds one object per distinct value, the audit's
+derived result holds the stored one's objects, and
 `ImputationResult.to_json_dict` makes one string per object.
 """
 
 import functools
 import math
 from fractions import Fraction
+from itertools import chain
 from typing import NamedTuple
 
 from . import halfint
@@ -105,44 +108,35 @@ class PipelineTrace(NamedTuple):
 
 
 def analyze_cycle(cycle: OddCycle, v2) -> CycleMatching:
-    """Weigh the 2k+1 alternating matchings of a cycle, check them with
-    `check_cycle` and build the heaviest; ties for the heaviest go to
-    the smallest removed vertex id."""
-    verts = cycle.vertices
-    length = len(verts)
-    matching_weights = _matching_weights(cycle)
-    problems = check_cycle(cycle, matching_weights, v2)
-    if problems:
-        raise InvariantViolation(problems[0])
-
-    hw = max(matching_weights)
-    best = min((verts[j], j) for j in range(length) if matching_weights[j] == hw)[1]
-    edges = []
-    for t in range(cycle.k):
-        p = (best + 1 + 2 * t) % length
-        edges.append((verts[p], verts[(p + 1) % length]))
-    return CycleMatching(verts[best], tuple(edges), hw)
-
-
-def _matching_weights(cycle: OddCycle) -> tuple[int, ...]:
-    """w(M_j) for every j, from the cycle's weights in walk order.
+    """Weigh and check the 2k+1 alternating matchings of a cycle in one
+    pass; build the heaviest, ties to the smallest removed vertex id.
 
     Deleting vertices[j] leaves M_j, the edges at walk positions j+1,
     j+3, ..., j+2k-1 (mod L = 2k+1). So w(M_0) = weights[1] + weights[3]
     + ... + weights[2k-1], and M_{j+2} trades edge j+1 for edge j:
-    w(M_{j+2}) = w(M_j) + weights[j] - weights[j+1]. L is odd, so steps
-    of 2 reach every j.
+    w(M_{j+2}) = w(M_j) + weights[j] - weights[j+1]. L is odd, so the
+    pass j = 0, 2, 4, ... (mod L) reaches every j and tests its vertex's
+    identity; the sum is tested after. On a fault `check_cycle` names
+    the first one in walk order.
     """
-    weights = cycle.weights
-    length = len(weights)
+    verts, weights, w_C = cycle.vertices, cycle.weights, cycle.w_C
+    length = len(verts)
+    last = length - 1
     matching_weights = [0] * length
-    weight = sum(weights[1:length - 1:2])
-    j = 0
-    for _ in range(length):
+    weight = sum(weights[1:last:2])  # w(M_0)
+    heaviest, best = weight, 0
+    faulty = False
+    for j in chain(range(0, length, 2), range(1, length, 2)):
         matching_weights[j] = weight
-        weight += weights[j] - weights[(j + 1) % length]
-        j = (j + 2) % length
-    return tuple(matching_weights)
+        if v2[verts[j]] != w_C - 2 * weight:
+            faulty = True
+        if weight > heaviest or weight == heaviest and verts[j] < verts[best]:
+            heaviest, best = weight, j
+        weight += weights[j] - weights[j + 1 if j < last else 0]
+    if faulty or sum(matching_weights) != cycle.k * w_C:
+        raise InvariantViolation(check_cycle(cycle, matching_weights, v2)[0])
+    ring = verts[best + 1:] + verts[:best + 1]  # walk order from M_best's first edge
+    return CycleMatching(verts[best], tuple(zip(ring[0:last:2], ring[1::2])), heaviest)
 
 
 def check_cycle(cycle: OddCycle, matching_weights, v2) -> list[str]:
@@ -187,25 +181,25 @@ def _assemble(folded, comps) -> ImputationResult:
     """Pay each vertex its factor times its cover and back the payouts
     with the integral edges plus each cycle's heaviest matching (see
     `analyze_cycle`); raise on `check_payout`'s first problem."""
-    fden = [1] * len(folded.v2)  # factor denominators: 2k+1 on a (2k+1)-cycle, else 1
+    v2 = folded.v2
+    fden = [1] * len(v2)  # factor denominators: 2k+1 on a (2k+1)-cycle, else 1
+    matching = [(i, j) for (i, j, _) in comps.integral]
+    matching_weight = sum(w for (_, _, w) in comps.integral)
     for cycle in comps.odd_cycles:
+        d = 2 * cycle.k + 1
         for i in cycle.vertices:
-            fden[i] = 2 * cycle.k + 1
+            fden[i] = d
+        heaviest = analyze_cycle(cycle, v2)
+        for (a, b) in heaviest.edges:
+            matching.append((a, b) if a < b else (b, a))
+        matching_weight += heaviest.weight
+    matching.sort()
     fnum = {d: d - 1 or 1 for d in set(fden)}  # 2k from 2k+1, 1 from 1
     # c_i = f_i * v_i = fnum[d] * v2[i] / (2 * d) = pay[i] / scale, d = fden[i]
     half = math.lcm(*fnum)
     scale = 2 * half
     mult = {d: f * (half // d) for d, f in fnum.items()}
-    pay = [mult[d] * x for x, d in zip(folded.v2, fden)]
-
-    matching = [(i, j) for (i, j, _) in comps.integral]
-    matching_weight = sum(w for (_, _, w) in comps.integral)
-    for cycle in comps.odd_cycles:
-        heaviest = analyze_cycle(cycle, folded.v2)
-        for (a, b) in heaviest.edges:
-            matching.append((min(a, b), max(a, b)))
-        matching_weight += heaviest.weight
-    matching.sort()
+    pay = [mult[d] * x for x, d in zip(v2, fden)]
 
     problems = check_payout(folded, pay, scale, matching, matching_weight)
     if problems:
@@ -217,7 +211,7 @@ def _assemble(folded, comps) -> ImputationResult:
         c=tuple(map(value.__getitem__, pay)),
         matching=tuple(matching),
         factors=tuple(map(factor.__getitem__, fden)),
-        worth_fractional=_fraction(sum(folded.v2), 2),  # weight(x) per the fold
+        worth_fractional=_fraction(sum(v2), 2),  # weight(x) per the fold
         matching_weight=matching_weight,
         allocated=_fraction(sum(pay), scale),
         factor_guarantee=_fraction(2 * k or 1, 2 * k + 1),  # the least factor

@@ -1,5 +1,6 @@
 """Scaled-cover mechanism: cycle analyses, factors, payouts."""
 
+import collections
 import operator
 import random
 from fractions import Fraction
@@ -484,6 +485,33 @@ def test_check_payout_reports_each_problem(matching, weight, expected):
     assert check_payout(folded, [0, 2, 0], 2, matching, weight) == expected
 
 
+@pytest.mark.parametrize("g", [gen_gap_family(5), gen_odd_cycle(50)], ids=["gap5", "cycle101"])
+def test_the_timed_stages_run_through_their_module_call_sites(monkeypatch, g):
+    # the benchmark times the decomposition and the cycle analyses by
+    # wrapping these two names of `mechanism`; an inlined or renamed call
+    # would leave their layers at 0 s without any failure
+    calls = collections.Counter()
+
+    def count(name):
+        stage = getattr(mechanism, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return stage(*args)
+
+        monkeypatch.setattr(mechanism, name, counted)
+
+    count("decompose_components")
+    count("analyze_cycle")
+    trace = run_pipeline(g)
+    cycles = len(derive(trace)[1])
+    assert cycles > 0
+    assert calls == {"decompose_components": 1, "analyze_cycle": cycles}
+    # the audit analyses every cycle again; its decomposition is not timed
+    assert audit_pipeline(trace) == []
+    assert calls == {"decompose_components": 1, "analyze_cycle": 2 * cycles}
+
+
 def test_run_pipeline_raises_on_a_payout_problem(monkeypatch):
     def heavier(cycle, v2):
         return analyze_cycle(cycle, v2)._replace(weight=2)
@@ -578,22 +606,37 @@ CYCLE_WEIGHTS = {
 }
 
 
+def same_fault(cycle, v2) -> str:
+    """The fault both analyses raise on v2, which must be one message."""
+    with pytest.raises(InvariantViolation) as want:
+        reference_analyze_cycle(cycle, v2)
+    with pytest.raises(InvariantViolation) as err:
+        analyze_cycle(cycle, v2)
+    assert str(err.value) == str(want.value)
+    return str(err.value)
+
+
 def assert_matches_reference(rng, length, draw):
     cycle, v2 = random_cycle(rng, length, draw)
     ref = reference_analyze_cycle(cycle, v2)
     assert analyze_cycle(cycle, v2) == ref.matchings[ref.heaviest_index]
+    verts = cycle.vertices
 
     # one vertex's cover moved by 2 either way: both name that vertex
     j = rng.randrange(length)
     for delta in (2, -2):
         bad = list(v2)
-        bad[cycle.vertices[j]] += delta
-        with pytest.raises(InvariantViolation) as want:
-            reference_analyze_cycle(cycle, bad)
-        with pytest.raises(InvariantViolation) as err:
-            analyze_cycle(cycle, bad)
-        assert str(err.value) == str(want.value)
-        assert f"at vertex {cycle.vertices[j]}:" in str(err.value)
+        bad[verts[j]] += delta
+        assert f"at vertex {verts[j]}:" in same_fault(cycle, bad)
+
+    # two covers moved, at an odd j and a later even one: the pass
+    # j = 0, 2, 4, ... meets the even one first, the walk the odd one
+    odd = rng.randrange(1, length - 1, 2)
+    even = rng.randrange(odd + 1, length, 2)
+    bad = list(v2)
+    bad[verts[odd]] += 2
+    bad[verts[even]] -= 2
+    assert f"at vertex {verts[odd]}:" in same_fault(cycle, bad)
 
 
 @pytest.mark.parametrize("kind", sorted(CYCLE_WEIGHTS))

@@ -102,8 +102,8 @@ def decompose_components(s: HalfIntegralSolution) -> FractionalComponents:
     fold is optimal, so the cover is tight on every half-edge and is 0
     at a run's ends; the alternating sum of a run's or an even cycle's
     weights telescopes to 0, so its two alternating matchings weigh the
-    same. `check_cycle`'s per-vertex identities sum to w_C = 2 v_C, the
-    sum of `v2` on an odd cycle, so every run still asserts it.
+    same. On an odd cycle, `analyze_cycle` tests identities that sum to
+    w_C = 2 v_C, the sum of `v2` there, so every run still asserts it.
     """
     match, weight = s.match, s.weight
     n = len(match)

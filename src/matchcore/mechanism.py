@@ -22,23 +22,22 @@ the pieces together:
   sum(c) <= w(T) <= worth of the grand coalition.
 
 One pass per cycle, `analyze_cycle`, weighs the 2k+1 matchings from the
-cycle's edge weights by a two-step recurrence, tests each vertex's
-identity as it goes and keeps the heaviest; only that one is built edge
-by edge, so a cycle of length L costs O(L).
+cycle's edge weights by a two-step recurrence, tests both identities,
+naming the first that fails, and keeps the heaviest; only that one is
+built edge by edge, so a cycle of length L costs O(L).
 
-Every identity is asserted exactly on every run, each by one checker
-that returns its problems as a list: `check_certificate` for the kernel
-(it also certifies the fold, see `fold_solution`), `check_cycle` per odd
-cycle (whose identities the cycle pass tests, calling it only to name a
-fault) and `check_payout` for the backing matching. A live run raises
-InvariantViolation on a checker's first problem: the upstream solution
-was not optimal. A run keeps only what it cannot derive: the instance,
-the certificate and the result. `audit_pipeline` checks a finished
-trace's certificate, derives the result from it again and reports where
-the stored result differs. The checks compare integers only: the doubled
-cover v2, each factor as the pair (2k, 2k+1) read off the cycle lengths,
-and the payouts as numerators over one scale. Every `Fraction` of a
-result comes from one bounded memo, `_fraction`, asked once per distinct
+Every identity is asserted exactly on every run: by that pass, and by
+`check_certificate` for the kernel (it also certifies the fold, see
+`fold_solution`) and `check_payout` for the backing matching, which
+return their problems as lists. A live run raises InvariantViolation
+on the first problem: the upstream solution was not optimal. A run
+keeps only what it cannot derive: the instance, the certificate and
+the result. `audit_pipeline` checks a finished trace's certificate,
+derives the result from it again and reports where the stored result
+differs. The checks compare integers only: the doubled cover v2, each
+factor as the pair (2k, 2k+1) read off the cycle lengths, and the
+payouts as numerators over one scale. Every `Fraction` of a result
+comes from one bounded memo, `_fraction`, asked once per distinct
 value, so a result holds one object per distinct value, the audit's
 derived result holds the stored one's objects, and
 `ImputationResult.to_json_dict` makes one string per object.
@@ -116,45 +115,31 @@ def analyze_cycle(cycle: OddCycle, v2) -> CycleMatching:
     + ... + weights[2k-1], and M_{j+2} trades edge j+1 for edge j:
     w(M_{j+2}) = w(M_j) + weights[j] - weights[j+1]. L is odd, so the
     pass j = 0, 2, 4, ... (mod L) reaches every j and tests its vertex's
-    identity; the sum is tested after. On a fault `check_cycle` names
-    the first one in walk order.
+    identity v2[i_j] = w_C - 2 w(M_j) in integers; the sum, k * w_C, is
+    tested after. InvariantViolation names the first fault in walk
+    order: the vertex of the lowest failing j, else the sum.
     """
     verts, weights, w_C = cycle.vertices, cycle.weights, cycle.w_C
     length = len(verts)
-    last = length - 1
-    matching_weights = [0] * length
-    weight = sum(weights[1:last:2])  # w(M_0)
-    heaviest, best = weight, 0
-    faulty = False
+    weight = sum(weights[1:-1:2])  # w(M_0)
+    heaviest, best, total = weight, 0, 0
+    fault = None  # (j, w(M_j)) at the lowest j whose vertex fails
     for j in chain(range(0, length, 2), range(1, length, 2)):
-        matching_weights[j] = weight
-        if v2[verts[j]] != w_C - 2 * weight:
-            faulty = True
+        total += weight
+        if v2[verts[j]] != w_C - 2 * weight and (fault is None or j < fault[0]):
+            fault = j, weight
         if weight > heaviest or weight == heaviest and verts[j] < verts[best]:
             heaviest, best = weight, j
-        weight += weights[j] - weights[j + 1 if j < last else 0]
-    if faulty or sum(matching_weights) != cycle.k * w_C:
-        raise InvariantViolation(check_cycle(cycle, matching_weights, v2)[0])
+        weight += weights[j] - weights[j + 1 - length]  # edge j + 1 mod L
+    if fault:
+        i = verts[fault[0]]
+        raise InvariantViolation(
+            f"cycle cover at vertex {i}: 2v = {v2[i]} != {w_C} - 2*{fault[1]}")
+    if total != cycle.k * w_C:
+        raise InvariantViolation(
+            f"cycle matching weights sum to {total}, expected {cycle.k * w_C}")
     ring = verts[best + 1:] + verts[:best + 1]  # walk order from M_best's first edge
-    return CycleMatching(verts[best], tuple(zip(ring[0:last:2], ring[1::2])), heaviest)
-
-
-def check_cycle(cycle: OddCycle, matching_weights, v2) -> list[str]:
-    """Check one odd cycle's identities in integers; [] means all hold.
-
-    Via v2 = 2v and w_C = 2 v_C: v_{i_j} = v_C - w(M_j) at every
-    vertex, and the matching weights sum to 2k * v_C. So the heaviest,
-    at least their mean, reaches the (2k)/(2k+1) share of v_C.
-    """
-    k = cycle.k
-    w_C = cycle.w_C
-    problems = [f"cycle cover at vertex {i}: 2v = {v2[i]} != {w_C} - 2*{weight}"
-                for i, weight in zip(cycle.vertices, matching_weights)
-                if v2[i] != w_C - 2 * weight]
-    total = sum(matching_weights)
-    if total != k * w_C:
-        problems.append(f"cycle matching weights sum to {total}, expected {k * w_C}")
-    return problems
+    return CycleMatching(verts[best], tuple(zip(ring[0:-1:2], ring[1::2])), heaviest)
 
 
 def run_pipeline(g: GameInstance) -> PipelineTrace:

@@ -398,6 +398,8 @@ def check_core(g: GameInstance, c: Sequence[Fraction], alpha: Fraction,
     agrees.
     """
     n = g.vertex_count
+    if type(c) is FractionArray and len(c.dens) != len(c.nums):
+        raise ValueError(f"imputation has {len(c.nums)} numerators and {len(c.dens)} denominators")
     if len(c) != n:
         raise ValueError(f"imputation has {len(c)} entries for {n} vertices")
     # `type(x)` rather than isinstance: `bool` is an `int` subclass

@@ -23,6 +23,7 @@ def test_every_exported_name_resolves():
 @pytest.mark.parametrize("module, name", [
     (mechanism, "ScalingProfile"),
     (mechanism, "CycleAnalysis"),
+    (mechanism, "check_cycle"),
     (rationals, "format_fraction"),
     (halfint, "solution_weight"),
     (halfint, "check_fold"),

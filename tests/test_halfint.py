@@ -250,7 +250,7 @@ def test_decompose_matches_two_walk_reference():
     # edge list, and reports integral edges by edge index. It keeps the
     # checks that a checked certificate makes needless, so it refuses
     # some of the raw solutions, which are not certified folds; on those
-    # with a moved cover on a cycle, `check_cycle` must fail
+    # with a moved cover on a cycle, `analyze_cycle` must name a vertex
     moved = 0
     for g, s in reference_cases():
         comps = decompose_components(s)

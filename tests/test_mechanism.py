@@ -14,7 +14,6 @@ from matchcore.instances import GameInstance, gen_gap_family, gen_odd_cycle, gen
 from matchcore.mechanism import (
     analyze_cycle,
     audit_pipeline,
-    check_cycle,
     check_payout,
     run_mechanism,
     run_pipeline,
@@ -34,10 +33,23 @@ def derive(trace):
     return folded, decompose_components(folded).odd_cycles
 
 
+def assert_identities(cycle, v2, weights):
+    """The identities hold on `cycle` under v2 with w(M_j) = weights[j]:
+    `analyze_cycle` accepts v2, and a cover moved by 2 at any vertex
+    makes it name that vertex with its weight."""
+    analyze_cycle(cycle, v2)
+    for i, weight in zip(cycle.vertices, weights):
+        bad = list(v2)
+        bad[i] += 2
+        with pytest.raises(InvariantViolation) as err:
+            analyze_cycle(cycle, bad)
+        assert str(err.value) == f"cycle cover at vertex {i}: 2v = {bad[i]} != {cycle.w_C} - 2*{weight}"
+
+
 def test_k3_analysis():
     folded, cycles = derive(run_pipeline(K3))
     assert len(cycles) == 1
-    assert check_cycle(cycles[0], (1, 1, 1), folded.v2) == []
+    assert_identities(cycles[0], folded.v2, (1, 1, 1))
     heaviest = analyze_cycle(cycles[0], folded.v2)
     assert len(heaviest.edges) == 1
     assert heaviest.weight == 1
@@ -47,7 +59,7 @@ def test_k3_analysis():
 
 def test_c5_analysis():
     folded, (cycle,) = derive(run_pipeline(gen_odd_cycle(2)))
-    assert check_cycle(cycle, (2, 2, 2, 2, 2), folded.v2) == []
+    assert_identities(cycle, folded.v2, (2, 2, 2, 2, 2))
     heaviest = analyze_cycle(cycle, folded.v2)
     assert len(heaviest.edges) == 2
     assert heaviest.weight == 2
@@ -58,7 +70,7 @@ def test_c5_analysis():
 def test_uneven_triangle_analysis_by_hand():
     # cover (1, 1, 0) on the triangle with weights (2, 1, 1)
     cycle = OddCycle((0, 1, 2), 1, (2, 1, 1), 4)
-    assert check_cycle(cycle, (1, 1, 2), (2, 2, 0)) == []
+    assert_identities(cycle, (2, 2, 0), (1, 1, 2))
     heaviest = analyze_cycle(cycle, (2, 2, 0))
     assert heaviest.weight == 2
     assert heaviest.removed_vertex == 2
@@ -266,17 +278,23 @@ def test_audit_recomputes_stored_totals(field, expected):
     assert audit_pipeline(bad) == [expected]
 
 
-def test_check_cycle_reports_each_identity():
-    # the triangle of K3 under cover 1/2 everywhere, but with matching
-    # weights that follow from no cycle
+def test_analyze_cycle_names_each_identity():
+    # the triangle of K3: each matching weighs 1, so each 2v is 3 - 2*1
     cycle = OddCycle((0, 1, 2), 1, (1, 1, 1), 3)
-    assert check_cycle(cycle, (1, 1, 1), (1, 1, 1)) == []
-    assert check_cycle(cycle, (0, 0, 0), (1, 1, 1)) == [
-        "cycle cover at vertex 0: 2v = 1 != 3 - 2*0",
-        "cycle cover at vertex 1: 2v = 1 != 3 - 2*0",
-        "cycle cover at vertex 2: 2v = 1 != 3 - 2*0",
-        "cycle matching weights sum to 0, expected 3",
-    ]
+    assert analyze_cycle(cycle, (1, 1, 1)).weight == 1
+    # every vertex fails and the sum holds: the first vertex is named
+    assert same_fault(cycle, (3, 3, 3)) == "cycle cover at vertex 0: 2v = 3 != 3 - 2*1"
+    # a w_C one above the edges' total: every vertex holds, the sum fails
+    cycle = OddCycle((0, 1, 2), 1, (1, 1, 1), 4)
+    assert same_fault(cycle, (2, 2, 2)) == "cycle matching weights sum to 3, expected 4"
+    # both fail: the vertex is named, not the sum
+    assert same_fault(cycle, (0, 2, 2)) == "cycle cover at vertex 0: 2v = 0 != 4 - 2*1"
+    # a 5-cycle walked 4, 2, 3, 0, 1, each matching weighing 2 under
+    # 2v = 1 everywhere: covers moved at j = 1 and j = 2, which the pass
+    # meets second and first, name the vertex at j = 1 of the walk
+    cycle = OddCycle((4, 2, 3, 0, 1), 2, (1, 1, 1, 1, 1), 5)
+    assert analyze_cycle(cycle, (1,) * 5).weight == 2
+    assert same_fault(cycle, (1, 1, 3, -1, 1)) == "cycle cover at vertex 2: 2v = 3 != 5 - 2*2"
 
 
 COMPLETE12 = gen_random(12, 1, 9, seed=3)
@@ -317,12 +335,12 @@ def test_audit_reports_output_edges_that_do_not_fit(matching, expected):
 
 def test_audit_reports_a_cycle_the_certificate_does_not_give():
     # a triangle through the non-edge (2, 0) that passes every identity
-    # of `check_cycle` under the cover (0, 1, 0), with the payouts, the
+    # of `analyze_cycle` under the cover (0, 1, 0), with the payouts, the
     # factors and the matching that such a cycle would give
     trace = run_pipeline(PATH3)
     v2 = derive(trace)[0].v2
     cycle = OddCycle((0, 1, 2), 1, (1, 1, 0), 2)
-    assert check_cycle(cycle, (1, 0, 1), v2) == []
+    assert_identities(cycle, v2, (1, 0, 1))
     assert analyze_cycle(cycle, v2).edges == ((1, 2),)
     third = Fraction(2, 3)
     result = trace.result._replace(c=(0, third, 0), matching=((1, 2),), factors=(third,) * 3,

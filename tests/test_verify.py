@@ -471,6 +471,15 @@ def test_check_core_checks_a_fraction_array(nums, dens, alpha, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize("mode", ["exhaustive", "edges"])
+def test_check_core_rejects_a_fraction_array_of_uneven_lists(mode):
+    # three numerators pass the vertex count; the short denominators
+    # must be refused before any coalition is read
+    with pytest.raises(ValueError) as err:
+        check_core(gen_odd_cycle(1), FractionArray([1, 1, 1], [1, 1]), Fraction(2, 3), mode=mode)
+    assert str(err.value) == "imputation has 3 numerators and 2 denominators"
+
+
 def test_check_core_argument_validation():
     with pytest.raises(ValueError):
         check_core(K3, (THIRD,) * 2, Fraction(2, 3))

@@ -42,17 +42,12 @@ class HalfIntegralSolution(NamedTuple):
 
 
 class OddCycle(NamedTuple):
-    """A half-integral odd cycle: 2k+1 vertices in cyclic order.
-
-    `weights[t]` is the weight of the edge from `vertices[t]` to the
-    next vertex (the last edge closes the cycle) and `w_C` their total,
-    which equals 2 v_C, the cycle's sum of `v2`.
-    """
+    """A half-integral odd cycle as its walk: 2k+1 vertices in cyclic
+    order and `weights[t]`, the weight of the edge from `vertices[t]` to
+    the next (the last closes the cycle); k and w_C come from the walk."""
 
     vertices: tuple[int, ...]
-    k: int
     weights: tuple[int, ...]
-    w_C: int
 
 
 class FractionalComponents(NamedTuple):
@@ -102,8 +97,8 @@ def decompose_components(s: HalfIntegralSolution) -> FractionalComponents:
     fold is optimal, so the cover is tight on every half-edge and is 0
     at a run's ends; the alternating sum of a run's or an even cycle's
     weights telescopes to 0, so its two alternating matchings weigh the
-    same. On an odd cycle, `analyze_cycle` tests identities that sum to
-    w_C = 2 v_C, the sum of `v2` there, so every run still asserts it.
+    same. On an odd cycle, `analyze_cycle` tests the cover at each vertex,
+    which sums to w_C = 2 v_C, so every run still asserts that identity.
     """
     match, weight = s.match, s.weight
     n = len(match)
@@ -136,7 +131,7 @@ def decompose_components(s: HalfIntegralSolution) -> FractionalComponents:
             verts.append(nxt)
             cur = nxt
         if len(weights) == len(verts) and len(verts) % 2:
-            cycles.append(OddCycle(tuple(verts), len(verts) // 2, tuple(weights), sum(weights)))
+            cycles.append(OddCycle(tuple(verts), tuple(weights)))
             continue
         for t in range(0, len(weights), 2):
             i, j = verts[t], verts[(t + 1) % len(verts)]

@@ -144,7 +144,7 @@ class GameInstance:
     ends `us[k] < vs[k]` and its weight `ws[k]`, each a tuple; `edges`
     builds the `(u, v, w)` tuples on each call. The attributes and the
     columns are read-only, so an instance is safe to share between
-    threads; `name` takes no part in `==` or the hash.
+    threads; `name`, None or a `str`, takes no part in `==` or the hash.
     """
 
     __slots__ = ("vertex_count", "us", "vs", "ws", "name")
@@ -156,6 +156,8 @@ class GameInstance:
             raise ValueError("vertex_count must be nonnegative")
         if vertex_count > MAX_VERTICES:
             raise BoundExceeded(f"vertex_count {vertex_count} is above the bound of {MAX_VERTICES}")
+        if name is not None and not isinstance(name, str):
+            raise ValueError(f"name is not a str: {name!r}")
         cols: tuple[list[int], list[int], list[int]] = ([], [], [])  # us, vs, ws
         _normalized_edges(vertex_count, edges, cols, set())
         _fill(self, vertex_count, cols, name)

@@ -22,11 +22,11 @@ the pieces together:
   sum(c) <= w(T) <= worth of the grand coalition.
 
 One pass per cycle, `analyze_cycle`, weighs the 2k+1 matchings from the
-cycle's edge weights by a two-step recurrence, tests both identities,
-naming the first that fails, and keeps the heaviest; only that one is
-built edge by edge, so a cycle of length L costs O(L).
+cycle's edge weights by a two-step recurrence, tests the first identity
+at each vertex (the second holds for any walk), keeps the heaviest and
+builds only that one edge by edge, so a cycle of length L costs O(L).
 
-Every identity is asserted exactly on every run: by that pass, and by
+Each identity that can fail is asserted on every run: by that pass, and by
 `check_certificate` for the kernel (it also certifies the fold, see
 `fold_solution`) and `check_payout` for the backing matching, which
 return their problems as lists. A live run raises InvariantViolation
@@ -115,17 +115,19 @@ def analyze_cycle(cycle: OddCycle, v2) -> CycleMatching:
     + ... + weights[2k-1], and M_{j+2} trades edge j+1 for edge j:
     w(M_{j+2}) = w(M_j) + weights[j] - weights[j+1]. L is odd, so the
     pass j = 0, 2, 4, ... (mod L) reaches every j and tests its vertex's
-    identity v2[i_j] = w_C - 2 w(M_j) in integers; the sum, k * w_C, is
-    tested after. InvariantViolation names the first fault in walk
-    order: the vertex of the lowest failing j, else the sum.
+    identity v2[i_j] = w_C - 2 w(M_j) in integers, w_C = sum(weights);
+    InvariantViolation names the vertex of the lowest failing j. Each
+    edge lies in k of the M_j, so sum_j w(M_j) = k * w_C for any walk.
+    ValueError: the walk has even length or not one weight per vertex.
     """
-    verts, weights, w_C = cycle.vertices, cycle.weights, cycle.w_C
-    length = len(verts)
+    verts, weights = cycle
+    length, w_C = len(verts), sum(weights)
+    if length % 2 == 0 or len(weights) != length:
+        raise ValueError(f"not an odd cycle: {length} vertices and {len(weights)} weights")
     weight = sum(weights[1:-1:2])  # w(M_0)
-    heaviest, best, total = weight, 0, 0
+    heaviest, best = weight, 0
     fault = None  # (j, w(M_j)) at the lowest j whose vertex fails
     for j in chain(range(0, length, 2), range(1, length, 2)):
-        total += weight
         if v2[verts[j]] != w_C - 2 * weight and (fault is None or j < fault[0]):
             fault = j, weight
         if weight > heaviest or weight == heaviest and verts[j] < verts[best]:
@@ -135,9 +137,6 @@ def analyze_cycle(cycle: OddCycle, v2) -> CycleMatching:
         i = verts[fault[0]]
         raise InvariantViolation(
             f"cycle cover at vertex {i}: 2v = {v2[i]} != {w_C} - 2*{fault[1]}")
-    if total != cycle.k * w_C:
-        raise InvariantViolation(
-            f"cycle matching weights sum to {total}, expected {cycle.k * w_C}")
     ring = verts[best + 1:] + verts[:best + 1]  # walk order from M_best's first edge
     return CycleMatching(verts[best], tuple(zip(ring[0:-1:2], ring[1::2])), heaviest)
 
@@ -171,7 +170,7 @@ def _assemble(folded, comps) -> ImputationResult:
     matching = [(i, j) for (i, j, _) in comps.integral]
     matching_weight = sum(w for (_, _, w) in comps.integral)
     for cycle in comps.odd_cycles:
-        d = 2 * cycle.k + 1
+        d = len(cycle.vertices)
         for i in cycle.vertices:
             fden[i] = d
         heaviest = analyze_cycle(cycle, v2)
@@ -189,7 +188,7 @@ def _assemble(folded, comps) -> ImputationResult:
     problems = check_payout(folded, pay, scale, matching, matching_weight)
     if problems:
         raise InvariantViolation(problems[0])
-    k = min((cycle.k for cycle in comps.odd_cycles), default=0)
+    shortest = min((len(cycle.vertices) for cycle in comps.odd_cycles), default=1)
     value = {p: _fraction(p, scale) for p in set(pay)}
     factor = {d: _fraction(f, d) for d, f in fnum.items()}
     return ImputationResult(
@@ -199,7 +198,7 @@ def _assemble(folded, comps) -> ImputationResult:
         worth_fractional=_fraction(sum(v2), 2),  # weight(x) per the fold
         matching_weight=matching_weight,
         allocated=_fraction(sum(pay), scale),
-        factor_guarantee=_fraction(2 * k or 1, 2 * k + 1),  # the least factor
+        factor_guarantee=_fraction(shortest - 1 or 1, shortest),  # the least factor
     )
 
 

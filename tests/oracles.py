@@ -431,12 +431,13 @@ def reference_heaviest_tiebreak(matchings) -> int:
 
 def reference_analyze_cycle(cycle: OddCycle, v2) -> ReferenceCycleAnalysis:
     """`matchcore.mechanism.analyze_cycle` as it was when it built all
-    2k+1 alternating matchings edge by edge, O(L^2) per cycle."""
+    2k+1 alternating matchings edge by edge, O(L^2) per cycle, with k
+    and w_C read off the walk."""
     verts = cycle.vertices
     weights = cycle.weights
     length = len(verts)
-    k = cycle.k
-    w_C = cycle.w_C
+    k = length // 2
+    w_C = sum(weights)
 
     matchings = []
     total = 0
@@ -596,7 +597,7 @@ def reference_decompose_components(
         w_C = sum(weights)
         if w_C != sum(s.v2[i] for i in verts):
             raise InvariantViolation(f"cycle weight {w_C} != twice its cover")
-        cycles.append(OddCycle(tuple(verts), (length - 1) // 2, tuple(weights), w_C))
+        cycles.append(OddCycle(tuple(verts), tuple(weights)))
 
     integral = tuple(e for e, val in enumerate(s.x2) if val == 2)
 

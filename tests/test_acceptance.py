@@ -205,15 +205,15 @@ def test_c07_cycle_identity_ledger():
             # resolving the half paths and even cycles kept the weight
             assert all(weight[a, b] == w for (a, b, w) in comps.integral)
             integral = sum(w for (_, _, w) in comps.integral)
-            assert 2 * integral + sum(c.w_C for c in comps.odd_cycles) == sum(folded.v2)
+            assert 2 * integral + sum(sum(c.weights) for c in comps.odd_cycles) == sum(folded.v2)
             solves += 1
             for cyc in comps.odd_cycles:
-                k = cyc.k
-                L = 2 * k + 1
+                L = len(cyc.vertices)
+                k = L // 2
                 assert cyc.weights == tuple(
                     weight[cyc.vertices[t], cyc.vertices[(t + 1) % L]] for t in range(L))
                 v_C = sum(v[i] for i in cyc.vertices)
-                assert cyc.w_C == 2 * v_C
+                assert sum(cyc.weights) == 2 * v_C
                 # w(M_j): every other weight after position j, k of them
                 matching_weights = [sum(cyc.weights[(j + 1 + 2 * t) % L] for t in range(k))
                                     for j in range(L)]

@@ -48,6 +48,11 @@ def test_fold_keeps_no_per_edge_entries():
     assert "integral_edges" not in halfint.FractionalComponents._fields
 
 
+def test_odd_cycle_is_its_walk():
+    # k and w_C are read off the walk, so a cycle cannot contradict them
+    assert halfint.OddCycle._fields == ("vertices", "weights")
+
+
 def test_instance_has_no_adjacency_lists():
     # `double_graph` fills its rows straight from the edge list
     assert not hasattr(GameInstance, "adjacency")

@@ -98,10 +98,7 @@ def test_decompose_k3():
     comps = decompose_components(pipeline_fold(K3))
     assert len(comps.odd_cycles) == 1
     cyc = comps.odd_cycles[0]
-    assert cyc.vertices == (0, 1, 2)
-    assert cyc.k == 1
-    assert cyc.weights == (1, 1, 1)
-    assert cyc.w_C == 3
+    assert cyc == ((0, 1, 2), (1, 1, 1))
     assert comps.integral == ()
 
 
@@ -110,7 +107,7 @@ def test_decompose_c5():
     comps = decompose_components(pipeline_fold(g))
     assert len(comps.odd_cycles) == 1
     cyc = comps.odd_cycles[0]
-    assert cyc.k == 2 and cyc.weights == (1,) * 5 and cyc.w_C == 5
+    assert len(cyc.vertices) == 5 and cyc.weights == (1,) * 5
     assert Fraction(solution_weight2(g, pipeline_fold(g)), 2) == Fraction(5, 2)
 
 
@@ -120,9 +117,7 @@ def test_decompose_weights_in_walk_order():
     for match, weight in [((1, 2, 0), (2, 1, 1)), ((2, 0, 1), (1, 2, 1))]:
         comps = decompose_components(HalfIntegralSolution(match, weight, (2, 2, 0)))
         cyc = comps.odd_cycles[0]
-        assert cyc.vertices == (0, 1, 2)
-        assert cyc.weights == (2, 1, 1)  # edges 0-1, 1-2, 2-0
-        assert cyc.w_C == 4
+        assert cyc == ((0, 1, 2), (2, 1, 1))  # edges 0-1, 1-2, 2-0
 
 
 def test_decompose_bipartite_has_no_cycles():
@@ -159,14 +154,14 @@ def test_normalize_preserves_weight_and_cover():
         comps = decompose_components(s)
         # 2 * integral weight + sum of w_C is 2 * weight(x) = sum(v2)
         integral = sum(w for (_, _, w) in comps.integral)
-        assert 2 * integral + sum(c.w_C for c in comps.odd_cycles) == sum(s.v2)
+        assert 2 * integral + sum(sum(c.weights) for c in comps.odd_cycles) == sum(s.v2)
         # the fold's pair weights are the instance's edge weights
         assert set(comps.integral) <= set(g.edges)
         # every odd cycle walks half-edges of the fold
         half = {(a, b): w for (a, b, w), x in zip(g.edges, fold_x2(g, s)) if x == 1}
         for c in comps.odd_cycles:
             L = len(c.vertices)
-            assert L == 2 * c.k + 1
+            assert L % 2 == 1 and len(c.weights) == L
             pairs = [(c.vertices[t], c.vertices[(t + 1) % L]) for t in range(L)]
             assert [half[min(p), max(p)] for p in pairs] == list(c.weights)
 

@@ -1,5 +1,6 @@
 """Instance model: parsing, serialization, generators, validation."""
 
+import re
 from decimal import Decimal
 from fractions import Fraction
 
@@ -295,6 +296,18 @@ def test_instance_validation():
         GameInstance(2, ((0, 2, 1),))
     with pytest.raises(ValueError, match="vertex_count must be nonnegative"):
         GameInstance(-1, ())
+
+
+@pytest.mark.parametrize("name", [5, b"x"])
+def test_instance_refuses_a_name_that_is_not_a_str(name):
+    # a name is written out as comment lines: 5 has none, and b"x" would
+    # be written as "# b'x'"; the name is refused before any edge is read
+    def edges():
+        raise AssertionError("an edge was read")
+        yield
+
+    with pytest.raises(ValueError, match=re.escape(f"name is not a str: {name!r}")):
+        GameInstance(3, edges(), name=name)
 
 
 def test_instance_refuses_a_vertex_count_past_the_bound():

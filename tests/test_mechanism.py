@@ -6,6 +6,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from matchcore import mechanism
 from matchcore.errors import InvariantViolation
@@ -38,12 +40,13 @@ def assert_identities(cycle, v2, weights):
     `analyze_cycle` accepts v2, and a cover moved by 2 at any vertex
     makes it name that vertex with its weight."""
     analyze_cycle(cycle, v2)
+    w_C = sum(cycle.weights)
     for i, weight in zip(cycle.vertices, weights):
         bad = list(v2)
         bad[i] += 2
         with pytest.raises(InvariantViolation) as err:
             analyze_cycle(cycle, bad)
-        assert str(err.value) == f"cycle cover at vertex {i}: 2v = {bad[i]} != {cycle.w_C} - 2*{weight}"
+        assert str(err.value) == f"cycle cover at vertex {i}: 2v = {bad[i]} != {w_C} - 2*{weight}"
 
 
 def test_k3_analysis():
@@ -64,12 +67,12 @@ def test_c5_analysis():
     assert len(heaviest.edges) == 2
     assert heaviest.weight == 2
     # 5 * w(M') >= 4 * v_C = 2 * w_C holds with equality here
-    assert 5 * heaviest.weight == 2 * cycle.w_C
+    assert 5 * heaviest.weight == 2 * sum(cycle.weights)
 
 
 def test_uneven_triangle_analysis_by_hand():
     # cover (1, 1, 0) on the triangle with weights (2, 1, 1)
-    cycle = OddCycle((0, 1, 2), 1, (2, 1, 1), 4)
+    cycle = OddCycle((0, 1, 2), (2, 1, 1))
     assert_identities(cycle, (2, 2, 0), (1, 1, 2))
     heaviest = analyze_cycle(cycle, (2, 2, 0))
     assert heaviest.weight == 2
@@ -97,7 +100,7 @@ def test_analyze_cycle_tiebreak_rules():
     v2 = [0] * 5
     # all three matchings weigh 1: the smallest removed id, 2, wins
     v2[4] = v2[2] = v2[3] = 1
-    cycle = OddCycle((4, 2, 3), 1, (1, 1, 1), 3)
+    cycle = OddCycle((4, 2, 3), (1, 1, 1))
     ref = reference_analyze_cycle(cycle, v2)
     assert tuple(m.weight for m in ref.matchings) == (1, 1, 1)
     heaviest = analyze_cycle(cycle, v2)
@@ -106,7 +109,7 @@ def test_analyze_cycle_tiebreak_rules():
     assert heaviest.edges == ((3, 4),)
     # weights 1, 3, 3: the tie between removing 2 and 3 goes to 2
     v2[4], v2[2], v2[3] = 5, 1, 1
-    cycle = OddCycle((4, 2, 3), 1, (3, 1, 3), 7)
+    cycle = OddCycle((4, 2, 3), (3, 1, 3))
     ref = reference_analyze_cycle(cycle, v2)
     assert tuple(m.weight for m in ref.matchings) == (1, 3, 3)
     heaviest = analyze_cycle(cycle, v2)
@@ -280,19 +283,22 @@ def test_audit_recomputes_stored_totals(field, expected):
 
 def test_analyze_cycle_names_each_identity():
     # the triangle of K3: each matching weighs 1, so each 2v is 3 - 2*1
-    cycle = OddCycle((0, 1, 2), 1, (1, 1, 1), 3)
+    cycle = OddCycle((0, 1, 2), (1, 1, 1))
     assert analyze_cycle(cycle, (1, 1, 1)).weight == 1
-    # every vertex fails and the sum holds: the first vertex is named
+    # every vertex fails: the first vertex is named
     assert same_fault(cycle, (3, 3, 3)) == "cycle cover at vertex 0: 2v = 3 != 3 - 2*1"
-    # a w_C one above the edges' total: every vertex holds, the sum fails
-    cycle = OddCycle((0, 1, 2), 1, (1, 1, 1), 4)
-    assert same_fault(cycle, (2, 2, 2)) == "cycle matching weights sum to 3, expected 4"
-    # both fail: the vertex is named, not the sum
+    # the uneven triangle (w_C = 4, cover (2, 2, 0)) under (0, 2, 2): 0 and 2 fail, 0 is named
+    cycle = OddCycle((0, 1, 2), (2, 1, 1))
     assert same_fault(cycle, (0, 2, 2)) == "cycle cover at vertex 0: 2v = 0 != 4 - 2*1"
+    # a walk of even length, or with a weight missing, is no odd cycle
+    with pytest.raises(ValueError, match=r"^not an odd cycle: 4 vertices and 4 weights$"):
+        analyze_cycle(OddCycle((0, 1, 2, 3), (1, 1, 1, 1)), (2, 2, 2, 2))
+    with pytest.raises(ValueError, match=r"^not an odd cycle: 3 vertices and 2 weights$"):
+        analyze_cycle(OddCycle((0, 1, 2), (1, 1)), (1, 1, 1))
     # a 5-cycle walked 4, 2, 3, 0, 1, each matching weighing 2 under
     # 2v = 1 everywhere: covers moved at j = 1 and j = 2, which the pass
     # meets second and first, name the vertex at j = 1 of the walk
-    cycle = OddCycle((4, 2, 3, 0, 1), 2, (1, 1, 1, 1, 1), 5)
+    cycle = OddCycle((4, 2, 3, 0, 1), (1, 1, 1, 1, 1))
     assert analyze_cycle(cycle, (1,) * 5).weight == 2
     assert same_fault(cycle, (1, 1, 3, -1, 1)) == "cycle cover at vertex 2: 2v = 3 != 5 - 2*2"
 
@@ -339,7 +345,7 @@ def test_audit_reports_a_cycle_the_certificate_does_not_give():
     # factors and the matching that such a cycle would give
     trace = run_pipeline(PATH3)
     v2 = derive(trace)[0].v2
-    cycle = OddCycle((0, 1, 2), 1, (1, 1, 0), 2)
+    cycle = OddCycle((0, 1, 2), (1, 1, 0))
     assert_identities(cycle, v2, (1, 0, 1))
     assert analyze_cycle(cycle, v2).edges == ((1, 2),)
     third = Fraction(2, 3)
@@ -569,9 +575,9 @@ def test_cycle_identities_random():
         for (a, b, w) in g.edges:
             weight[a, b] = weight[b, a] = w
         for cyc in cycles:
-            k = cyc.k
+            k = len(cyc.vertices) // 2
             v_C = sum(v[i] for i in cyc.vertices)
-            assert cyc.w_C == 2 * v_C
+            assert sum(cyc.weights) == 2 * v_C
             matchings = [alternating_matching(cyc.vertices, j) for j in range(2 * k + 1)]
             matching_weights = [sum(weight[e] for e in edges) for edges in matchings]
             assert sum(matching_weights) == 2 * k * v_C
@@ -614,7 +620,7 @@ def random_cycle(rng, length, draw):
     for j in range(length):
         mw = sum(weights[(j + 1 + 2 * t) % length] for t in range(length // 2))
         v2[verts[j]] = w_C - 2 * mw
-    return OddCycle(verts, length // 2, weights, w_C), v2
+    return OddCycle(verts, weights), v2
 
 
 CYCLE_WEIGHTS = {
@@ -668,3 +674,19 @@ def test_analyze_cycle_1001_matches_reference():
     rng = random.Random("analyze_cycle 1001")
     assert_matches_reference(rng, 1001, lambda: CYCLE_WEIGHTS["0-2"](rng))
     assert_matches_reference(rng, 1001, lambda: CYCLE_WEIGHTS["2^63"](rng))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 20).flatmap(
+    lambda k: st.lists(st.integers(0, 2 ** 62), min_size=2 * k + 1, max_size=2 * k + 1)))
+def test_cycle_matchings_sum_to_k_times_the_cycle_weight(weights):
+    # each edge lies in k of the 2k+1 matchings, so they sum to k * w_C
+    # for any weights, the sum `analyze_cycle` does not test
+    length, w_C = len(weights), sum(weights)
+    verts = tuple(range(length))  # edge t runs from vertex t, and weighs weights[t]
+    matching_weights = [sum(weights[a] for a, _ in alternating_matching(verts, j))
+                        for j in range(length)]
+    assert sum(matching_weights) == length // 2 * w_C
+    # under the cover these weights give, the pass keeps the heaviest
+    v2 = [w_C - 2 * mw for mw in matching_weights]
+    assert analyze_cycle(OddCycle(verts, tuple(weights)), v2).weight == max(matching_weights)

@@ -100,8 +100,7 @@ def solve_bipartite(d: DoubledGraph) -> PrimalDualCertificate:
     id order, and within a row ties are taken in ascending id order
     too, so the order of equal weights in a row never shows.
     """
-    match_l, _, u, v = _run_kernel(d)
-    cert = PrimalDualCertificate(tuple(match_l), tuple(u), tuple(v))
+    cert = _run_kernel(d)
     problems = check_certificate(d.original, cert)
     if problems:
         raise InvariantViolation(
@@ -109,10 +108,12 @@ def solve_bipartite(d: DoubledGraph) -> PrimalDualCertificate:
     return cert
 
 
-def _run_kernel(d: DoubledGraph):
-    """Run the matching kernel on the doubled graph's rows."""
-    return _hungarian_py.solve_max_weight_bipartite(
+def _run_kernel(d: DoubledGraph) -> PrimalDualCertificate:
+    """Run the matching kernel on the doubled graph's rows and return
+    its certificate, not yet checked."""
+    match_l, _, u, v = _hungarian_py.solve_max_weight_bipartite(
         d.original.vertex_count, d.rights, d.weights)
+    return PrimalDualCertificate(tuple(match_l), tuple(u), tuple(v))
 
 
 def check_certificate(g: GameInstance, cert: PrimalDualCertificate) -> list[str]:

@@ -63,7 +63,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_verify(args) -> int:
     g = load_instance(args.instance)
-    with open(args.imputation, "r", encoding="utf-8") as fh:
+    with open(args.imputation, "r", encoding="utf-8-sig") as fh:
         data = json.load(fh)
     if not isinstance(data, dict) or not isinstance(data.get("values"), list):
         raise ValueError("imputation file must be a JSON object with a 'values' array")

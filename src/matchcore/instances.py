@@ -478,8 +478,9 @@ def serialize_instance(g: GameInstance) -> str:
 
 
 def load_instance(path) -> GameInstance:
-    """Read and parse an instance file."""
-    with open(path, "r", encoding="utf-8") as fh:
+    """Read and parse an instance file; a leading byte-order mark is
+    dropped."""
+    with open(path, "r", encoding="utf-8-sig") as fh:
         return parse_instance(fh.read())
 
 

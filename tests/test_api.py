@@ -134,3 +134,10 @@ def test_game_instance_contract():
     assert repr(g) == "GameInstance(vertex_count=3, edges=((0, 1, 2), (1, 2, 5)), name='a')"
     for copied in (copy.deepcopy(g), pickle.loads(pickle.dumps(g))):
         assert copied == g and copied.name == "a"
+
+
+def test_readme_library_example_runs():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library\n", 1)[1]
+    example = section.split("```python\n", 1)[1].split("\n```", 1)[0]
+    exec(compile(example, "README.md", "exec"), {})

@@ -1,5 +1,6 @@
 """Command-line behavior: outputs, exit codes, pipe discipline."""
 
+import hashlib
 import json
 import runpy
 import sys
@@ -106,6 +107,73 @@ def test_module_runs_as_a_script(capsys, monkeypatch):
     assert capsys.readouterr().out == "# cycle_3_w1\np mg 3 3\ne 1 2 1\ne 2 3 1\ne 1 3 1\n"
 
 
+def _repeat_first_edge(text):
+    """The header's edge count raised by one, and the first edge line
+    (after the comment and the header) repeated at the end."""
+    lines = text.splitlines(keepends=True)
+    p, mg, n, m = lines[1].split()
+    lines[1] = f"{p} {mg} {n} {int(m) + 1}\n"
+    return "".join(lines) + lines[2]
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+RANDOM_300 = ["random", "--n", "300", "--p", "1/2", "--max-weight", "1000000", "--seed", "1"]
+
+
+# Byte for byte: a file `gen` writes (its SHA-256, where pinned), then
+# the exit code, SHA-256 of stdout and stderr of `solve --json --check`
+# on it, and the exit code of `verify --mode edges` on that payout at
+# each alpha. The 2k/(2k+1) guarantee holds, and it is tight: one step
+# above it, `verify` exits 1.
+PINNED_RUNS = {
+    # 22,300 edges in pair order, which the parser reads as columns
+    # with no set of pairs
+    "random_300": (RANDOM_300, None,
+                   "224e38cb1dbe8d532c894f3696f2d582bae421bd5a35fa8590e48a5017956b00",
+                   (0, "2c9b449dca9d543a445fc9e24afa3137d64bba63139a170c6eaf946ae0b90350", ""),
+                   {}),
+    # the same columns, then the first pair repeated on the last line
+    "random_300_repeat": (RANDOM_300, _repeat_first_edge, None,
+                          (2, _sha256(""), "error: line 22303: duplicate edge (1, 2), "
+                                           "first seen at line 3\n"),
+                          {}),
+    # 200 unit triangles: every cycle's weighing, checks and backing matching
+    "gap_100": (["gap", "--n", "100"], None, None,
+                (0, "c66372b8d7e17fd3b3db4257b4acc17981bf49daeff175b8a2c7705a822d1a34", ""),
+                {"2/3": 0}),
+    # a 1,001-cycle: the payout falls short one step above 1000/1001
+    "cycle_1001": (["cycle", "--k", "500"], None, None,
+                   (0, "34d812516ff0e3be31cdfe5fcfcf931d16cd622df6a0e44e5e66552320594e0e", ""),
+                   {"1000/1001": 0, "1001/1002": 1}),
+    # weights up to 9: a 7-cycle and a triangle of uneven edge weights
+    # are scaled (factors 6/7 and 2/3); the least factor is the guarantee
+    "random_40_w9": (["random", "--n", "40", "--p", "1/8", "--max-weight", "9", "--seed", "23"],
+                     None, "cbbaa04505beedb51e30b166eb7c0627f13e6f1551c4e3fea2d36e6a8a228e5e",
+                     (0, "4c63433392cc58b5fc1832d60e0125497dd7b2f3491ec6be5ead16d85b922f87", ""),
+                     {"2/3": 0, "201/300": 1}),
+}
+
+
+@pytest.mark.parametrize("gen, edit, file_sha, solved, verified",
+                         list(PINNED_RUNS.values()), ids=list(PINNED_RUNS))
+def test_pinned_runs(capsys, tmp_path, gen, edit, file_sha, solved, verified):
+    inst, payout = tmp_path / "g.mg", tmp_path / "g.json"
+    assert run(capsys, "gen", *gen, str(inst))[0] == 0
+    if edit:
+        inst.write_text(edit(inst.read_text()))
+    if file_sha:
+        assert hashlib.sha256(inst.read_bytes()).hexdigest() == file_sha
+    code, out, err = run(capsys, "solve", str(inst), "--json", "--check")
+    assert (code, _sha256(out), err) == solved
+    payout.write_text(out)
+    assert {alpha: run(capsys, "verify", str(inst), str(payout),
+                       "--alpha", alpha, "--mode", "edges")[0]
+            for alpha in verified} == verified
+
+
 def test_solve_single_edge(capsys, tmp_path):
     path = tmp_path / "edge5.mg"
     path.write_text("p mg 2 1\ne 1 2 5\n")
@@ -127,6 +195,22 @@ def test_solve_malformed_exits_2(capsys, tmp_path):
     assert "line 2" in err
 
 
+def test_solve_ignores_a_leading_byte_order_mark(capsys, k3_path, tmp_path):
+    marked = tmp_path / "k3-bom.mg"
+    marked.write_text("\ufeff" + K3_TEXT, encoding="utf-8")
+    plain = run(capsys, "solve", k3_path, "--json")
+    assert plain[0] == 0
+    assert run(capsys, "solve", str(marked), "--json") == plain
+
+
+def test_solve_refuses_a_byte_order_mark_past_the_start(capsys, tmp_path):
+    path = tmp_path / "bom2.mg"
+    path.write_text(K3_TEXT.replace("\ne", "\n\ufeffe", 1), encoding="utf-8")
+    code, out, err = run(capsys, "solve", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: line 2: unknown directive: '\\ufeffe'\n"
+
+
 def test_solve_missing_file_exits_2(capsys):
     code, _, err = run(capsys, "solve", "/nonexistent.mg")
     assert code == 2
@@ -144,6 +228,16 @@ def test_verify_mechanism_output(capsys, k3_path, tmp_path):
     assert report["violations"] == []
     assert report["budget_ok"] is True
     assert [1, 2] in report["tight_coalitions"]
+
+
+def test_verify_ignores_a_leading_byte_order_mark(capsys, k3_path, tmp_path):
+    text = json.dumps({"values": ["1/3", "1/3", "1/3"]})
+    plain, marked = tmp_path / "imp.json", tmp_path / "imp-bom.json"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text("\ufeff" + text, encoding="utf-8")
+    expected = run(capsys, "verify", k3_path, str(plain))
+    assert expected[0] == 0
+    assert run(capsys, "verify", k3_path, str(marked)) == expected
 
 
 def test_verify_raw_cover_fails(capsys, k3_path, tmp_path):

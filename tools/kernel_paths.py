@@ -23,12 +23,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from matchcore.bipartite import (  # noqa: E402
-    PrimalDualCertificate,
-    _run_kernel,
-    check_certificate,
-    double_graph,
-)
+from matchcore.bipartite import _run_kernel, check_certificate, double_graph  # noqa: E402
 from matchcore.instances import GameInstance  # noqa: E402
 
 WEIGHTS = {
@@ -49,10 +44,9 @@ def measure(n: int, family: str) -> dict:
     runs, problems = [], []
     for _ in range(REPEATS):
         start = time.perf_counter()
-        match_l, _, u, v = _run_kernel(d)
+        cert = _run_kernel(d)
         runs.append(time.perf_counter() - start)
-        problems += check_certificate(
-            g, PrimalDualCertificate(tuple(match_l), tuple(u), tuple(v)))
+        problems += check_certificate(g, cert)
     return {"path": family, "n": n, "kernel_s": min(runs), "runs_s": runs,
             "problems": problems[:3]}
 
